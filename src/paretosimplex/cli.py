@@ -7,7 +7,8 @@ the format is sniffed from the file extension and can be forced with
 numbers.  All indices printed or read are 1-based.
 
 Exit codes: 0 success, 2 malformed input, 3 dimension mismatch, 4 solver
-failure, 5 enumeration size cap exceeded.
+failure or a disagreement under enumerate --oracle, 5 enumeration size cap
+exceeded.
 
 Numbers are printed with 17 significant digits so every value round-trips
 exactly; for fixed input and options the output is byte-identical across
@@ -51,7 +52,6 @@ from .lp import LpError
 from .oracle import dominance_lp_verdict
 from .scalarize import (
     FullSimplex,
-    OpenFace,
     UniqueVertex,
     WeightVector,
     argmax_set,
@@ -192,20 +192,17 @@ def _support_list(report: EfficiencyReport) -> list[int]:
     return list(report.point_class.support)
 
 
-def _face_payload(face) -> dict | None:
+def _face_payload(face, n: int) -> dict | None:
     if face is None:
         return None
     if isinstance(face, FullSimplex):
-        return {"kind": "all", "support": []}
+        return {"kind": "all", "support": list(range(1, n + 1))}
     if isinstance(face, UniqueVertex):
         return {"kind": "vertex", "support": [face.index]}
     return {"kind": "open-face", "support": list(face.support)}
 
 
 def _report_payload(report: EfficiencyReport) -> dict:
-    face = _face_payload(report.face)
-    if face is not None and face["kind"] == "all":
-        face["support"] = list(range(1, report.point.n + 1))
     return {
         "class": _class_name(report),
         "support": _support_list(report),
@@ -213,7 +210,7 @@ def _report_payload(report: EfficiencyReport) -> dict:
         "test": report.test.value,
         "value": report.value,
         "certificate": None if report.certificate is None else [float(w) for w in report.certificate.weights],
-        "face": face,
+        "face": _face_payload(report.face, report.point.n),
         "clamped": list(report.clamped),
     }
 
@@ -305,9 +302,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                     }
                 )
         payload["oracle"] = agreement
+    disagreements = sum(not entry["agrees"] for entry in agreement or ())
+    if disagreements:
+        print(f"error: {disagreements} supports disagree with the dominance oracle", file=sys.stderr)
+    status = EXIT_SOLVER if disagreements else EXIT_OK
     if args.json:
         print(_json_text(payload))
-        return EXIT_OK
+        return status
     print(f"full: {'yes' if structure.full else 'no'}")
     print(f"efficient vertices: {', '.join(str(j) for j in vertices) or '(none)'}")
     if faces:
@@ -321,7 +322,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         for entry in agreement:
             label = ", ".join(str(j) for j in entry["support"])
             print(f"oracle {{{label}}}: {'agree' if entry['agrees'] else 'DISAGREE'}")
-    return EXIT_OK
+    return status
 
 
 def cmd_scalarize(args: argparse.Namespace) -> int:
@@ -330,13 +331,7 @@ def cmd_scalarize(args: argparse.Namespace) -> int:
     weights = WeightVector(_numbers(args.weights, "weights"))
     objective = weighted_objective(matrix, weights)
     tied = argmax_set(objective, tol)
-    descriptor = solution_set(matrix, weights, tol)
-    if isinstance(descriptor, FullSimplex):
-        desc_payload = {"kind": "all", "support": list(range(1, matrix.n + 1))}
-    elif isinstance(descriptor, UniqueVertex):
-        desc_payload = {"kind": "vertex", "support": [descriptor.index]}
-    else:
-        desc_payload = {"kind": "open-face", "support": list(descriptor.support)}
+    desc_payload = _face_payload(solution_set(matrix, weights, tol), matrix.n)
     payload = {
         "coeffs": [float(c) for c in objective.coeffs],
         "dmax": objective.dmax,
@@ -429,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-x", type=float, default=1e-9, help="zero threshold for point components")
     common.add_argument("--tol-d", type=float, default=1e-7, help="tie threshold for objective coefficients")
     common.add_argument("--tol-lp", type=float, default=1e-9, help="simplex pivot tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized operations (the shipped commands are deterministic)")
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument("--max-support", type=int, default=None, help="largest support size to scan when enumerating")
     common.add_argument("--allow-large-n", action="store_true", help="lift the enumeration column cap")

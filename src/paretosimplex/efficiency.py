@@ -65,6 +65,7 @@ from .scalarize import (
     SolutionSetDescriptor,
     UniqueVertex,
     WeightVector,
+    argmax_descriptor,
     argmax_set,
     weighted_objective,
 )
@@ -315,8 +316,6 @@ def build_closure(matrix: CriteriaMatrix, support: SupportPattern) -> TestProgra
 def _expected_support(matrix: CriteriaMatrix, point_class: PointClass) -> SupportPattern:
     if isinstance(point_class, Randomized):
         return SupportPattern(range(1, matrix.n + 1))
-    if isinstance(point_class, PartiallyRandomized):
-        return point_class.support
     return point_class.support
 
 
@@ -358,15 +357,23 @@ class EfficiencyAnalyzer:
         if hit is not None:
             return hit
         program = build()
-        solution = solve(program.lp, self.tol)
+        try:
+            solution = solve(program.lp, self.tol)
+        except NumericalBreakdownError as exc:
+            raise NumericalBreakdownError(f"{self._program_name(kind, key)}: {exc}") from exc
         if solution.status is not LpStatus.OPTIMAL:
             raise NumericalBreakdownError(
-                f"certificate program {kind.value} reported {solution.status.value}; "
+                f"{self._program_name(kind, key)} reported {solution.status.value}; "
                 "it is feasible and bounded by construction"
             )
         result = TestResult(program, solution)
         with self._lock:
             return self._cache.setdefault((kind, key), result)
+
+    def _program_name(self, kind: TestKind, key: SupportPattern) -> str:
+        """Names a program in breakdown errors: kind, support, matrix shape."""
+        support = ", ".join(map(str, key))
+        return f"{kind.value} program on support {{{support}}} of the {self.matrix.k}x{self.matrix.n} matrix"
 
     def t0(self) -> TestResult:
         full = SupportPattern(range(1, self.matrix.n + 1))
@@ -467,12 +474,6 @@ class EfficiencyAnalyzer:
             raise NumericalBreakdownError(
                 f"extracted certificate does not keep {result.program.target} at the maximum"
             )
-        if len(tied) == self.matrix.n:
-            face: SolutionSetDescriptor = FullSimplex()
-        elif len(tied) == 1:
-            face = UniqueVertex(tied.indices[0])
-        else:
-            face = OpenFace(tied)
         return EfficiencyReport(
             x,
             point_class,
@@ -480,7 +481,7 @@ class EfficiencyAnalyzer:
             result.program.kind,
             result.value,
             certificate,
-            face,
+            argmax_descriptor(tied, self.matrix.n),
             clamped,
         )
 

@@ -1,15 +1,22 @@
-"""Exhaustive structure of the efficient set: vertices and open faces.
+"""Structure of the efficient set: vertices and open faces.
 
 Because efficiency depends only on a point's support, the efficient set
 is a union of open faces and the whole structure is finite: one verdict
-per support pattern.  Enumeration therefore scans every vertex and every
-support of size two and up.  The scan is exponential in the number of
-columns, so it is capped by default and can be limited to small supports.
+per support pattern.  Efficient supports are closed under subsets, since
+weights that keep a support at the maximum keep each of its subsets
+there.  The face scan is therefore level-wise: starting from the
+efficient vertices, it tests a support of size s only when all its
+subsets of size s-1 are efficient, and stops at the first size with no
+efficient support.  Every skipped support has a dominated subset, so the
+scan is exact, and its cost follows the size of the efficient set rather
+than the 2**n supports.  It can be limited to small supports, and wide
+matrices are refused by default.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import (
@@ -46,9 +53,11 @@ class EfficientStructure:
     """Enumerated efficient structure.
 
     full means every feasible point is efficient.  vertices holds the
-    efficient column indices, faces the efficient support patterns among
-    those scanned.  exhaustive is set when every support size up to n-1
-    was scanned, so the structure describes the entire efficient set.
+    efficient column indices, faces the efficient support patterns of
+    size two and up within the scanned sizes, found by the level-wise scan
+    (exact, since efficient supports are closed under subsets).  exhaustive
+    is set when no support size up to n-1 was cut off, so the structure
+    describes the entire efficient set.
     """
 
     full: bool
@@ -109,6 +118,26 @@ def _pattern_efficient(analyzer: EfficiencyAnalyzer, pattern: SupportPattern) ->
     return analyzer.closure(pattern).value > DECISION_THRESHOLD
 
 
+def _candidates(level: list[SupportPattern]) -> Iterator[SupportPattern]:
+    """Supports one column larger than those of ``level`` whose every
+    one-smaller subset is in ``level``, in lexicographic order.
+
+    Each candidate joins the two members that share all but their last
+    column; those two are subsets already, so only the subsets that drop
+    one of the shared columns need a lookup.
+    """
+    known = set(level)
+    ordered = sorted(level, key=lambda p: p.indices)
+    for _, group in itertools.groupby(ordered, key=lambda p: p.indices[:-1]):
+        for a, b in itertools.combinations(group, 2):
+            combo = a.indices + b.indices[-1:]
+            if all(
+                SupportPattern(combo[:i] + combo[i + 1 :]) in known
+                for i in range(len(combo) - 2)
+            ):
+                yield SupportPattern(combo)
+
+
 def enumerate_faces(
     matrix: CriteriaMatrix,
     tol: Tolerances = DEFAULT_TOLERANCES,
@@ -116,7 +145,8 @@ def enumerate_faces(
     allow_large: bool = False,
     analyzer: EfficiencyAnalyzer | None = None,
 ) -> EfficientStructure:
-    """Scan vertices and support patterns for efficiency.
+    """Find the efficient vertices, then the efficient support patterns
+    level by level as the module docstring describes.
 
     max_support limits the scanned support sizes; the result is flagged
     exhaustive only when nothing was cut off.  Matrices with more than
@@ -147,13 +177,14 @@ def enumerate_faces(
         )
         return EfficientStructure(True, vertices, faces, exhaustive, warning)
     vertices = enumerate_vertices(matrix, tol, analyzer)
-    faces = frozenset(
-        pattern
-        for size in sizes
-        for combo in itertools.combinations(range(1, n + 1), size)
-        if _pattern_efficient(analyzer, pattern := SupportPattern(combo))
-    )
-    return EfficientStructure(False, vertices, faces, exhaustive, warning)
+    level = [SupportPattern((j,)) for j in sorted(vertices)]
+    faces: set[SupportPattern] = set()
+    for _ in sizes:
+        level = [p for p in _candidates(level) if _pattern_efficient(analyzer, p)]
+        if not level:
+            break
+        faces.update(level)
+    return EfficientStructure(False, vertices, frozenset(faces), exhaustive, warning)
 
 
 def bicriterion_full_check(

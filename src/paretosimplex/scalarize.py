@@ -30,6 +30,7 @@ __all__ = [
     "SolutionSetDescriptor",
     "UniqueVertex",
     "WeightVector",
+    "argmax_descriptor",
     "argmax_set",
     "solution_set",
     "weighted_objective",
@@ -135,15 +136,20 @@ def argmax_set(objective: ObjectiveVector, tol: Tolerances = DEFAULT_TOLERANCES)
     return SupportPattern(int(j) + 1 for j in tied)
 
 
+def argmax_descriptor(tied: SupportPattern, n: int) -> SolutionSetDescriptor:
+    """Maximizer set over the n-column simplex of an objective whose tied
+    columns are ``tied``."""
+    if len(tied) == n:
+        return FullSimplex()
+    if len(tied) == 1:
+        return UniqueVertex(tied.indices[0])
+    return OpenFace(tied)
+
+
 def solution_set(
     matrix: CriteriaMatrix,
     weights: WeightVector,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SolutionSetDescriptor:
     """Describe the maximizer set of the collapsed objective over the simplex."""
-    tied = argmax_set(weighted_objective(matrix, weights), tol)
-    if len(tied) == matrix.n:
-        return FullSimplex()
-    if len(tied) == 1:
-        return UniqueVertex(tied.indices[0])
-    return OpenFace(tied)
+    return argmax_descriptor(argmax_set(weighted_objective(matrix, weights), tol), matrix.n)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import EDGE_ONLY_ROWS, ALL_EFFICIENT_ROWS
 
-from paretosimplex import cli
+from paretosimplex import Verdict, cli
 
 
 def run(capsys, *argv):
@@ -127,6 +127,29 @@ def test_enumerate_oracle_crosscheck(capsys, edge_json):
     code, out, _ = run(capsys, "enumerate", edge_json, "--oracle")
     assert code == 0
     assert "DISAGREE" not in out
+
+
+def test_enumerate_oracle_disagreement_exits_4(capsys, edge_json, monkeypatch):
+    real_verdict = cli.dominance_lp_verdict
+
+    def flipped_on_vertex_3(matrix, point, tol):
+        verdict = real_verdict(matrix, point, tol)
+        if list(point.coords) != [0.0, 0.0, 1.0]:
+            return verdict
+        return Verdict.EFFICIENT if verdict is Verdict.DOMINATED else Verdict.DOMINATED
+
+    monkeypatch.setattr(cli, "dominance_lp_verdict", flipped_on_vertex_3)
+    code, out, err = run(capsys, "enumerate", edge_json, "--oracle", "--json")
+    assert code == 4
+    payload = json.loads(out)
+    assert [entry["support"] for entry in payload["oracle"] if not entry["agrees"]] == [[3]]
+    assert "disagree" in err
+
+    code, out, err = run(capsys, "enumerate", edge_json, "--oracle")
+    assert code == 4
+    assert "oracle {3}: DISAGREE" in out
+    assert "oracle {1, 2}: agree" in out
+    assert "disagree" in err
 
 
 def test_scalarize_command(capsys, full_json, edge_json):

@@ -16,6 +16,9 @@ from paretosimplex import (
     EfficiencyAnalyzer,
     FullSimplex,
     InputError,
+    LpSolution,
+    LpStatus,
+    NumericalBreakdownError,
     OpenFace,
     PartiallyRandomized,
     Randomized,
@@ -292,3 +295,27 @@ def test_analyzer_is_thread_safe(edge_matrix):
     expected = {id(p): decide(edge_matrix, p).verdict for p in grid}
     for point, report in zip(grid * 4, reports):
         assert report.verdict is expected[id(point)]
+
+
+def test_breakdown_errors_name_the_program(edge_matrix, monkeypatch):
+    # A stubbed solver stands in for a real breakdown, so the message is
+    # checked whatever matrices the solver happens to fail on.
+    def broken_solve(lp, tol):
+        raise NumericalBreakdownError("optimal point failed its feasibility re-check")
+
+    monkeypatch.setattr(efficiency_module, "solve", broken_solve)
+    analyzer = EfficiencyAnalyzer(edge_matrix)
+    with pytest.raises(NumericalBreakdownError) as info:
+        analyzer.t1(SupportPattern((1, 2)))
+    message = str(info.value)
+    assert message.startswith("T1 program on support {1, 2} of the 3x3 matrix")
+    assert "optimal point failed its feasibility re-check" in message
+    assert isinstance(info.value.__cause__, NumericalBreakdownError)
+
+    def unbounded_solve(lp, tol):
+        return LpSolution(LpStatus.UNBOUNDED, None, None, 0)
+
+    monkeypatch.setattr(efficiency_module, "solve", unbounded_solve)
+    expected = r"^closure program on support \{3\} of the 3x3 matrix reported unbounded"
+    with pytest.raises(NumericalBreakdownError, match=expected):
+        analyzer.closure(SupportPattern((3,)))

@@ -7,6 +7,8 @@ import pytest
 
 from conftest import barycenter, random_matrix
 
+import paretosimplex.efficiency as efficiency_module
+import paretosimplex.enumeration as enumeration_module
 from paretosimplex import (
     CriteriaMatrix,
     DimensionMismatchError,
@@ -25,6 +27,32 @@ from paretosimplex import (
     verify_certificate,
     vertex,
 )
+from paretosimplex.enumeration import _pattern_efficient
+
+
+def exhaustive_structure(matrix, max_support=None):
+    """Reference scan: every support of every scanned size goes through
+    the per-support decision, with no pruning.  Returns the vertices, the
+    faces and the exhaustive flag."""
+    n = matrix.n
+    analyzer = EfficiencyAnalyzer(matrix)
+    cap = n - 1 if max_support is None else min(max_support, n - 1)
+    sizes = range(2, cap + 1)
+    if check_full(matrix, analyzer=analyzer)[0]:
+        faces = frozenset(
+            SupportPattern(combo)
+            for size in sizes
+            for combo in itertools.combinations(range(1, n + 1), size)
+        )
+        return frozenset(range(1, n + 1)), faces, cap == n - 1
+    vertices = enumerate_vertices(matrix, analyzer=analyzer)
+    faces = frozenset(
+        pattern
+        for size in sizes
+        for combo in itertools.combinations(range(1, n + 1), size)
+        if _pattern_efficient(analyzer, pattern := SupportPattern(combo))
+    )
+    return vertices, faces, cap == n - 1
 
 
 def test_edge_instance_structure(edge_matrix):
@@ -174,3 +202,63 @@ def test_ratio_shortcut_is_sound():
             fired += 1
             assert check_full(matrix)[0]
     assert fired >= 30
+
+
+def test_level_wise_scan_matches_exhaustive_reference(monkeypatch):
+    tested = []
+
+    def recording(analyzer, pattern):
+        tested.append(pattern)
+        return _pattern_efficient(analyzer, pattern)
+
+    monkeypatch.setattr(enumeration_module, "_pattern_efficient", recording)
+    rng = np.random.default_rng(2412)
+    duplicated = limited = 0
+    for trial in range(48):
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(2, 7))
+        entries = rng.integers(-9, 10, size=(k, n)).astype(float)
+        if trial % 4 == 1 and n >= 3:
+            source, target = rng.choice(n, size=2, replace=False)
+            entries[:, target] = entries[:, source]
+            duplicated += 1
+        max_support = None
+        if trial % 3 == 2 and n >= 4:
+            max_support = int(rng.integers(2, n))
+            limited += 1
+        matrix = CriteriaMatrix(entries)
+        tested.clear()
+        structure = enumerate_faces(matrix, max_support=max_support)
+        vertices, faces, exhaustive = exhaustive_structure(matrix, max_support)
+        assert structure.vertices == vertices
+        assert structure.faces == faces
+        assert structure.exhaustive == exhaustive
+        # a face is tested only when all its one-smaller subsets are efficient
+        efficient = faces | {SupportPattern((j,)) for j in vertices}
+        for pattern in tested:
+            if len(pattern) > 1:
+                subsets = itertools.combinations(pattern.indices, len(pattern) - 1)
+                assert all(SupportPattern(sub) in efficient for sub in subsets)
+    assert duplicated >= 8 and limited >= 8
+
+
+def test_level_wise_scan_solves_few_programs(monkeypatch):
+    # 4082 supports of size 2..11: the reference solves T1 on each and
+    # closure on most, the level-wise scan only on the few whose subsets
+    # are all efficient.
+    matrix = random_matrix(np.random.default_rng(3), k=4, n=12)
+    solved = []
+    real_solve = efficiency_module.solve
+
+    def counting_solve(lp, tol):
+        solved.append(lp)
+        return real_solve(lp, tol)
+
+    monkeypatch.setattr(efficiency_module, "solve", counting_solve)
+    vertices, faces, _ = exhaustive_structure(matrix)
+    reference = len(solved)
+    solved.clear()
+    structure = enumerate_faces(matrix)
+    assert (structure.vertices, structure.faces) == (vertices, faces)
+    assert faces
+    assert len(solved) * 20 < reference
