@@ -18,26 +18,29 @@ on the boundary of a larger efficient face, where no weighting separates
 its support from the rest: duplicate columns are the simplest case, a
 column sitting in the convex hull of the tied ones the general one.  The
 closure program covers these: it keeps the support tied but only forbids
-other columns from exceeding it, so a positive optimum exhibits weights
+other columns from exceeding it, so a feasible program exhibits weights
 whose argmax pattern contains the support.  That still makes the point a
 maximizer under strictly positive weights, hence efficient, and the
 report's face names the larger pattern actually certified.  The closure
 program runs only after the exact-face test fails, so the common path is
 unchanged.
 
-All programs maximize a margin capped at one, and their optimum is 0 or
-1: any feasible solution with a positive margin can be rescaled to margin
-one.  A positive optimum means efficient; the decision threshold sits at
-one half, the midpoint of the two possible values, so the verdict never
-hinges on solver noise.  Because the programs depend only on the support,
-verdicts are cached per support pattern.
+Each program is a pure feasibility system over u >= 0 with weights
+w = 1 + u: ties are equalities, strict gaps are "at least 1" and weak gaps
+"at least 0".  Scaling w by a large enough factor turns any strictly
+positive weighting with positive gaps into one with w >= 1 and gaps >= 1,
+so feasibility is exactly the certificate's existence (Isermann's
+weight-space test).  A feasible program certifies efficiency, with
+weights (1 + u) / min(1 + u); an infeasible one proves that no weighting
+exists.  Because the programs depend only on the support, verdicts are
+cached per support pattern.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -84,10 +87,6 @@ __all__ = [
     "verify_certificate",
 ]
 
-#: Verdict threshold between the two admissible optima 0 and 1.
-DECISION_THRESHOLD = 0.5
-
-
 class TestKind(Enum):
     T0 = "T0"
     T1 = "T1"
@@ -97,22 +96,16 @@ class TestKind(Enum):
 
 @dataclass(frozen=True)
 class TestProgram:
-    """A certificate program plus the layout of its variable vector.
+    """A certificate program.
 
     target is the support the program certifies: every column for T0, the
-    tested support for T1, a single column for T2.  weight_vars, floor_var,
-    gap_vars, and margin_var give the positions of the weights, the weight
-    floor, the per-column gap variables (keyed by 1-based column), and the
-    maximized margin inside the LP's variable vector.
+    tested support for T1, a single column for T2.  The LP's variables are
+    the weight offsets u, one per criterion.
     """
 
     kind: TestKind
     target: SupportPattern
     lp: StandardLp
-    weight_vars: tuple[int, ...]
-    floor_var: int
-    gap_vars: dict[int, int] = field(default_factory=dict)
-    margin_var: int | None = None
 
 
 @dataclass(frozen=True)
@@ -121,8 +114,13 @@ class TestResult:
     solution: LpSolution
 
     @property
+    def certified(self) -> bool:
+        """Whether the program is feasible, so that weights exist."""
+        return self.solution.status is LpStatus.OPTIMAL
+
+    @property
     def value(self) -> float:
-        return self.solution.value  # type: ignore[return-value]
+        return float(self.certified)
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,8 @@ class EfficiencyReport:
 
     face describes the region the decisive certificate proves efficient
     alongside the point (whole simplex, one vertex, or an open face); it
-    is absent for dominated points.  clamped lists 1-based components
+    is absent for dominated points.  value is 1.0 when the decisive program
+    certified and 0.0 when it did not.  clamped lists 1-based components
     whose positive mass fell within the zero threshold and was excluded
     from the support.
     """
@@ -146,100 +145,30 @@ class EfficiencyReport:
     clamped: tuple[int, ...] = ()
 
 
-def build_t0(matrix: CriteriaMatrix) -> TestProgram:
-    """Program deciding whether some strictly positive weighting ties all
-    columns: maximize the weight floor, subject to all collapsed
-    coefficients equal, every weight at least the floor, floor at most 1.
-    """
-    k, n = matrix.k, matrix.n
-    entries = matrix.entries
-    nvars = k + 1
-    floor = k
-    rows = np.zeros((n - 1 + k + 1, nvars))
-    relations: list[Relation] = []
-    rhs = np.zeros(n - 1 + k + 1)
-    for j in range(n - 1):
-        rows[j, :k] = entries[:, j] - entries[:, j + 1]
-        relations.append(Relation.EQ)
-    for i in range(k):
-        r = n - 1 + i
-        rows[r, i] = 1.0
-        rows[r, floor] = -1.0
-        relations.append(Relation.GE)
-    rows[-1, floor] = 1.0
-    relations.append(Relation.LE)
-    rhs[-1] = 1.0
-    objective = np.zeros(nvars)
-    objective[floor] = 1.0
-    lp = StandardLp(objective, rows, relations, rhs, lower=np.full(nvars, -np.inf))
-    return TestProgram(
-        kind=TestKind.T0,
-        target=SupportPattern(range(1, n + 1)),
-        lp=lp,
-        weight_vars=tuple(range(k)),
-        floor_var=floor,
-    )
-
-
-def _build_gap_program(matrix: CriteriaMatrix, support: SupportPattern, kind: TestKind) -> TestProgram:
-    """Shared construction for T1 and T2: tie the support columns, force a
-    positive gap to every other column, and maximize the smallest of the
-    gaps and the weight floor (capped at one)."""
-    k, n = matrix.k, matrix.n
+def _build(matrix: CriteriaMatrix, support: SupportPattern, kind: TestKind) -> TestProgram:
+    """Feasibility program over u >= 0 with weights w = 1 + u: the support
+    columns tie, and every other column trails the first support column
+    by at least 1 (T1, T2) or at least 0 (closure).  T0 passes the full
+    support, so it has ties only."""
     entries = matrix.entries
     inside = [j - 1 for j in support.indices]
-    outside = [j for j in range(n) if j + 1 not in support]
-    q = len(outside)
-    nvars = k + 1 + q + 1
-    floor = k
-    gap0 = k + 1
-    margin = k + 1 + q
+    outside = [j for j in range(matrix.n) if j + 1 not in support]
+    ties = len(inside) - 1
+    rows = [entries[:, a] - entries[:, b] for a, b in itertools.pairwise(inside)]
+    rows += [entries[:, inside[0]] - entries[:, j] for j in outside]
+    a = np.array(rows)
+    gap = 0.0 if kind is TestKind.CLOSURE else 1.0
+    bound = np.array([0.0] * ties + [gap] * len(outside))
+    relations = [Relation.EQ] * ties + [Relation.GE] * len(outside)
+    # Each row d bounds d . w = d . u + sum(d).
+    lp = StandardLp(np.zeros(matrix.k), a, relations, bound - a.sum(axis=1))
+    return TestProgram(kind=kind, target=support, lp=lp)
 
-    nrows = (len(inside) - 1) + q + k + q + 1 + 1
-    rows = np.zeros((nrows, nvars))
-    relations: list[Relation] = []
-    rhs = np.zeros(nrows)
-    r = 0
-    for a, b in itertools.pairwise(inside):
-        rows[r, :k] = entries[:, a] - entries[:, b]
-        relations.append(Relation.EQ)
-        r += 1
-    lead = inside[0]
-    for offset, j in enumerate(outside):
-        rows[r, :k] = entries[:, lead] - entries[:, j]
-        rows[r, gap0 + offset] = -1.0
-        relations.append(Relation.GE)
-        r += 1
-    for i in range(k):
-        rows[r, i] = 1.0
-        rows[r, floor] = -1.0
-        relations.append(Relation.GE)
-        r += 1
-    for offset in range(q):
-        rows[r, gap0 + offset] = 1.0
-        rows[r, margin] = -1.0
-        relations.append(Relation.GE)
-        r += 1
-    rows[r, floor] = 1.0
-    rows[r, margin] = -1.0
-    relations.append(Relation.GE)
-    r += 1
-    rows[r, floor] = 1.0
-    relations.append(Relation.LE)
-    rhs[r] = 1.0
 
-    objective = np.zeros(nvars)
-    objective[margin] = 1.0
-    lp = StandardLp(objective, rows, relations, rhs, lower=np.full(nvars, -np.inf))
-    return TestProgram(
-        kind=kind,
-        target=support,
-        lp=lp,
-        weight_vars=tuple(range(k)),
-        floor_var=floor,
-        gap_vars={j + 1: gap0 + offset for offset, j in enumerate(outside)},
-        margin_var=margin,
-    )
+def build_t0(matrix: CriteriaMatrix) -> TestProgram:
+    """Program deciding whether some strictly positive weighting ties all
+    columns."""
+    return _build(matrix, SupportPattern(range(1, matrix.n + 1)), TestKind.T0)
 
 
 def build_t1(matrix: CriteriaMatrix, support: SupportPattern) -> TestProgram:
@@ -250,22 +179,21 @@ def build_t1(matrix: CriteriaMatrix, support: SupportPattern) -> TestProgram:
         )
     if support.indices[-1] > matrix.n:
         raise DimensionMismatchError("support index exceeds the number of columns")
-    return _build_gap_program(matrix, support, TestKind.T1)
+    return _build(matrix, support, TestKind.T1)
 
 
 def build_t2(matrix: CriteriaMatrix, j: int) -> TestProgram:
     """Certificate program for the vertex on column ``j`` (1-based)."""
     if not 1 <= j <= matrix.n:
         raise InputError(f"column index {j} out of range 1..{matrix.n}")
-    return _build_gap_program(matrix, SupportPattern((j,)), TestKind.T2)
+    return _build(matrix, SupportPattern((j,)), TestKind.T2)
 
 
 def build_closure(matrix: CriteriaMatrix, support: SupportPattern) -> TestProgram:
     """Weak-gap variant deciding whether ``support`` sits inside the argmax
     pattern of some strictly positive weighting: the support columns must
-    tie and the rest must not exceed them.  Maximizes the weight floor
-    capped at one; tying all columns is the job of the all-column program,
-    so the full support is rejected here.
+    tie and the rest must not exceed them.  Tying all columns is the job
+    of the all-column program, so the full support is rejected here.
     """
     if not 1 <= len(support) <= matrix.n - 1:
         raise InputError(
@@ -273,44 +201,7 @@ def build_closure(matrix: CriteriaMatrix, support: SupportPattern) -> TestProgra
         )
     if support.indices[-1] > matrix.n:
         raise DimensionMismatchError("support index exceeds the number of columns")
-    k, n = matrix.k, matrix.n
-    entries = matrix.entries
-    inside = [j - 1 for j in support.indices]
-    outside = [j for j in range(n) if j + 1 not in support]
-    nvars = k + 1
-    floor = k
-    nrows = (len(inside) - 1) + len(outside) + k + 1
-    rows = np.zeros((nrows, nvars))
-    relations: list[Relation] = []
-    rhs = np.zeros(nrows)
-    r = 0
-    for a, b in itertools.pairwise(inside):
-        rows[r, :k] = entries[:, a] - entries[:, b]
-        relations.append(Relation.EQ)
-        r += 1
-    lead = inside[0]
-    for j in outside:
-        rows[r, :k] = entries[:, lead] - entries[:, j]
-        relations.append(Relation.GE)
-        r += 1
-    for i in range(k):
-        rows[r, i] = 1.0
-        rows[r, floor] = -1.0
-        relations.append(Relation.GE)
-        r += 1
-    rows[r, floor] = 1.0
-    relations.append(Relation.LE)
-    rhs[r] = 1.0
-    objective = np.zeros(nvars)
-    objective[floor] = 1.0
-    lp = StandardLp(objective, rows, relations, rhs, lower=np.full(nvars, -np.inf))
-    return TestProgram(
-        kind=TestKind.CLOSURE,
-        target=support,
-        lp=lp,
-        weight_vars=tuple(range(k)),
-        floor_var=floor,
-    )
+    return _build(matrix, support, TestKind.CLOSURE)
 
 
 def _expected_support(matrix: CriteriaMatrix, point_class: PointClass) -> SupportPattern:
@@ -361,10 +252,10 @@ class EfficiencyAnalyzer:
             solution = solve(program.lp, self.tol)
         except NumericalBreakdownError as exc:
             raise NumericalBreakdownError(f"{self._program_name(kind, key)}: {exc}") from exc
-        if solution.status is not LpStatus.OPTIMAL:
+        if solution.status is LpStatus.UNBOUNDED:
             raise NumericalBreakdownError(
-                f"{self._program_name(kind, key)} reported {solution.status.value}; "
-                "it is feasible and bounded by construction"
+                f"{self._program_name(kind, key)} reported unbounded; "
+                "its objective is zero"
             )
         result = TestResult(program, solution)
         with self._lock:
@@ -392,14 +283,10 @@ class EfficiencyAnalyzer:
         )
 
     def certificate_from(self, result: TestResult) -> WeightVector:
-        """Extract the weight vector from a positive certificate solution,
+        """Extract the weights 1 + u from a feasible certificate program,
         rescaled so the smallest weight is exactly one."""
-        point = result.solution.point
-        weights = np.array([point[v] for v in result.program.weight_vars])
-        smallest = weights.min()
-        if smallest <= 0.0:
-            raise NumericalBreakdownError("certificate weights are not positive")
-        return WeightVector(weights / smallest)
+        weights = 1.0 + result.solution.point
+        return WeightVector(weights / weights.min())
 
     def decide(self, x: SimplexPoint) -> EfficiencyReport:
         """Classify ``x`` and decide efficiency with the cheapest decisive
@@ -412,7 +299,7 @@ class EfficiencyAnalyzer:
         clamped = clamped_indices(x, self.tol)
 
         t0 = self.t0()
-        if t0.value > DECISION_THRESHOLD:
+        if t0.certified:
             return self._efficient(x, point_class, t0, FullSimplex(), clamped)
         if isinstance(point_class, Randomized):
             # No all-tying weights exist, so no randomized point is efficient.
@@ -425,12 +312,12 @@ class EfficiencyAnalyzer:
         else:
             result = self.t2(point_class.index)
             face = UniqueVertex(point_class.index)
-        if result.value > DECISION_THRESHOLD:
+        if result.certified:
             return self._efficient(x, point_class, result, face, clamped)
         # The exact-face test failed, but the point may still border a
         # larger efficient face (duplicate columns and the like).
         fallback = self.closure(result.program.target)
-        if fallback.value > DECISION_THRESHOLD:
+        if fallback.certified:
             return self._efficient_closure(x, point_class, fallback, clamped)
         return EfficiencyReport(
             x, point_class, Verdict.DOMINATED, fallback.program.kind, fallback.value, None, None, clamped

@@ -27,7 +27,7 @@ from .core import (
     SupportPattern,
     Tolerances,
 )
-from .efficiency import DECISION_THRESHOLD, EfficiencyAnalyzer
+from .efficiency import EfficiencyAnalyzer
 from .scalarize import WeightVector
 
 __all__ = [
@@ -79,7 +79,7 @@ def check_full(
     """
     analyzer = analyzer or EfficiencyAnalyzer(matrix, tol)
     result = analyzer.t0()
-    if result.value <= DECISION_THRESHOLD:
+    if not result.certified:
         return False, None
     return True, analyzer.certificate_from(result)
 
@@ -113,9 +113,7 @@ def _pattern_efficient(analyzer: EfficiencyAnalyzer, pattern: SupportPattern) ->
         primary = analyzer.t2(pattern.indices[0])
     else:
         primary = analyzer.t1(pattern)
-    if primary.value > DECISION_THRESHOLD:
-        return True
-    return analyzer.closure(pattern).value > DECISION_THRESHOLD
+    return primary.certified or analyzer.closure(pattern).certified
 
 
 def _candidates(level: list[SupportPattern]) -> Iterator[SupportPattern]:

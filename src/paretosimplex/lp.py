@@ -1,16 +1,15 @@
 """Dense two-phase primal simplex for small linear programs.
 
-The solver targets the small certificate programs built elsewhere in this
-package: a few dozen rows and columns, dense data, heavy degeneracy.  It
-maximizes over constraints given in relational form (<=, =, >=) with
-per-variable bounds restricted to lower in {0, -inf} and upper in
-{finite, +inf}.
+The solver targets the small programs built elsewhere in this package:
+the certificate feasibility programs and the dominance program, a few
+dozen rows and columns, dense data, heavy degeneracy.  It maximizes over
+nonnegative variables and constraints given in relational form (<=, =,
+>=), which is all those programs use.
 
-Conversion to computational form: finite upper bounds become explicit <=
-rows, free variables are split into differences of nonnegative pairs,
-rows are sign-normalized to a nonnegative right-hand side, and slack,
-surplus, and artificial columns are appended.  Phase one drives the
-artificials to zero; phase two optimizes the real objective.
+Conversion to computational form: rows are sign-normalized to a
+nonnegative right-hand side, and slack, surplus, and artificial columns
+are appended.  Phase one drives the artificials to zero; phase two
+optimizes the real objective, and is a no-op for a zero objective.
 
 Pivoting uses Dantzig's rule (most positive reduced cost) and switches to
 Bland's rule after a stall of 2 * (rows + columns) consecutive degenerate
@@ -65,23 +64,14 @@ class NumericalBreakdownError(LpError):
 
 
 class StandardLp:
-    """maximize objective . x  subject to  a x (rel) rhs  and variable bounds.
+    """maximize objective . x  subject to  a x (rel) rhs  and  x >= 0.
 
-    lower[j] must be 0 or -inf; upper[j] must be finite (>= lower) or +inf.
     Rows may be empty, variables may not.
     """
 
-    __slots__ = ("objective", "a", "relations", "rhs", "lower", "upper")
+    __slots__ = ("objective", "a", "relations", "rhs")
 
-    def __init__(
-        self,
-        objective,
-        a,
-        relations: Sequence[Relation],
-        rhs,
-        lower=None,
-        upper=None,
-    ) -> None:
+    def __init__(self, objective, a, relations: Sequence[Relation], rhs) -> None:
         self.objective = np.array(objective, dtype=float)
         if self.objective.ndim != 1 or self.objective.size == 0:
             raise InputError("objective must be a nonempty vector")
@@ -94,25 +84,10 @@ class StandardLp:
             raise DimensionMismatchError("rows, relations, and rhs must align")
         if not all(isinstance(rel, Relation) for rel in self.relations):
             raise InputError("relations must be Relation members")
-        self.lower = (
-            np.zeros(m) if lower is None else np.array(lower, dtype=float).reshape(-1)
-        )
-        self.upper = (
-            np.full(m, np.inf) if upper is None else np.array(upper, dtype=float).reshape(-1)
-        )
-        if self.lower.size != m or self.upper.size != m:
-            raise DimensionMismatchError("bounds must have one entry per variable")
         for arr, name in ((self.objective, "objective"), (self.a, "matrix"), (self.rhs, "rhs")):
             if not np.isfinite(arr).all():
                 raise InputError(f"{name} entries must be finite")
-        for j in range(m):
-            if self.lower[j] != 0.0 and not np.isneginf(self.lower[j]):
-                raise InputError("lower bounds must be 0 or -inf")
-            if np.isnan(self.upper[j]) or np.isneginf(self.upper[j]):
-                raise InputError("upper bounds must be finite or +inf")
-            if self.upper[j] < self.lower[j]:
-                raise InputError(f"upper bound of variable {j} lies below its lower bound")
-        for arr in (self.objective, self.a, self.rhs, self.lower, self.upper):
+        for arr in (self.objective, self.a, self.rhs):
             arr.setflags(write=False)
 
     @property
@@ -131,8 +106,8 @@ class StandardLp:
 class LpSolution:
     """Outcome of a solve.
 
-    value and point are set only when status is OPTIMAL; the point is in
-    the original variable space, and value equals objective . point.
+    value and point are set only when status is OPTIMAL, and value equals
+    objective . point.
     """
 
     status: LpStatus
@@ -142,8 +117,8 @@ class LpSolution:
 
 
 def feasibility_violation(lp: StandardLp, point: np.ndarray) -> float:
-    """Largest constraint or bound violation of ``point``, scaled per row
-    by 1 + |rhs| so the measure is meaningful across magnitudes."""
+    """Largest constraint or sign violation of ``point``; row violations are
+    scaled by 1 + |rhs| so the measure is meaningful across magnitudes."""
     x = np.asarray(point, dtype=float)
     worst = 0.0
     if lp.num_rows:
@@ -157,9 +132,7 @@ def feasibility_violation(lp: StandardLp, point: np.ndarray) -> float:
             else:
                 gap = abs(resid)
             worst = max(worst, gap / (1.0 + abs(lp.rhs[i])))
-    lower_gap = np.max(lp.lower - x, initial=0.0)
-    upper_gap = np.max(x - lp.upper, initial=0.0)
-    return float(max(worst, lower_gap, upper_gap))
+    return float(max(worst, np.max(-x, initial=0.0)))
 
 
 def _pivot(tableau: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -225,42 +198,13 @@ def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
     NumericalBreakdownError rather than returning a point that fails the
     feasibility re-check.
     """
-    m = lp.num_vars
-
-    # Finite upper bounds become explicit rows; bounded-variable pivoting
-    # is not worth its complexity at these sizes.
-    rows = [] if lp.num_rows == 0 else [lp.a]
-    relations = list(lp.relations)
-    rhs = [] if lp.num_rows == 0 else [lp.rhs]
-    for j in np.flatnonzero(np.isfinite(lp.upper)):
-        bound_row = np.zeros((1, m))
-        bound_row[0, j] = 1.0
-        rows.append(bound_row)
-        relations.append(Relation.LE)
-        rhs.append(np.array([lp.upper[j]]))
-    a = np.vstack(rows) if rows else np.zeros((0, m))
-    b = np.concatenate(rhs) if rhs else np.zeros(0)
-    r = a.shape[0]
-
-    # Split free variables into nonnegative pairs.
-    split_cols: list[tuple[int, float]] = []
-    for j in range(m):
-        split_cols.append((j, 1.0))
-        if np.isneginf(lp.lower[j]):
-            split_cols.append((j, -1.0))
-    n_struct = len(split_cols)
-    a_split = np.empty((r, n_struct))
-    c_split = np.empty(n_struct)
-    for pos, (j, sign) in enumerate(split_cols):
-        a_split[:, pos] = sign * a[:, j]
-        c_split[pos] = sign * lp.objective[j]
+    n_struct, r = lp.num_vars, lp.num_rows
 
     # Sign-normalize rows, then append slack/surplus and artificial columns.
-    flip = b < 0.0
-    a_split[flip] *= -1.0
-    b = np.abs(b)
+    flip = lp.rhs < 0.0
+    b = np.abs(lp.rhs)
     rel_codes = np.empty(r, dtype=int)  # 0: <=, 1: =, 2: >=
-    for i, rel in enumerate(relations):
+    for i, rel in enumerate(lp.relations):
         code = {Relation.LE: 0, Relation.EQ: 1, Relation.GE: 2}[rel]
         if flip[i] and code != 1:
             code = 2 - code
@@ -272,7 +216,7 @@ def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
     n_art = art_rows.size
     width = n_struct + n_slack + n_art + 1
     tableau = np.zeros((r, width))
-    tableau[:, :n_struct] = a_split
+    tableau[:, :n_struct] = np.where(flip[:, None], -lp.a, lp.a)
     tableau[:, -1] = b
     basis = np.empty(r, dtype=int)
     for offset, i in enumerate(slack_rows):
@@ -295,7 +239,9 @@ def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
         status, pivots = _run_simplex(tableau, obj, basis, tol, iteration_cap)
         iterations += pivots
         if status != "optimal":
-            raise NumericalBreakdownError("phase one reported an unbounded auxiliary program")
+            raise NumericalBreakdownError(
+                f"phase one reported an unbounded auxiliary program after {iterations} pivots"
+            )
         feas_gap = 10.0 * tol.lp * (1.0 + float(np.max(b, initial=0.0)))
         if -obj[-1] < -feas_gap:
             return LpSolution(LpStatus.INFEASIBLE, None, None, iterations)
@@ -322,22 +268,21 @@ def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
         width = tableau.shape[1]
 
     cost = np.zeros(width)
-    cost[:n_struct] = c_split
+    cost[:n_struct] = lp.objective
     obj = cost - cost[basis] @ tableau if r else cost.copy()
     status, pivots = _run_simplex(tableau, obj, basis, tol, iteration_cap)
     iterations += pivots
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, iterations)
 
-    z = np.zeros(n_struct)
+    point = np.zeros(n_struct)
     for i in range(r):
         if basis[i] < n_struct:
-            z[basis[i]] = tableau[i, -1]
-    point = np.zeros(m)
-    for pos, (j, sign) in enumerate(split_cols):
-        point[j] += sign * z[pos]
+            point[basis[i]] = tableau[i, -1]
     if feasibility_violation(lp, point) > tol.lp:
-        raise NumericalBreakdownError("optimal point failed its feasibility re-check")
+        raise NumericalBreakdownError(
+            f"optimal point failed its feasibility re-check after {iterations} pivots"
+        )
     value = float(lp.objective @ point)
     point.setflags(write=False)
     return LpSolution(LpStatus.OPTIMAL, value, point, iterations)

@@ -1,9 +1,11 @@
 """Shared fixtures: two hand-checkable 3x3 instances plus corpus helpers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from paretosimplex import CriteriaMatrix
+from paretosimplex import CriteriaMatrix, LpStatus, Relation, StandardLp, TestKind, solve
 
 # Efficient set is the closed edge between vertices 1 and 2: those vertices
 # and the open face {1,2} pass their certificate programs, nothing else does.
@@ -47,3 +49,54 @@ def barycenter(n: int, support) -> np.ndarray:
     coords = np.zeros(n)
     coords[[j - 1 for j in support]] = 1.0 / len(support)
     return coords
+
+
+def margin_form_optimum(matrix: CriteriaMatrix, kind: TestKind, support) -> float:
+    """Optimum of the margin-maximizing form of a certificate program, the
+    reference formulation for the feasibility programs the package solves.
+
+    The variables are the weights w, a weight floor f and, for T1 and T2,
+    one gap per column outside the support and a margin.  The support
+    columns tie, w >= f and f <= 1.  T1 and T2 maximize the margin, which
+    is at most f and at most every gap, where a gap is at most the lead of
+    the first support column over its column.  T0 and closure maximize f,
+    and there the other columns may not exceed the support.  Every
+    variable is nonnegative, which keeps the optimum: zero is feasible,
+    and a solution with a positive optimum has positive weights, floor and
+    gaps.  The optimum is 0 or 1, and 1 exactly when a certificate exists.
+    """
+    k, entries = matrix.k, matrix.entries
+    inside = [j - 1 for j in support]
+    outside = [j for j in range(matrix.n) if j + 1 not in support]
+    strict = kind in (TestKind.T1, TestKind.T2)
+    floor, gap0 = k, k + 1
+    margin = gap0 + len(outside) if strict else None
+    nvars = k + 1 + (len(outside) + 1 if strict else 0)
+    rows, relations, rhs = [], [], []
+
+    def add(coeffs: dict, relation: Relation, bound: float = 0.0, diff=None) -> None:
+        row = np.zeros(nvars)
+        if diff is not None:
+            row[:k] = diff
+        for var, coeff in coeffs.items():
+            row[var] = coeff
+        rows.append(row)
+        relations.append(relation)
+        rhs.append(bound)
+
+    for a, b in itertools.pairwise(inside):
+        add({}, Relation.EQ, diff=entries[:, a] - entries[:, b])
+    for offset, j in enumerate(outside):
+        add({gap0 + offset: -1.0} if strict else {}, Relation.GE, diff=entries[:, inside[0]] - entries[:, j])
+    for i in range(k):
+        add({i: 1.0, floor: -1.0}, Relation.GE)
+    if strict:
+        for offset in range(len(outside)):
+            add({gap0 + offset: 1.0, margin: -1.0}, Relation.GE)
+        add({floor: 1.0, margin: -1.0}, Relation.GE)
+    add({floor: 1.0}, Relation.LE, 1.0)
+    objective = np.zeros(nvars)
+    objective[margin if strict else floor] = 1.0
+    solution = solve(StandardLp(objective, rows, relations, rhs))
+    assert solution.status is LpStatus.OPTIMAL, solution.status
+    return solution.value

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import random_matrix, random_point_on_support
+from conftest import barycenter, margin_form_optimum, random_matrix, random_point_on_support
 
 import paretosimplex.efficiency as efficiency_module
 from paretosimplex import (
@@ -16,6 +16,7 @@ from paretosimplex import (
     EfficiencyAnalyzer,
     FullSimplex,
     InputError,
+    LpError,
     LpSolution,
     LpStatus,
     NumericalBreakdownError,
@@ -43,50 +44,60 @@ from paretosimplex import (
 DUPLICATE_COLUMN_ROWS = [[-2.0, 6.0, 6.0, 5.0, -9.0], [1.0, 4.0, 4.0, 1.0, 1.0]]
 
 
+def _assert_layout(program, matrix, support, gap):
+    """The program is over k weight offsets u >= 0 with a zero objective:
+    |S| - 1 tie rows, then one row per other column, in column order, whose
+    lead over that column must reach ``gap`` under w = 1 + u."""
+    entries = matrix.entries
+    inside = [j - 1 for j in support]
+    outside = [j for j in range(matrix.n) if j + 1 not in support]
+    ties = len(inside) - 1
+    lp = program.lp
+    assert lp.num_vars == matrix.k
+    assert lp.num_rows == ties + len(outside)
+    assert lp.relations == (Relation.EQ,) * ties + (Relation.GE,) * len(outside)
+    assert not lp.objective.any()
+    rows = [entries[:, a] - entries[:, b] for a, b in itertools.pairwise(inside)]
+    rows += [entries[:, inside[0]] - entries[:, j] for j in outside]
+    assert np.array_equal(lp.a, np.array(rows))
+    assert np.array_equal(lp.rhs, [0.0] * ties + [gap] * len(outside) - lp.a.sum(axis=1))
+
+
 def test_t0_program_shape(edge_matrix):
     program = build_t0(edge_matrix)
-    k, n = edge_matrix.k, edge_matrix.n
     assert program.kind is Kind.T0
-    assert program.lp.num_vars == k + 1
-    assert program.lp.num_rows == (n - 1) + k + 1
-    assert program.lp.relations == (Relation.EQ,) * (n - 1) + (Relation.GE,) * k + (Relation.LE,)
     assert program.target == SupportPattern((1, 2, 3))
-    assert program.margin_var is None
+    _assert_layout(program, edge_matrix, (1, 2, 3), 1.0)
+    # column sums are 3, 0 and -3.5
+    assert program.lp.rhs.tolist() == [-3.0, -3.5]
 
 
 def test_t1_program_shape(edge_matrix):
     support = SupportPattern((1, 2))
     program = build_t1(edge_matrix, support)
-    k, n, p = edge_matrix.k, edge_matrix.n, len(support)
     assert program.kind is Kind.T1
-    assert program.lp.num_vars == k + 1 + (n - p) + 1
-    assert program.lp.num_rows == (p - 1) + (n - p) + k + (n - p) + 1 + 1
     assert program.target == support
-    assert set(program.gap_vars) == {3}
+    _assert_layout(program, edge_matrix, support, 1.0)
+    assert program.lp.rhs.tolist() == [-3.0, 1.0 - 6.5]
 
 
 def test_t2_program_shape(edge_matrix):
     program = build_t2(edge_matrix, 2)
-    k, n = edge_matrix.k, edge_matrix.n
     assert program.kind is Kind.T2
-    assert program.lp.num_vars == k + n + 1
-    assert program.lp.num_rows == k + 2 * n
     assert program.target == SupportPattern((2,))
-    assert set(program.gap_vars) == {1, 3}
+    _assert_layout(program, edge_matrix, (2,), 1.0)
+    assert program.lp.rhs.tolist() == [1.0 + 3.0, 1.0 - 3.5]
 
 
 def test_closure_program_shape(edge_matrix):
     program = build_closure(edge_matrix, SupportPattern((2,)))
-    k, n = edge_matrix.k, edge_matrix.n
     assert program.kind is Kind.CLOSURE
-    assert program.lp.num_vars == k + 1
-    assert program.lp.num_rows == (n - 1) + k + 1
-    assert program.lp.relations == (Relation.GE,) * (n - 1 + k) + (Relation.LE,)
-    assert program.gap_vars == {} and program.margin_var is None
+    _assert_layout(program, edge_matrix, (2,), 0.0)
+    assert program.lp.rhs.tolist() == [3.0, -3.5]
 
     pair = build_closure(edge_matrix, SupportPattern((1, 3)))
-    assert pair.lp.num_rows == 1 + 1 + k + 1
-    assert pair.lp.relations[0] is Relation.EQ
+    _assert_layout(pair, edge_matrix, (1, 3), 0.0)
+    assert pair.lp.rhs.tolist() == [-6.5, -3.0]
 
 
 def test_builder_validation(edge_matrix):
@@ -217,19 +228,24 @@ def test_decide_dimension_mismatch(edge_matrix):
 
 
 def test_zero_one_law_sample():
+    # Every kind, closure included, agrees with its margin-form reference,
+    # whose optimum is 0 or 1.
     rng = np.random.default_rng(404)
     for _ in range(60):
         matrix = random_matrix(rng, n=int(rng.integers(2, 6)))
+        n = matrix.n
         analyzer = EfficiencyAnalyzer(matrix)
-        values = [analyzer.t0().value]
-        values += [analyzer.t2(j).value for j in range(1, matrix.n + 1)]
-        values += [analyzer.closure(SupportPattern((j,))).value for j in range(1, matrix.n + 1)]
-        for size in range(2, matrix.n):
-            for combo in itertools.combinations(range(1, matrix.n + 1), size):
-                values.append(analyzer.t1(SupportPattern(combo)).value)
-                values.append(analyzer.closure(SupportPattern(combo)).value)
-        for value in values:
-            assert min(abs(value), abs(value - 1.0)) < 1e-6
+        programs = [(Kind.T0, tuple(range(1, n + 1)), analyzer.t0())]
+        programs += [(Kind.T2, (j,), analyzer.t2(j)) for j in range(1, n + 1)]
+        for size in range(1, n):
+            for combo in itertools.combinations(range(1, n + 1), size):
+                if size > 1:
+                    programs.append((Kind.T1, combo, analyzer.t1(SupportPattern(combo))))
+                programs.append((Kind.CLOSURE, combo, analyzer.closure(SupportPattern(combo))))
+        for kind, support, result in programs:
+            optimum = margin_form_optimum(matrix, kind, support)
+            assert min(abs(optimum), abs(optimum - 1.0)) < 1e-6
+            assert result.value == (1.0 if optimum > 0.5 else 0.0)
 
 
 def test_verdict_depends_only_on_support():
@@ -319,3 +335,67 @@ def test_breakdown_errors_name_the_program(edge_matrix, monkeypatch):
     expected = r"^closure program on support \{3\} of the 3x3 matrix reported unbounded"
     with pytest.raises(NumericalBreakdownError, match=expected):
         analyzer.closure(SupportPattern((3,)))
+
+
+#: Scalings of a matrix: uniform factors, and per-row factors 10^U[-e, e].
+UNIT_SCALINGS = [
+    pytest.param("uniform", -6, id="uniform-1e-6"),
+    pytest.param("uniform", -3, id="uniform-1e-3"),
+    pytest.param("uniform", 3, id="uniform-1e3"),
+    pytest.param("per-row", 3, id="per-row-1e3"),
+    pytest.param(
+        "uniform", 6, id="uniform-1e6",
+        marks=pytest.mark.xfail(strict=True, reason="units still matter, ROADMAP item 3"),
+    ),
+    pytest.param(
+        "per-row", 6, id="per-row-1e6",
+        marks=pytest.mark.xfail(strict=True, reason="units still matter, ROADMAP item 3"),
+    ),
+]
+
+
+@pytest.mark.parametrize(("mode", "exponent"), UNIT_SCALINGS)
+def test_verdicts_do_not_depend_on_units(mode, exponent):
+    # Scaling a criterion by a positive factor changes no verdict, so every
+    # support barycenter must be decided as on the unscaled matrix, and
+    # without a solver breakdown.
+    rng = np.random.default_rng(7)
+    failures = []
+    for _ in range(150):
+        matrix = random_matrix(rng)
+        if mode == "uniform":
+            factors = 10.0**exponent
+        else:
+            factors = 10.0 ** rng.uniform(-exponent, exponent, size=(matrix.k, 1))
+        plain = EfficiencyAnalyzer(matrix)
+        scaled = EfficiencyAnalyzer(CriteriaMatrix(matrix.entries * factors))
+        n = matrix.n
+        for size in range(1, n + 1):
+            for combo in itertools.combinations(range(1, n + 1), size):
+                point = SimplexPoint(barycenter(n, combo))
+                expected = plain.decide(point).verdict
+                try:
+                    got = scaled.decide(point).verdict
+                except LpError as exc:
+                    failures.append((matrix.entries.tolist(), combo, repr(exc)))
+                    continue
+                if got is not expected:
+                    failures.append((matrix.entries.tolist(), combo, got.value))
+    assert not failures, f"{len(failures)} failures, first: {failures[:2]}"
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalBreakdownError, reason="absolute tie tolerance, ROADMAP item 3")
+def test_small_units_keep_certificate_gaps_above_the_tie_tolerance():
+    # At 1e-6 units the certificate for {1, 2, 4, 6} leads columns 3 and 5
+    # by 3e-8 after normalization to min weight 1, below the absolute
+    # argmax tie tolerance of 1e-7, so re-verification rejects it.
+    rows = [
+        [6.0, 5.0, 8.0, 3.0, -5.0, -5.0],
+        [3.0, -2.0, 5.0, 2.0, -9.0, 8.0],
+        [9.0, -4.0, -4.0, -2.0, 6.0, -9.0],
+        [-6.0, 4.0, -2.0, -1.0, 8.0, 6.0],
+        [-7.0, -5.0, -5.0, 3.0, -1.0, 3.0],
+    ]
+    point = SimplexPoint(barycenter(6, (1, 2, 4, 6)))
+    assert decide(CriteriaMatrix(rows), point).verdict is Verdict.EFFICIENT
+    assert decide(CriteriaMatrix(np.array(rows) * 1e-6), point).verdict is Verdict.EFFICIENT

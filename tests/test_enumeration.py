@@ -213,6 +213,7 @@ def test_level_wise_scan_matches_exhaustive_reference(monkeypatch):
 
     monkeypatch.setattr(enumeration_module, "_pattern_efficient", recording)
     rng = np.random.default_rng(2412)
+    cases = []
     duplicated = limited = 0
     for trial in range(48):
         n = int(rng.integers(2, 9))
@@ -226,7 +227,11 @@ def test_level_wise_scan_matches_exhaustive_reference(monkeypatch):
         if trial % 3 == 2 and n >= 4:
             max_support = int(rng.integers(2, n))
             limited += 1
-        matrix = CriteriaMatrix(entries)
+        cases.append((CriteriaMatrix(entries), max_support))
+    # T1 on support {5, 9, 10, 12} of this matrix once broke down in phase
+    # one; the reference scan reaches it.
+    cases.append((random_matrix(np.random.default_rng(1), k=4, n=12), None))
+    for matrix, max_support in cases:
         tested.clear()
         structure = enumerate_faces(matrix, max_support=max_support)
         vertices, faces, exhaustive = exhaustive_structure(matrix, max_support)

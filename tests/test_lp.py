@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+import paretosimplex.lp as lp_module
 from paretosimplex import (
     InputError,
     LpStatus,
+    NumericalBreakdownError,
     Relation,
     StandardLp,
     feasibility_violation,
@@ -26,13 +28,6 @@ def test_single_upper_bound_row():
     assert got.point[0] == pytest.approx(1.0)
 
 
-def test_upper_bound_as_variable_bound():
-    lp = StandardLp([1.0], NO_ROWS, [], [], upper=[1.0])
-    got = solve(lp)
-    assert got.status is LpStatus.OPTIMAL
-    assert got.value == pytest.approx(1.0)
-
-
 def test_infeasible():
     lp = StandardLp([1.0], [[1.0]], [Relation.LE], [-1.0])
     assert solve(lp).status is LpStatus.INFEASIBLE
@@ -41,14 +36,6 @@ def test_infeasible():
 def test_unbounded():
     lp = StandardLp([1.0], NO_ROWS, [], [])
     assert solve(lp).status is LpStatus.UNBOUNDED
-
-
-def test_free_variable_reaches_negative_optimum():
-    lp = StandardLp([-1.0], [[1.0]], [Relation.GE], [-5.0], lower=[-np.inf])
-    got = solve(lp)
-    assert got.status is LpStatus.OPTIMAL
-    assert got.point[0] == pytest.approx(-5.0)
-    assert got.value == pytest.approx(5.0)
 
 
 def test_equality_rows():
@@ -87,11 +74,24 @@ def test_validation():
     with pytest.raises(InputError):
         StandardLp([1.0], [[1.0]], [Relation.LE], [np.inf])
     with pytest.raises(InputError):
-        StandardLp([1.0], [[1.0]], [Relation.LE], [1.0], lower=[-1.0])
-    with pytest.raises(InputError):
-        StandardLp([1.0], [[1.0]], [Relation.LE], [1.0], upper=[-2.0])
-    with pytest.raises(InputError):
         StandardLp([], NO_ROWS, [], [])
+
+
+def test_breakdown_messages_name_the_pivot_count(monkeypatch):
+    lp = StandardLp(
+        [1.0, 2.0],
+        [[1.0, 1.0], [1.0, -1.0]],
+        [Relation.EQ, Relation.GE],
+        [1.0, 0.0],
+    )
+    pivots = solve(lp).iterations
+    assert pivots > 0
+    monkeypatch.setattr(lp_module, "feasibility_violation", lambda lp, point: 1.0)
+    with pytest.raises(NumericalBreakdownError, match=f"re-check after {pivots} pivots$"):
+        solve(lp)
+    monkeypatch.setattr(lp_module, "_run_simplex", lambda *args: ("unbounded", 3))
+    with pytest.raises(NumericalBreakdownError, match="auxiliary program after 3 pivots$"):
+        solve(lp)
 
 
 def _random_lp(rng: np.random.Generator) -> StandardLp:
@@ -104,9 +104,7 @@ def _random_lp(rng: np.random.Generator) -> StandardLp:
         (Relation.LE, Relation.GE, Relation.EQ)[int(t)]
         for t in rng.integers(0, 3, size=r)
     ]
-    lower = np.where(rng.random(m) < 0.3, -np.inf, 0.0)
-    upper = np.where(rng.random(m) < 0.25, rng.integers(0, 7, size=m).astype(float), np.inf)
-    return StandardLp(c, a, relations, b, lower=lower, upper=upper)
+    return StandardLp(c, a, relations, b)
 
 
 def _reference(lp: StandardLp):
@@ -121,17 +119,13 @@ def _reference(lp: StandardLp):
         else:
             a_eq.append(lp.a[i])
             b_eq.append(lp.rhs[i])
-    bounds = [
-        (None if np.isneginf(lo) else lo, None if np.isposinf(up) else up)
-        for lo, up in zip(lp.lower, lp.upper)
-    ]
     return optimize.linprog(
         -lp.objective,
         A_ub=np.array(a_ub) if a_ub else None,
         b_ub=np.array(b_ub) if b_ub else None,
         A_eq=np.array(a_eq) if a_eq else None,
         b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
+        bounds=(0, None),
         method="highs",
     )
 
