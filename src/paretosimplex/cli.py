@@ -44,6 +44,7 @@ from .efficiency import EfficiencyAnalyzer, EfficiencyReport
 from .enumeration import (
     EnumerationCapError,
     bicriterion_full_check,
+    bicriterion_ratios,
     check_full,
     enumerate_faces,
     _scan_sizes,
@@ -208,7 +209,7 @@ def _report_payload(report: EfficiencyReport) -> dict:
         "support": _support_list(report),
         "verdict": report.verdict.value,
         "test": report.test.value,
-        "value": report.value,
+        "value": 1.0 if report.verdict is Verdict.EFFICIENT else 0.0,
         "certificate": None if report.certificate is None else [float(w) for w in report.certificate.weights],
         "face": _face_payload(report.face, report.point.n),
         "clamped": list(report.clamped),
@@ -231,20 +232,45 @@ def _print_report_text(report: EfficiencyReport) -> None:
         print(f"clamped: {', '.join(str(j) for j in payload['clamped'])}")
 
 
+def _point_rows(literals: list[str], n: int) -> tuple[np.ndarray, str | None]:
+    """Coordinates of the literals before the first one that is malformed or
+    does not have n components, and that literal (None if there is none)."""
+    rows = np.empty((len(literals), n))
+    for count, literal in enumerate(literals):
+        try:
+            values = _numbers(literal, "point")
+        except CliParseError:
+            break
+        if len(values) != n:
+            break
+        rows[count] = values
+    else:
+        return rows, None
+    return rows[:count], literal
+
+
 def cmd_test(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     matrix = load_matrix(args.matrix, args.format)
     analyzer = EfficiencyAnalyzer(matrix, tol)
-    first = True
-    for literal in args.points:
-        report = analyzer.decide(_parse_point(literal, tol))
+    rows, stop = _point_rows(args.points, matrix.n)
+    # A JSON line holds no coordinates, so points that share a class and
+    # clamped indices share it.
+    lines: dict[tuple, str] = {}
+    for index, report in enumerate(analyzer.decide_many(rows)):
         if args.json:
-            print(_json_text(_report_payload(report)))
+            key = (report.point_class, report.clamped)
+            line = lines.get(key)
+            if line is None:
+                line = lines[key] = _json_text(_report_payload(report))
+            print(line)
         else:
-            if not first:
+            if index:
                 print()
             _print_report_text(report)
-        first = False
+    if stop is not None:
+        # Raises the error that deciding this literal on its own raises.
+        analyzer.decide(_parse_point(stop, tol))
     return EXIT_OK
 
 
@@ -357,8 +383,7 @@ def cmd_bicheck(args: argparse.Namespace) -> int:
         raise
     except InputError as exc:
         raise CliParseError(str(exc)) from None
-    first, second = matrix.entries[0], matrix.entries[1]
-    ratios = (second[1:] - second[:-1]) / (first[:-1] - first[1:])
+    ratios = bicriterion_ratios(matrix)
     payload = {"full": full, "ratios": [float(r) for r in ratios]}
     if args.json:
         print(_json_text(payload))
@@ -377,13 +402,8 @@ def cmd_plot3(args: argparse.Namespace) -> int:
         raise CliParseError("density must be at least 1")
     analyzer = EfficiencyAnalyzer(matrix, tol)
     d = args.density
-    rows = []
-    for a in range(d + 1):
-        for b in range(d - a + 1):
-            c = d - a - b
-            point = SimplexPoint((a / d, b / d, c / d), tol)
-            report = analyzer.decide(point)
-            rows.append(([a / d, b / d, c / d], report.verdict.value))
+    grid = [[a / d, b / d, (d - a - b) / d] for a in range(d + 1) for b in range(d - a + 1)]
+    rows = [(coords, report.verdict.value) for coords, report in zip(grid, analyzer.decide_many(grid))]
     if args.json:
         payload = {
             "density": d,

@@ -5,6 +5,10 @@ nonnegative components summing to one.  Points are classified by support
 size: deterministic points put all mass on a single column (a vertex),
 randomized points have strictly positive mass everywhere, and partially
 randomized points sit strictly between those extremes.
+
+A batch of points, the rows of an (N, n) array, is checked by
+``check_points`` under the same rules as ``SimplexPoint`` and classified by
+``classify_points``, which runs ``classify`` once per distinct support.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ __all__ = [
     "SupportPattern",
     "Tolerances",
     "Verdict",
+    "check_points",
     "clamped_indices",
     "classify",
+    "classify_points",
     "vertex",
 ]
 
@@ -116,7 +122,8 @@ class SimplexPoint:
 
     Components in [-x_zero, 0) are clamped to zero at construction; anything
     more negative is rejected.  The component sum must be within n * x_zero
-    of one.  Coordinates are never renormalized.
+    of one.  Coordinates are never renormalized.  ``check_points`` applies
+    these rules.
     """
 
     __slots__ = ("coords",)
@@ -125,17 +132,18 @@ class SimplexPoint:
         arr = np.array(coords, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidPointError("a point must be a nonempty one-dimensional vector")
-        if not np.isfinite(arr).all():
-            raise InvalidPointError("point components must be finite")
-        if (arr < -tol.x_zero).any():
-            worst = float(arr.min())
-            raise InvalidPointError(f"component {worst} is below -x_zero")
-        arr[arr < 0.0] = 0.0
-        total = float(arr.sum())
-        if abs(total - 1.0) > arr.size * tol.x_zero:
-            raise InvalidPointError(f"components sum to {total}, not 1")
-        arr.setflags(write=False)
-        self.coords = arr
+        checked, error = check_points(arr[np.newaxis], tol)
+        if error is not None:
+            raise error
+        self.coords = checked[0]
+
+    @classmethod
+    def trusted(cls, coords: np.ndarray) -> SimplexPoint:
+        """The point on one row that ``check_points`` returned, which has
+        passed the rules already; nothing is checked again."""
+        point = object.__new__(cls)
+        point.coords = coords
+        return point
 
     @property
     def n(self) -> int:
@@ -147,6 +155,44 @@ class SimplexPoint:
     def __repr__(self) -> str:
         inner = ", ".join(format(c, "g") for c in self.coords)
         return f"SimplexPoint([{inner}])"
+
+
+def check_points(
+    points, tol: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[np.ndarray, InvalidPointError | None]:
+    """Apply the point rules to every row of an (N, n) array at once.
+
+    A row is a point when its components are finite and none is below
+    -x_zero; components in [-x_zero, 0) are then clamped to zero, and the
+    clamped sum must be within n * x_zero of one.  Returns the clamped,
+    read-only rows before the first invalid row, and the error for that
+    row, or None when every row is a point.
+    """
+    rows = np.asarray(points, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise InvalidPointError(
+            f"points must be the rows of a 2-dimensional array, got shape {rows.shape}"
+        )
+    clamped = np.where(rows < 0.0, 0.0, rows)
+    clamped.setflags(write=False)
+    with np.errstate(invalid="ignore", over="ignore"):
+        totals = clamped.sum(axis=1)
+    # A NaN fails both tests and an infinity fails the sum test, so only
+    # the first failing row is examined for which rule it breaks.
+    good = (rows >= -tol.x_zero).all(axis=1) & (np.abs(totals - 1.0) <= rows.shape[1] * tol.x_zero)
+    if good.all():
+        return clamped, None
+    first = int(good.argmin())
+    row = rows[first]
+    if not np.isfinite(row).all():
+        error = InvalidPointError("point components must be finite")
+    elif (row < -tol.x_zero).any():
+        error = InvalidPointError(f"component {float(row.min())} is below -x_zero")
+    else:
+        # Summed again on its own, so that an overflow warns as it would
+        # for this point alone.
+        error = InvalidPointError(f"components sum to {float(clamped[first].sum())}, not 1")
+    return clamped[:first], error
 
 
 @dataclass(frozen=True)
@@ -249,9 +295,40 @@ def clamped_indices(x: SimplexPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> tu
     These are the components that classification treats as zero even though
     they carry (negligible) mass.
     """
-    coords = x.coords
-    mask = (coords > 0.0) & (coords <= tol.x_zero)
+    return _one_based(_clamped_mask(x.coords, tol))
+
+
+def _clamped_mask(coords: np.ndarray, tol: Tolerances) -> np.ndarray:
+    return (coords > 0.0) & (coords <= tol.x_zero)
+
+
+def _one_based(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(j) + 1 for j in np.flatnonzero(mask))
+
+
+def classify_points(
+    coords: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
+) -> Iterator[tuple[PointClass, tuple[int, ...]]]:
+    """Class and clamped indices of each row that ``check_points`` returned,
+    lazily and in row order, as ``classify`` and ``clamped_indices`` give
+    them for the row's point.
+
+    Rows are grouped by their support mask (coords > x_zero), and
+    ``classify`` runs once per distinct mask, on its first row, so an error
+    it raises comes after every earlier row.  Rows with one mask share one
+    class object.  Clamped indices are searched for only in rows that have
+    a component in (0, x_zero].
+    """
+    support = np.ascontiguousarray(coords > tol.x_zero)
+    masks = support.view(np.dtype((np.void, support.shape[1]))).ravel().tolist()
+    small = _clamped_mask(coords, tol)
+    clamped = {int(i): _one_based(small[i]) for i in np.flatnonzero(small.any(axis=1))}
+    classes: dict[bytes, PointClass] = {}
+    for i, mask in enumerate(masks):
+        point_class = classes.get(mask)
+        if point_class is None:
+            point_class = classes[mask] = classify(SimplexPoint(coords[i], tol), tol)
+        yield point_class, clamped.get(i, ())
 
 
 def vertex(j: int, n: int) -> SimplexPoint:

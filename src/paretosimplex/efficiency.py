@@ -32,8 +32,10 @@ positive weighting with positive gaps into one with w >= 1 and gaps >= 1,
 so feasibility is exactly the certificate's existence (Isermann's
 weight-space test).  A feasible program certifies efficiency, with
 weights (1 + u) / min(1 + u); an infeasible one proves that no weighting
-exists.  Because the programs depend only on the support, verdicts are
-cached per support pattern.
+exists.  Because the programs depend only on the support, each program is
+solved once per analyzer, and the decision it leads to (verdict, test,
+verified certificate and face) is kept per point class, so a batch of
+points costs one decision per distinct support.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -58,8 +61,10 @@ from .core import (
     SupportPattern,
     Tolerances,
     Verdict,
+    check_points,
     clamped_indices,
     classify,
+    classify_points,
 )
 from .lp import LpSolution, LpStatus, NumericalBreakdownError, Relation, StandardLp, solve
 from .scalarize import (
@@ -129,8 +134,7 @@ class EfficiencyReport:
 
     face describes the region the decisive certificate proves efficient
     alongside the point (whole simplex, one vertex, or an open face); it
-    is absent for dominated points.  value is 1.0 when the decisive program
-    certified and 0.0 when it did not.  clamped lists 1-based components
+    is absent for dominated points.  clamped lists 1-based components
     whose positive mass fell within the zero threshold and was excluded
     from the support.
     """
@@ -139,10 +143,18 @@ class EfficiencyReport:
     point_class: PointClass
     verdict: Verdict
     test: TestKind
-    value: float
     certificate: WeightVector | None
     face: SolutionSetDescriptor | None
     clamped: tuple[int, ...] = ()
+
+
+class _Decision(NamedTuple):
+    """The part of a report that depends on the point class alone."""
+
+    verdict: Verdict
+    test: TestKind
+    certificate: WeightVector | None
+    face: SolutionSetDescriptor | None
 
 
 def _build(matrix: CriteriaMatrix, support: SupportPattern, kind: TestKind) -> TestProgram:
@@ -231,8 +243,11 @@ class EfficiencyAnalyzer:
     """Decision procedure for one criteria matrix with cached certificates.
 
     Verdicts depend only on a point's support, so each certificate program
-    is solved at most once per analyzer.  The cache is keyed on support
-    patterns and guarded by a lock; instances are safe to share across
+    is solved at most once per analyzer, and each point class is decided
+    once: its verdict, test, certificate and face are extracted and
+    re-verified on first use and kept.  ``decide`` and ``decide_many``
+    read the same per-class decisions.  Both caches are keyed on supports
+    or classes and guarded by a lock; instances are safe to share across
     threads.
     """
 
@@ -240,13 +255,24 @@ class EfficiencyAnalyzer:
         self.matrix = matrix
         self.tol = tol
         self._lock = threading.Lock()
-        self._cache: dict[tuple[TestKind, SupportPattern], TestResult] = {}
+        self._programs: dict[tuple[TestKind, SupportPattern], TestResult] = {}
+        self._decisions: dict[PointClass, _Decision] = {}
 
-    def _solve(self, kind: TestKind, key: SupportPattern, build) -> TestResult:
+    def _cached(self, cache: dict, key, compute):
+        """cache[key], computed outside the lock on a miss; when two threads
+        miss at once, the first result stored wins."""
         with self._lock:
-            hit = self._cache.get((kind, key))
+            hit = cache.get(key)
         if hit is not None:
             return hit
+        value = compute()
+        with self._lock:
+            return cache.setdefault(key, value)
+
+    def _solve(self, kind: TestKind, key: SupportPattern, build) -> TestResult:
+        return self._cached(self._programs, (kind, key), lambda: self._run(kind, key, build))
+
+    def _run(self, kind: TestKind, key: SupportPattern, build) -> TestResult:
         program = build()
         try:
             solution = solve(program.lp, self.tol)
@@ -257,9 +283,7 @@ class EfficiencyAnalyzer:
                 f"{self._program_name(kind, key)} reported unbounded; "
                 "its objective is zero"
             )
-        result = TestResult(program, solution)
-        with self._lock:
-            return self._cache.setdefault((kind, key), result)
+        return TestResult(program, solution)
 
     def _program_name(self, kind: TestKind, key: SupportPattern) -> str:
         """Names a program in breakdown errors: kind, support, matrix shape."""
@@ -297,15 +321,41 @@ class EfficiencyAnalyzer:
             )
         point_class = classify(x, self.tol)
         clamped = clamped_indices(x, self.tol)
+        return EfficiencyReport(x, point_class, *self._decision(point_class), clamped)
 
+    def decide_many(self, points) -> Iterator[EfficiencyReport]:
+        """Decide each row of an (N, n) array, yielding one report per row,
+        lazily and in row order.
+
+        The reports are those ``decide(SimplexPoint(row))`` gives, but the
+        rows are checked and classified together, and each distinct point
+        class is decided once.  An invalid row raises the error
+        ``SimplexPoint`` raises for it, and a failing decision its own
+        error, each after every earlier row has been yielded.
+        """
+        rows = np.asarray(points, dtype=float)
+        if rows.ndim == 2 and rows.shape[1] != self.matrix.n:
+            raise DimensionMismatchError(
+                f"point has {rows.shape[1]} components, matrix has {self.matrix.n} columns"
+            )
+        coords, error = check_points(rows, self.tol)
+        for row, (point_class, clamped) in zip(coords, classify_points(coords, self.tol)):
+            yield EfficiencyReport(
+                SimplexPoint.trusted(row), point_class, *self._decision(point_class), clamped
+            )
+        if error is not None:
+            raise error
+
+    def _decision(self, point_class: PointClass) -> _Decision:
+        return self._cached(self._decisions, point_class, lambda: self._decide_class(point_class))
+
+    def _decide_class(self, point_class: PointClass) -> _Decision:
         t0 = self.t0()
         if t0.certified:
-            return self._efficient(x, point_class, t0, FullSimplex(), clamped)
+            return self._efficient(t0, FullSimplex())
         if isinstance(point_class, Randomized):
             # No all-tying weights exist, so no randomized point is efficient.
-            return EfficiencyReport(
-                x, point_class, Verdict.DOMINATED, TestKind.T0, t0.value, None, None, clamped
-            )
+            return _Decision(Verdict.DOMINATED, TestKind.T0, None, None)
         if isinstance(point_class, PartiallyRandomized):
             result = self.t1(point_class.support)
             face: SolutionSetDescriptor = OpenFace(point_class.support)
@@ -313,63 +363,35 @@ class EfficiencyAnalyzer:
             result = self.t2(point_class.index)
             face = UniqueVertex(point_class.index)
         if result.certified:
-            return self._efficient(x, point_class, result, face, clamped)
+            return self._efficient(result, face)
         # The exact-face test failed, but the point may still border a
         # larger efficient face (duplicate columns and the like).
         fallback = self.closure(result.program.target)
         if fallback.certified:
-            return self._efficient_closure(x, point_class, fallback, clamped)
-        return EfficiencyReport(
-            x, point_class, Verdict.DOMINATED, fallback.program.kind, fallback.value, None, None, clamped
-        )
+            return self._efficient_closure(fallback)
+        return _Decision(Verdict.DOMINATED, fallback.program.kind, None, None)
 
-    def _efficient(
-        self,
-        x: SimplexPoint,
-        point_class: PointClass,
-        result: TestResult,
-        face: SolutionSetDescriptor,
-        clamped: tuple[int, ...],
-    ) -> EfficiencyReport:
+    def _efficient(self, result: TestResult, face: SolutionSetDescriptor) -> _Decision:
         certificate = self.certificate_from(result)
         tied = argmax_set(weighted_objective(self.matrix, certificate), self.tol)
         if not certificate.strictly_positive or tied != result.program.target:
             raise NumericalBreakdownError(
                 f"extracted certificate does not tie exactly {result.program.target}"
             )
-        return EfficiencyReport(
-            x,
-            point_class,
-            Verdict.EFFICIENT,
-            result.program.kind,
-            result.value,
-            certificate,
-            face,
-            clamped,
-        )
+        return _Decision(Verdict.EFFICIENT, result.program.kind, certificate, face)
 
-    def _efficient_closure(
-        self,
-        x: SimplexPoint,
-        point_class: PointClass,
-        result: TestResult,
-        clamped: tuple[int, ...],
-    ) -> EfficiencyReport:
+    def _efficient_closure(self, result: TestResult) -> _Decision:
         certificate = self.certificate_from(result)
         tied = argmax_set(weighted_objective(self.matrix, certificate), self.tol)
         if not certificate.strictly_positive or not set(result.program.target).issubset(tied):
             raise NumericalBreakdownError(
                 f"extracted certificate does not keep {result.program.target} at the maximum"
             )
-        return EfficiencyReport(
-            x,
-            point_class,
+        return _Decision(
             Verdict.EFFICIENT,
             result.program.kind,
-            result.value,
             certificate,
             argmax_descriptor(tied, self.matrix.n),
-            clamped,
         )
 
 

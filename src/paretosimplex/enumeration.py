@@ -19,6 +19,8 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     DEFAULT_TOLERANCES,
     CriteriaMatrix,
@@ -35,6 +37,7 @@ __all__ = [
     "EfficientStructure",
     "EnumerationCapError",
     "bicriterion_full_check",
+    "bicriterion_ratios",
     "check_full",
     "enumerate_faces",
     "enumerate_vertices",
@@ -185,19 +188,10 @@ def enumerate_faces(
     return EfficientStructure(False, vertices, frozenset(faces), exhaustive, warning)
 
 
-def bicriterion_full_check(
-    matrix: CriteriaMatrix,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> bool:
-    """Closed-form sufficient test for two criteria.
-
-    With consecutive first-criterion entries all distinct, every feasible
-    point is efficient if the trade-off ratios
-    (c2[j+1] - c2[j]) / (c1[j] - c1[j+1]) are all equal and positive.
-    Equality is relative to the first ratio at ``tol.tie``.  This checks
-    sufficiency only: a False still leaves the LP-based check_full to
-    decide.
-    """
+def bicriterion_ratios(matrix: CriteriaMatrix) -> np.ndarray:
+    """Trade-off ratios (c2[j+1] - c2[j]) / (c1[j] - c1[j+1]) of a
+    two-criteria matrix, one per pair of consecutive columns.  The
+    consecutive first-criterion entries must be distinct."""
     if matrix.k != 2:
         raise DimensionMismatchError("the ratio test applies to exactly two criteria")
     first, second = matrix.entries[0], matrix.entries[1]
@@ -206,7 +200,22 @@ def bicriterion_full_check(
         raise InputError(
             "consecutive first-criterion entries must be distinct for the ratio test"
         )
-    ratios = (second[1:] - second[:-1]) / denominators
+    return (second[1:] - second[:-1]) / denominators
+
+
+def bicriterion_full_check(
+    matrix: CriteriaMatrix,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> bool:
+    """Closed-form sufficient test for two criteria.
+
+    With consecutive first-criterion entries all distinct, every feasible
+    point is efficient if the trade-off ratios (``bicriterion_ratios``)
+    are all equal and positive.  Equality is relative to the first ratio
+    at ``tol.tie``.  This checks sufficiency only: a False still leaves
+    the LP-based check_full to decide.
+    """
+    ratios = bicriterion_ratios(matrix)
     lead = ratios[0]
     if lead <= 0.0:
         return False

@@ -68,6 +68,12 @@ def test_test_command_text_output(capsys, edge_json):
     assert "face: vertex {1}" in out
 
 
+def test_json_lines_follow_each_points_clamped_indices(capsys, edge_json):
+    code, out, _ = run(capsys, "test", edge_json, "--json", "0.5,0.5,0", "0.5,0.5,1e-10", "0.5,0.5,0")
+    assert code == 0
+    assert [json.loads(line)["clamped"] for line in out.splitlines()] == [[], [3], []]
+
+
 def test_text_blocks_blank_line_separated(capsys, edge_json):
     code, out, _ = run(capsys, "test", edge_json, "1,0,0", "0,1,0")
     assert code == 0
@@ -280,6 +286,42 @@ def test_malformed_point_literal(capsys, edge_json):
 
     code, _, _ = run(capsys, "test", edge_json, "0.5,0.4,0.2")
     assert code == 2
+
+
+BAD_THIRD_POINTS = [
+    ("0.5,oops,0.5", 2, "error: malformed point literal '0.5,oops,0.5': could not convert string to float: 'oops'\n"),
+    ("0.5,0.6,0", 2, "error: components sum to 1.1, not 1\n"),
+    ("0.5,-0.001,0.501", 2, "error: component -0.001 is below -x_zero\n"),
+    ("0.5,0.5", 3, "error: point has 2 components, matrix has 3 columns\n"),
+]
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize(("bad", "code", "message"), BAD_THIRD_POINTS, ids=["malformed", "sum", "below", "length"])
+def test_test_reports_the_points_before_a_bad_one(capsys, edge_json, mode, bad, code, message):
+    _, before, _ = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0")
+    got = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0", bad, "0,1,0", "oops")
+    assert got == (code, before, message)
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+def test_test_reports_the_points_before_a_solver_failure(capsys, edge_json, monkeypatch, mode):
+    from conftest import EDGE_ONLY_ROWS as rows
+    from paretosimplex import CriteriaMatrix, NumericalBreakdownError, efficiency
+
+    failing = efficiency.build_t2(CriteriaMatrix(rows), 3).lp
+    real_solve = efficiency.solve
+
+    def solve(lp, tol):
+        if lp.a.shape == failing.a.shape and (lp.a == failing.a).all():
+            raise NumericalBreakdownError("stub breakdown")
+        return real_solve(lp, tol)
+
+    _, before, _ = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0")
+    monkeypatch.setattr(efficiency, "solve", solve)
+    code, out, err = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0", "0,0,1", "0,1,0")
+    assert (code, out) == (4, before)
+    assert err == "error: T2 program on support {3} of the 3x3 matrix: stub breakdown\n"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,14 +1,18 @@
 """Certificate programs and the decision procedure."""
 
 import itertools
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import barycenter, margin_form_optimum, random_matrix, random_point_on_support
 
 import paretosimplex.efficiency as efficiency_module
+from paretosimplex.cli import _report_payload
 from paretosimplex import (
     CriteriaMatrix,
     Deterministic,
@@ -27,6 +31,7 @@ from paretosimplex import (
     SimplexPoint,
     SupportPattern,
     TestKind as Kind,
+    Tolerances,
     UniqueVertex,
     Verdict,
     WeightVector,
@@ -34,6 +39,7 @@ from paretosimplex import (
     build_t0,
     build_t1,
     build_t2,
+    check_points,
     decide,
     verify_certificate,
     vertex,
@@ -145,7 +151,7 @@ def test_decide_dominated_face_point(edge_matrix):
     assert report.verdict is Verdict.DOMINATED
     # dominated means even the weak-gap closure test failed
     assert report.test is Kind.CLOSURE
-    assert report.value == pytest.approx(0.0, abs=1e-6)
+    assert _report_payload(report)["value"] == 0.0
     assert report.point_class == PartiallyRandomized(SupportPattern((1, 3)))
     assert report.certificate is None and report.face is None
 
@@ -166,7 +172,7 @@ def test_decide_randomized_point_is_dominated_when_not_full(edge_matrix):
     report = decide(edge_matrix, SimplexPoint([0.2, 0.3, 0.5]))
     assert report.verdict is Verdict.DOMINATED
     assert report.test is Kind.T0
-    assert report.value == pytest.approx(0.0, abs=1e-6)
+    assert _report_payload(report)["value"] == 0.0
 
 
 def test_decide_on_full_instance_short_circuits(full_matrix):
@@ -185,7 +191,7 @@ def test_boundary_of_duplicated_face_is_efficient():
         report = analyzer.decide(vertex(j, 5))
         assert report.verdict is Verdict.EFFICIENT
         assert report.test is Kind.CLOSURE
-        assert report.value == pytest.approx(1.0, abs=1e-6)
+        assert _report_payload(report)["value"] == 1.0
         assert report.face == OpenFace(SupportPattern((2, 3)))
         # the certificate ties the enclosing face, not the vertex alone
         assert verify_certificate(matrix, report.certificate, PartiallyRandomized(SupportPattern((2, 3))))
@@ -302,15 +308,116 @@ def test_each_program_solved_once(edge_matrix, monkeypatch):
 
 def test_analyzer_is_thread_safe(edge_matrix):
     analyzer = EfficiencyAnalyzer(edge_matrix)
-    grid = []
-    for a in range(5):
-        for b in range(5 - a):
-            grid.append(SimplexPoint([a / 4, b / 4, (4 - a - b) / 4]))
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        reports = list(pool.map(analyzer.decide, grid * 4))
-    expected = {id(p): decide(edge_matrix, p).verdict for p in grid}
-    for point, report in zip(grid * 4, reports):
-        assert report.verdict is expected[id(point)]
+    rows = np.array([[a / 4, b / 4, (4 - a - b) / 4] for a in range(5) for b in range(5 - a)])
+    grid = [SimplexPoint(row) for row in rows]
+    expected = [decide(edge_matrix, p).verdict for p in grid]
+
+    def decide_all(batch: bool):
+        reports = analyzer.decide_many(rows) if batch else map(analyzer.decide, grid)
+        return [report.verdict for report in reports]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(decide_all, [True, False] * 8, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 16
+
+
+X_ZERO = 1e-9
+# Off-support components: exact zeros of both signs, the clamping edge
+# -x_zero, and positive mass at or below the zero threshold.
+BOUNDARY_VALUES = [0.0, -0.0, -X_ZERO, X_ZERO, X_ZERO / 2, 1e-12]
+
+
+@st.composite
+def batch_cases(draw):
+    """A matrix (random, with a duplicated column, or with every column tied
+    under unit weights, so T0 certifies it), tolerances, and rows of points
+    with boundary components, sums at the n * x_zero edge, and now and
+    then an invalid row."""
+    k, n = draw(st.integers(2, 4)), draw(st.integers(2, 6))
+    entries = np.array(draw(st.lists(st.integers(-9, 9), min_size=k * n, max_size=k * n))).reshape(k, n)
+    shape = draw(st.sampled_from(["random", "duplicated", "full"]))
+    if shape == "duplicated":
+        source, target = draw(st.permutations(range(n)))[:2]
+        entries[:, target] = entries[:, source]
+    elif shape == "full":
+        entries[-1] = draw(st.integers(-9, 9)) - entries[:-1].sum(axis=0)
+    # A wide zero threshold lets rows have no component above it, which
+    # classify rejects.
+    tol = draw(st.sampled_from([Tolerances(), Tolerances(x_zero=0.3)]))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        support = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+        masses = np.array([draw(st.integers(1, 9)) if inside else 0 for inside in support], float)
+        row = masses / masses.sum()
+        for j in np.flatnonzero(~np.array(support)):
+            row[j] = draw(st.sampled_from(BOUNDARY_VALUES))
+        edge = n * tol.x_zero
+        row[int(row.argmax())] += draw(st.sampled_from([0.0, 0.0, edge * 0.999, -edge * 0.999, edge * 1.001, -edge * 1.001]))
+        spoil = draw(st.sampled_from([None] * 6 + ["low", "nan", "sum"]))
+        if spoil == "low":
+            row[draw(st.integers(0, n - 1))] = -2 * tol.x_zero
+        elif spoil == "nan":
+            row[draw(st.integers(0, n - 1))] = np.nan
+        elif spoil == "sum":
+            row *= 1.5
+        rows.append(row)
+    return CriteriaMatrix(entries.astype(float)), tol, np.array(rows)
+
+
+def _outcomes(reports):
+    """Each report's fields, then the error that ended the iteration."""
+    got = []
+    try:
+        for report in reports:
+            got.append(report)
+    except Exception as exc:
+        return got, (type(exc), str(exc))
+    return got, None
+
+
+def _assert_same_report(got, expected):
+    # Bitwise, so that -0.0 against 0.0 shows.
+    assert got.point.coords.tobytes() == expected.point.coords.tobytes()
+    assert got.point_class == expected.point_class
+    assert got.verdict is expected.verdict
+    assert got.test is expected.test
+    if expected.certificate is None:
+        assert got.certificate is None
+    else:
+        assert got.certificate.weights.tobytes() == expected.certificate.weights.tobytes()
+    assert got.face == expected.face
+    assert got.clamped == expected.clamped
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_cases())
+def test_decide_many_matches_decide_on_each_row(case):
+    matrix, tol, rows = case
+    expected, expected_error = _outcomes(
+        EfficiencyAnalyzer(matrix, tol).decide(SimplexPoint(row, tol)) for row in rows
+    )
+    got, got_error = _outcomes(EfficiencyAnalyzer(matrix, tol).decide_many(rows))
+    assert len(got) == len(expected)
+    for report, reference in zip(got, expected):
+        _assert_same_report(report, reference)
+    assert got_error == expected_error
+
+    checked, error = check_points(rows, tol)
+    for index, row in enumerate(rows):
+        try:
+            point = SimplexPoint(row, tol)
+        except InputError as exc:
+            assert len(checked) == index
+            assert (type(error), str(error)) == (type(exc), str(exc))
+            break
+        assert checked[index].tobytes() == point.coords.tobytes()
+    else:
+        assert len(checked) == len(rows) and error is None
 
 
 def test_breakdown_errors_name_the_program(edge_matrix, monkeypatch):
