@@ -1,23 +1,24 @@
-"""Dense two-phase primal simplex for small linear programs.
+"""Dense phase-one simplex deciding the feasibility of small linear systems.
 
 The solver targets the small programs built elsewhere in this package:
-the certificate feasibility programs and the dominance program, a few
-dozen rows and columns, dense data, heavy degeneracy.  It maximizes over
-nonnegative variables and constraints given in relational form (<=, =,
->=), which is all those programs use.
+the certificate programs and the dominance program, a few dozen rows and
+columns, dense data, heavy degeneracy.  Each of them asks whether some
+nonnegative point satisfies constraints given in relational form (<=, =,
+>=), and nothing is optimized, so the solver has no objective.
 
 Conversion to computational form: rows are sign-normalized to a
 nonnegative right-hand side, and slack, surplus, and artificial columns
-are appended.  Phase one drives the artificials to zero; phase two
-optimizes the real objective, and is a no-op for a zero objective.
+are appended.  Phase one minimizes the sum of the artificials; the system
+is feasible exactly when that minimum is zero, and the basic solution
+phase one ends at is then a feasible point.
 
 Pivoting uses Dantzig's rule (most positive reduced cost) and switches to
 Bland's rule after a stall of 2 * (rows + columns) consecutive degenerate
 pivots, which guarantees termination on cycling instances.  Ties in the
 ratio test always leave the smallest basic index, so solves are
-deterministic.  An optimal point is re-checked against the original
+deterministic.  A feasible point is re-checked against the original
 constraints before it is returned; a failed re-check raises instead of
-reporting a wrong optimum.
+reporting a wrong point.
 """
 
 from __future__ import annotations
@@ -49,34 +50,31 @@ class Relation(Enum):
 
 
 class LpStatus(Enum):
-    OPTIMAL = "optimal"
+    FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 class LpError(RuntimeError):
-    """The solver could not certify any of the three statuses."""
+    """The solver could not certify either status."""
 
 
 class NumericalBreakdownError(LpError):
     """Pivoting stalled past the iteration cap, or the final point failed
-    its feasibility re-check.  Never silently reported as Optimal."""
+    its feasibility re-check.  Never silently reported as Feasible."""
 
 
 class StandardLp:
-    """maximize objective . x  subject to  a x (rel) rhs  and  x >= 0.
+    """The system  a x (rel) rhs  and  x >= 0.
 
     Rows may be empty, variables may not.
     """
 
-    __slots__ = ("objective", "a", "relations", "rhs")
+    __slots__ = ("a", "relations", "rhs")
 
-    def __init__(self, objective, a, relations: Sequence[Relation], rhs) -> None:
-        self.objective = np.array(objective, dtype=float)
-        if self.objective.ndim != 1 or self.objective.size == 0:
-            raise InputError("objective must be a nonempty vector")
-        m = self.objective.size
-        self.a = np.array(a, dtype=float).reshape(-1, m)
+    def __init__(self, a, relations: Sequence[Relation], rhs) -> None:
+        self.a = np.array(a, dtype=float)
+        if self.a.ndim != 2 or self.a.shape[1] == 0:
+            raise InputError("matrix must be 2-dimensional with at least one column")
         r = self.a.shape[0]
         self.relations = tuple(relations)
         self.rhs = np.array(rhs, dtype=float).reshape(-1)
@@ -84,15 +82,15 @@ class StandardLp:
             raise DimensionMismatchError("rows, relations, and rhs must align")
         if not all(isinstance(rel, Relation) for rel in self.relations):
             raise InputError("relations must be Relation members")
-        for arr, name in ((self.objective, "objective"), (self.a, "matrix"), (self.rhs, "rhs")):
+        for arr, name in ((self.a, "matrix"), (self.rhs, "rhs")):
             if not np.isfinite(arr).all():
                 raise InputError(f"{name} entries must be finite")
-        for arr in (self.objective, self.a, self.rhs):
+        for arr in (self.a, self.rhs):
             arr.setflags(write=False)
 
     @property
     def num_vars(self) -> int:
-        return self.objective.size
+        return self.a.shape[1]
 
     @property
     def num_rows(self) -> int:
@@ -104,14 +102,9 @@ class StandardLp:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Outcome of a solve.
-
-    value and point are set only when status is OPTIMAL, and value equals
-    objective . point.
-    """
+    """Outcome of a solve; point is set only when status is FEASIBLE."""
 
     status: LpStatus
-    value: float | None
     point: np.ndarray | None
     iterations: int
 
@@ -192,7 +185,7 @@ def _run_simplex(
 
 
 def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
-    """Solve ``lp`` to one of Optimal, Infeasible, or Unbounded.
+    """Decide whether ``lp`` is Feasible or Infeasible.
 
     Deterministic for fixed input and tolerances.  Raises
     NumericalBreakdownError rather than returning a point that fails the
@@ -229,60 +222,28 @@ def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
         tableau[i, col] = 1.0
         basis[i] = col
 
-    iteration_cap = 10_000 + 100 * (r + width)
     iterations = 0
-
     if n_art:
         phase_cost = np.zeros(width)
         phase_cost[n_struct + n_slack : -1] = -1.0
         obj = phase_cost - phase_cost[basis] @ tableau
-        status, pivots = _run_simplex(tableau, obj, basis, tol, iteration_cap)
-        iterations += pivots
+        iteration_cap = 10_000 + 100 * (r + width)
+        status, iterations = _run_simplex(tableau, obj, basis, tol, iteration_cap)
         if status != "optimal":
             raise NumericalBreakdownError(
                 f"phase one reported an unbounded auxiliary program after {iterations} pivots"
             )
         feas_gap = 10.0 * tol.lp * (1.0 + float(np.max(b, initial=0.0)))
         if -obj[-1] < -feas_gap:
-            return LpSolution(LpStatus.INFEASIBLE, None, None, iterations)
+            return LpSolution(LpStatus.INFEASIBLE, None, iterations)
 
-        # Pivot leftover artificials out of the basis; rows that offer no
-        # pivot are redundant and get dropped.
-        art_start = n_struct + n_slack
-        drop_rows = []
-        for i in range(r):
-            if basis[i] < art_start:
-                continue
-            candidates = np.flatnonzero(np.abs(tableau[i, :art_start]) > tol.lp)
-            if candidates.size:
-                _pivot(tableau, obj, basis, i, int(candidates[0]))
-                iterations += 1
-            else:
-                drop_rows.append(i)
-        if drop_rows:
-            keep = np.setdiff1d(np.arange(r), drop_rows)
-            tableau = tableau[keep]
-            basis = basis[keep]
-            r = tableau.shape[0]
-        tableau = np.delete(tableau, np.s_[art_start : art_start + n_art], axis=1)
-        width = tableau.shape[1]
-
-    cost = np.zeros(width)
-    cost[:n_struct] = lp.objective
-    obj = cost - cost[basis] @ tableau if r else cost.copy()
-    status, pivots = _run_simplex(tableau, obj, basis, tol, iteration_cap)
-    iterations += pivots
-    if status == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, None, None, iterations)
-
+    # Artificials still basic sit at level zero and are not part of the point.
     point = np.zeros(n_struct)
-    for i in range(r):
-        if basis[i] < n_struct:
-            point[basis[i]] = tableau[i, -1]
+    structural = basis < n_struct
+    point[basis[structural]] = tableau[structural, -1]
     if feasibility_violation(lp, point) > tol.lp:
         raise NumericalBreakdownError(
-            f"optimal point failed its feasibility re-check after {iterations} pivots"
+            f"phase-one point failed its feasibility re-check after {iterations} pivots"
         )
-    value = float(lp.objective @ point)
     point.setflags(write=False)
-    return LpSolution(LpStatus.OPTIMAL, value, point, iterations)
+    return LpSolution(LpStatus.FEASIBLE, point, iterations)

@@ -1,10 +1,18 @@
-"""Dominance-based efficiency checks, independent of the certificate route.
+"""Dominance-based efficiency check, independent of the certificate route.
 
-The primary decision procedure reasons in weight space.  The check here
-works directly with dominance instead: maximize the total componentwise
-improvement available over a given point.  The two routes share the LP
-solver but nothing else, so agreement between them is a meaningful
-cross-check.
+The primary decision procedure reasons in weight space: it asks for
+strictly positive weights that put the point's support at the maximum.
+The check here asks the alternative question directly: is there a
+feasible point at least as good on every criterion and better in total?
+By Gordan's and Motzkin's theorems of the alternative exactly one of the
+two has an answer, so the routes share the LP solver but no program, and
+agreement between them is a meaningful cross-check.
+
+The criteria are normalized before the program is built: each row loses
+its mean and is divided by its largest absolute entry, and a constant row
+becomes zero.  Neither map changes which points dominate which, because
+every feasible point sums to one, and together they make the program
+independent of the units of each criterion.
 """
 
 from __future__ import annotations
@@ -15,37 +23,45 @@ from .core import (
     DEFAULT_TOLERANCES,
     CriteriaMatrix,
     DimensionMismatchError,
-    InputError,
     SimplexPoint,
     Tolerances,
     Verdict,
 )
-from .lp import LpStatus, NumericalBreakdownError, Relation, StandardLp, solve
+from .lp import LpStatus, Relation, StandardLp, solve
 
-__all__ = ["build_dominance_lp", "dominance_lp_verdict", "sample_dominators"]
+__all__ = ["build_dominance_lp", "dominance_lp_verdict"]
+
+
+def _normalized(entries: np.ndarray) -> np.ndarray:
+    """Each row minus its mean, divided by its largest absolute entry;
+    constant rows become zero."""
+    centered = entries - entries.mean(axis=1, keepdims=True)
+    centered[np.ptp(entries, axis=1) == 0.0] = 0.0
+    spread = np.abs(centered).max(axis=1, keepdims=True)
+    return centered / np.where(spread > 0.0, spread, 1.0)
 
 
 def build_dominance_lp(matrix: CriteriaMatrix, x: SimplexPoint) -> StandardLp:
-    """LP measuring the slack available above ``x``: over feasible y and
-    nonnegative surpluses s, maximize sum(s) subject to
-    matrix @ y - s = matrix @ x.  The optimum is 0 exactly when no
-    feasible point improves some criterion without hurting another.
+    """Feasibility program over (y, t) >= 0, on the normalized criteria C:
+
+        sum(y) - t = 0,   C y - t C x >= 0,   1 . (C y - t C x) = 1.
+
+    It is feasible exactly when ``x`` is dominated, and then y / t is a
+    feasible point dominating it: t = 0 would force y = 0, which breaks
+    the last row.
     """
     if x.n != matrix.n:
         raise DimensionMismatchError(
             f"point has {x.n} components, matrix has {matrix.n} columns"
         )
     k, n = matrix.k, matrix.n
-    nvars = n + k  # y, then s
-    rows = np.zeros((k + 1, nvars))
-    rows[:k, :n] = matrix.entries
-    rows[:k, n:] = -np.eye(k)
-    rows[k, :n] = 1.0
-    rhs = np.concatenate([matrix.entries @ x.coords, [1.0]])
-    relations = [Relation.EQ] * (k + 1)
-    objective = np.zeros(nvars)
-    objective[n:] = 1.0
-    return StandardLp(objective, rows, relations, rhs)
+    criteria = _normalized(matrix.entries)
+    gains = np.hstack([criteria, -(criteria @ x.coords)[:, None]])
+    rows = np.vstack([np.append(np.ones(n), -1.0), gains, gains.sum(axis=0)])
+    relations = [Relation.EQ] + [Relation.GE] * k + [Relation.EQ]
+    rhs = np.zeros(k + 2)
+    rhs[-1] = 1.0
+    return StandardLp(rows, relations, rhs)
 
 
 def dominance_lp_verdict(
@@ -53,46 +69,9 @@ def dominance_lp_verdict(
     x: SimplexPoint,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Verdict:
-    """Efficient when the total available improvement is zero (below
-    10 * tol.lp), dominated when it is strictly positive.  The program is
-    always feasible (y = x) and bounded (the feasible set is compact)."""
+    """Dominated when the dominance program is feasible, efficient when it
+    is infeasible."""
     solution = solve(build_dominance_lp(matrix, x), tol)
-    if solution.status is not LpStatus.OPTIMAL:
-        raise NumericalBreakdownError(
-            f"dominance program reported {solution.status.value}; "
-            "it is feasible and bounded by construction"
-        )
-    if solution.value < 10.0 * tol.lp:
-        return Verdict.EFFICIENT
-    return Verdict.DOMINATED
-
-
-def sample_dominators(
-    matrix: CriteriaMatrix,
-    x: SimplexPoint,
-    trials: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> SimplexPoint | None:
-    """Search for a dominating point by uniform sampling of the simplex.
-
-    Draws points via normalized exponentials (uniform on the simplex) and
-    returns the first one scoring at least as well on every criterion and
-    better than ``tol.tie`` on some, so ties never count as domination.
-    One-sided: None proves nothing, a returned point is a dominator.
-    """
-    if x.n != matrix.n:
-        raise DimensionMismatchError(
-            f"point has {x.n} components, matrix has {matrix.n} columns"
-        )
-    if trials < 1:
-        raise InputError("trials must be at least 1")
-    rng = np.random.default_rng(seed)
-    baseline = matrix.entries @ x.coords
-    for _ in range(trials):
-        spacings = rng.standard_exponential(matrix.n)
-        y = spacings / spacings.sum()
-        improvement = matrix.entries @ y - baseline
-        if improvement.min() >= 0.0 and improvement.max() > tol.tie:
-            return SimplexPoint(y, tol)
-    return None
+    if solution.status is LpStatus.FEASIBLE:
+        return Verdict.DOMINATED
+    return Verdict.EFFICIENT

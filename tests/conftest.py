@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from paretosimplex import CriteriaMatrix, LpStatus, Relation, StandardLp, TestKind, solve
+from scipy import optimize
+
+from paretosimplex import CriteriaMatrix, TestKind
 
 # Efficient set is the closed edge between vertices 1 and 2: those vertices
 # and the open face {1,2} pass their certificate programs, nothing else does.
@@ -54,6 +56,8 @@ def barycenter(n: int, support) -> np.ndarray:
 def margin_form_optimum(matrix: CriteriaMatrix, kind: TestKind, support) -> float:
     """Optimum of the margin-maximizing form of a certificate program, the
     reference formulation for the feasibility programs the package solves.
+    It is solved by SciPy's HiGHS, so the reference shares no code with
+    the package.
 
     The variables are the weights w, a weight floor f and, for T1 and T2,
     one gap per column outside the support and a margin.  The support
@@ -72,31 +76,42 @@ def margin_form_optimum(matrix: CriteriaMatrix, kind: TestKind, support) -> floa
     floor, gap0 = k, k + 1
     margin = gap0 + len(outside) if strict else None
     nvars = k + 1 + (len(outside) + 1 if strict else 0)
-    rows, relations, rhs = [], [], []
+    a_ub, b_ub, a_eq = [], [], []
 
-    def add(coeffs: dict, relation: Relation, bound: float = 0.0, diff=None) -> None:
-        row = np.zeros(nvars)
+    def row(coeffs: dict, diff=None) -> np.ndarray:
+        out = np.zeros(nvars)
         if diff is not None:
-            row[:k] = diff
+            out[:k] = diff
         for var, coeff in coeffs.items():
-            row[var] = coeff
-        rows.append(row)
-        relations.append(relation)
-        rhs.append(bound)
+            out[var] = coeff
+        return out
+
+    def at_least_zero(coeffs: dict, diff=None) -> None:
+        a_ub.append(-row(coeffs, diff))
+        b_ub.append(0.0)
 
     for a, b in itertools.pairwise(inside):
-        add({}, Relation.EQ, diff=entries[:, a] - entries[:, b])
+        a_eq.append(row({}, entries[:, a] - entries[:, b]))
     for offset, j in enumerate(outside):
-        add({gap0 + offset: -1.0} if strict else {}, Relation.GE, diff=entries[:, inside[0]] - entries[:, j])
+        at_least_zero({gap0 + offset: -1.0} if strict else {}, entries[:, inside[0]] - entries[:, j])
     for i in range(k):
-        add({i: 1.0, floor: -1.0}, Relation.GE)
+        at_least_zero({i: 1.0, floor: -1.0})
     if strict:
         for offset in range(len(outside)):
-            add({gap0 + offset: 1.0, margin: -1.0}, Relation.GE)
-        add({floor: 1.0, margin: -1.0}, Relation.GE)
-    add({floor: 1.0}, Relation.LE, 1.0)
+            at_least_zero({gap0 + offset: 1.0, margin: -1.0})
+        at_least_zero({floor: 1.0, margin: -1.0})
+    a_ub.append(row({floor: 1.0}))
+    b_ub.append(1.0)
     objective = np.zeros(nvars)
-    objective[margin if strict else floor] = 1.0
-    solution = solve(StandardLp(objective, rows, relations, rhs))
-    assert solution.status is LpStatus.OPTIMAL, solution.status
-    return solution.value
+    objective[margin if strict else floor] = -1.0
+    result = optimize.linprog(
+        objective,
+        A_ub=np.array(a_ub),
+        b_ub=b_ub,
+        A_eq=np.array(a_eq) if a_eq else None,
+        b_eq=[0.0] * len(a_eq) if a_eq else None,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    return -result.fun

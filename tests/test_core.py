@@ -79,6 +79,12 @@ def test_sum_tolerance_boundary():
     SimplexPoint([0.25 + 3 * eps, 0.25, 0.25, 0.25])
     with pytest.raises(InvalidPointError):
         SimplexPoint([0.25 + 50 * eps, 0.25, 0.25, 0.25])
+    # The edge is n * x_zero, so sums just inside it pass and just outside fail.
+    edge = 4 * eps
+    for sign in (1.0, -1.0):
+        SimplexPoint([0.25 + sign * (1 - 1e-5) * edge, 0.25, 0.25, 0.25])
+        with pytest.raises(InvalidPointError):
+            SimplexPoint([0.25 + sign * (1 + 1e-5) * edge, 0.25, 0.25, 0.25])
 
 
 def test_small_negative_components_clamp_to_zero():
