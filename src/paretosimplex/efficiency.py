@@ -17,13 +17,16 @@ argmax pattern of some weighting.  A point can also be efficient by lying
 on the boundary of a larger efficient face, where no weighting separates
 its support from the rest: duplicate columns are the simplest case, a
 column sitting in the convex hull of the tied ones the general one.  The
-closure program covers these: it keeps the support tied but only forbids
+closure program covers both: it keeps the support tied but only forbids
 other columns from exceeding it, so a feasible program exhibits weights
-whose argmax pattern contains the support.  That still makes the point a
-maximizer under strictly positive weights, hence efficient, and the
-report's face names the larger pattern actually certified.  The closure
-program runs only after the exact-face test fails, so the common path is
-unchanged.
+whose argmax pattern contains the support.  That makes the point a
+maximizer under strictly positive weights, hence efficient, and every
+feasible T1 or T2 program is a feasible closure program, so the closure
+program alone decides every support short of the full one.  It runs
+first.  When its weights tie exactly the support, they already certify
+the exact face and the report names T1 or T2; only when they tie more
+columns is the strict program solved, to name the exact face if one
+exists and the larger pattern actually certified otherwise.
 
 Each program is a pure feasibility system over u >= 0 with weights
 w = 1 + u: ties are equalities, strict gaps are "at least 1" and weak gaps
@@ -51,10 +54,8 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCES,
     CriteriaMatrix,
-    Deterministic,
     DimensionMismatchError,
     InputError,
-    PartiallyRandomized,
     PointClass,
     Randomized,
     SimplexPoint,
@@ -68,10 +69,7 @@ from .core import (
 )
 from .lp import LpSolution, LpStatus, NumericalBreakdownError, Relation, StandardLp, solve
 from .scalarize import (
-    FullSimplex,
-    OpenFace,
     SolutionSetDescriptor,
-    UniqueVertex,
     WeightVector,
     argmax_descriptor,
     argmax_set,
@@ -308,8 +306,8 @@ class EfficiencyAnalyzer:
         return WeightVector(weights / weights.min())
 
     def decide(self, x: SimplexPoint) -> EfficiencyReport:
-        """Classify ``x`` and decide efficiency with the cheapest decisive
-        certificate program."""
+        """Classify ``x`` and decide efficiency: T0, then the closure
+        program on the support, then T1 or T2 only to name the exact face."""
         if x.n != self.matrix.n:
             raise DimensionMismatchError(
                 f"point has {x.n} components, matrix has {self.matrix.n} columns"
@@ -347,41 +345,34 @@ class EfficiencyAnalyzer:
     def _decide_class(self, point_class: PointClass) -> _Decision:
         t0 = self.t0()
         if t0.certified:
-            return self._efficient(t0, FullSimplex())
+            return self._efficient(t0)
         if isinstance(point_class, Randomized):
             # No all-tying weights exist, so no randomized point is efficient.
             return _Decision(Verdict.DOMINATED, TestKind.T0, None, None)
-        if isinstance(point_class, PartiallyRandomized):
-            result = self.t1(point_class.support)
-            face: SolutionSetDescriptor = OpenFace(point_class.support)
-        else:
-            result = self.t2(point_class.index)
-            face = UniqueVertex(point_class.index)
-        if result.certified:
-            return self._efficient(result, face)
-        # The exact-face test failed, but the point may still border a
-        # larger efficient face (duplicate columns and the like).
-        fallback = self.closure(result.program.target)
-        if fallback.certified:
-            return self._efficient_closure(fallback)
-        return _Decision(Verdict.DOMINATED, fallback.program.kind, None, None)
+        support = point_class.support
+        closure = self.closure(support)
+        if not closure.certified:
+            return _Decision(Verdict.DOMINATED, TestKind.CLOSURE, None, None)
+        decision = self._efficient(closure)
+        exact = TestKind.T2 if len(support) == 1 else TestKind.T1
+        if decision.face == argmax_descriptor(support, self.matrix.n):
+            # The weak gaps came out strict, so these weights name the exact face.
+            return decision._replace(test=exact)
+        strict = self.t2(support.indices[0]) if exact is TestKind.T2 else self.t1(support)
+        return self._efficient(strict) if strict.certified else decision
 
-    def _efficient(self, result: TestResult, face: SolutionSetDescriptor) -> _Decision:
+    def _efficient(self, result: TestResult) -> _Decision:
+        """Re-verify a feasible program's certificate: strictly positive
+        weights keeping the target at the maximum, and for T0, T1 and T2
+        tying exactly the target.  The face is the weights' argmax pattern."""
+        target = result.program.target
         certificate = self.certificate_from(result)
         tied = argmax_set(weighted_objective(self.matrix, certificate), self.tol)
-        if not certificate.strictly_positive or tied != result.program.target:
-            raise NumericalBreakdownError(
-                f"extracted certificate does not tie exactly {result.program.target}"
-            )
-        return _Decision(Verdict.EFFICIENT, result.program.kind, certificate, face)
-
-    def _efficient_closure(self, result: TestResult) -> _Decision:
-        certificate = self.certificate_from(result)
-        tied = argmax_set(weighted_objective(self.matrix, certificate), self.tol)
-        if not certificate.strictly_positive or not set(result.program.target).issubset(tied):
-            raise NumericalBreakdownError(
-                f"extracted certificate does not keep {result.program.target} at the maximum"
-            )
+        exact = result.program.kind is not TestKind.CLOSURE
+        held = tied == target if exact else set(target).issubset(tied)
+        if not certificate.strictly_positive or not held:
+            claim = f"tie exactly {target}" if exact else f"keep {target} at the maximum"
+            raise NumericalBreakdownError(f"extracted certificate does not {claim}")
         return _Decision(
             Verdict.EFFICIENT,
             result.program.kind,

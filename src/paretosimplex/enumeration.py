@@ -2,15 +2,17 @@
 
 Because efficiency depends only on a point's support, the efficient set
 is a union of open faces and the whole structure is finite: one verdict
-per support pattern.  Efficient supports are closed under subsets, since
-weights that keep a support at the maximum keep each of its subsets
-there.  The face scan is therefore level-wise: starting from the
-efficient vertices, it tests a support of size s only when all its
-subsets of size s-1 are efficient, and stops at the first size with no
-efficient support.  Every skipped support has a dominated subset, so the
-scan is exact, and its cost follows the size of the efficient set rather
-than the 2**n supports.  It can be limited to small supports, and wide
-matrices are refused by default.
+per support pattern.  Each support is decided by the closure program
+alone, the predicate ``decide`` uses too: a support is efficient exactly
+when some strictly positive weighting keeps it at the maximum.  Efficient
+supports are closed under subsets, since weights that keep a support at
+the maximum keep each of its subsets there.  The face scan is therefore
+level-wise: starting from the efficient vertices, it tests a support of
+size s only when all its subsets of size s-1 are efficient, and stops at
+the first size with no efficient support.  Every skipped support has a
+dominated subset, so the scan is exact, and its cost follows the size of
+the efficient set rather than the 2**n supports.  It can be limited to
+small supports, and wide matrices are refused by default.
 """
 
 from __future__ import annotations
@@ -57,10 +59,11 @@ class EfficientStructure:
 
     full means every feasible point is efficient.  vertices holds the
     efficient column indices, faces the efficient support patterns of
-    size two and up within the scanned sizes, found by the level-wise scan
-    (exact, since efficient supports are closed under subsets).  exhaustive
-    is set when no support size up to n-1 was cut off, so the structure
-    describes the entire efficient set.
+    size two and up within the scanned sizes: those whose closure program
+    is feasible, found by the level-wise scan (exact, since efficient
+    supports are closed under subsets).  exhaustive is set when no support
+    size up to n-1 was cut off, so the structure describes the entire
+    efficient set.
     """
 
     full: bool
@@ -100,23 +103,13 @@ def enumerate_vertices(
     if full:
         return frozenset(range(1, matrix.n + 1))
     return frozenset(
-        j for j in range(1, matrix.n + 1) if _pattern_efficient(analyzer, SupportPattern((j,)))
+        j for j in range(1, matrix.n + 1) if analyzer.closure(SupportPattern((j,))).certified
     )
 
 
 def _scan_sizes(n: int, max_support: int | None) -> range:
     cap = n - 1 if max_support is None else min(max_support, n - 1)
     return range(2, cap + 1)
-
-
-def _pattern_efficient(analyzer: EfficiencyAnalyzer, pattern: SupportPattern) -> bool:
-    """Exact-face test first, weak-gap closure test when that fails; mirrors
-    the per-point decision so the scans agree with it on every support."""
-    if len(pattern) == 1:
-        primary = analyzer.t2(pattern.indices[0])
-    else:
-        primary = analyzer.t1(pattern)
-    return primary.certified or analyzer.closure(pattern).certified
 
 
 def _candidates(level: list[SupportPattern]) -> Iterator[SupportPattern]:
@@ -181,7 +174,7 @@ def enumerate_faces(
     level = [SupportPattern((j,)) for j in sorted(vertices)]
     faces: set[SupportPattern] = set()
     for _ in sizes:
-        level = [p for p in _candidates(level) if _pattern_efficient(analyzer, p)]
+        level = [p for p in _candidates(level) if analyzer.closure(p).certified]
         if not level:
             break
         faces.update(level)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from scipy import optimize
+from scipy import optimize, sparse
 
 from paretosimplex import CriteriaMatrix, TestKind
 
@@ -53,11 +53,9 @@ def barycenter(n: int, support) -> np.ndarray:
     return coords
 
 
-def margin_form_optimum(matrix: CriteriaMatrix, kind: TestKind, support) -> float:
-    """Optimum of the margin-maximizing form of a certificate program, the
-    reference formulation for the feasibility programs the package solves.
-    It is solved by SciPy's HiGHS, so the reference shares no code with
-    the package.
+def _margin_form(matrix: CriteriaMatrix, kind: TestKind, support):
+    """The margin-maximizing form of one certificate program, the reference
+    formulation for the feasibility programs the package solves.
 
     The variables are the weights w, a weight floor f and, for T1 and T2,
     one gap per column outside the support and a margin.  The support
@@ -68,6 +66,8 @@ def margin_form_optimum(matrix: CriteriaMatrix, kind: TestKind, support) -> floa
     variable is nonnegative, which keeps the optimum: zero is feasible,
     and a solution with a positive optimum has positive weights, floor and
     gaps.  The optimum is 0 or 1, and 1 exactly when a certificate exists.
+
+    Returns the objective to minimize, A_ub, b_ub and A_eq (b_eq is zero).
     """
     k, entries = matrix.k, matrix.entries
     inside = [j - 1 for j in support]
@@ -104,14 +104,35 @@ def margin_form_optimum(matrix: CriteriaMatrix, kind: TestKind, support) -> floa
     b_ub.append(1.0)
     objective = np.zeros(nvars)
     objective[margin if strict else floor] = -1.0
+    return objective, np.array(a_ub), b_ub, np.array(a_eq).reshape(-1, nvars)
+
+
+def margin_form_optima(matrix: CriteriaMatrix, programs) -> list[float]:
+    """Optima of the margin-maximizing forms (``_margin_form``) of several
+    (kind, support) programs on one matrix, solved by SciPy's HiGHS, so the
+    reference shares no code with the package.
+
+    The programs go to the solver in one call: their constraints stacked
+    block-diagonally and their objectives side by side.  The blocks share
+    no variable and each optimum is bounded by its f <= 1 row, so the
+    combined optimum is their sum and each program's optimum is read from
+    its own block of the solution.
+    """
+    forms = [_margin_form(matrix, kind, support) for kind, support in programs]
+    a_eq = sparse.block_diag([form[3] for form in forms], format="csr")
     result = optimize.linprog(
-        objective,
-        A_ub=np.array(a_ub),
-        b_ub=b_ub,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=[0.0] * len(a_eq) if a_eq else None,
+        np.concatenate([form[0] for form in forms]),
+        A_ub=sparse.block_diag([form[1] for form in forms], format="csr"),
+        b_ub=np.concatenate([form[2] for form in forms]),
+        A_eq=a_eq if a_eq.shape[0] else None,
+        b_eq=np.zeros(a_eq.shape[0]) if a_eq.shape[0] else None,
         bounds=(0, None),
         method="highs",
     )
     assert result.status == 0, result.message
-    return -result.fun
+    optima, start = [], 0
+    for objective, *_ in forms:
+        stop = start + len(objective)
+        optima.append(-float(objective @ result.x[start:stop]))
+        start = stop
+    return optima

@@ -16,7 +16,7 @@ from conftest import (
     ALL_EFFICIENT_ROWS,
     EDGE_ONLY_ROWS,
     barycenter,
-    margin_form_optimum,
+    margin_form_optima,
     random_matrix,
     random_point_on_support,
 )
@@ -70,6 +70,7 @@ class SweepRecord:
     t0: float
     t1: dict = field(default_factory=dict)
     t2: dict = field(default_factory=dict)
+    closure: dict = field(default_factory=dict)
     max_violation: float = 0.0
 
 
@@ -87,10 +88,13 @@ def sweep():
             for j in range(1, matrix.n + 1):
                 results.append(analyzer.t2(j))
                 record.t2[j] = results[-1].value
-            for size in range(2, matrix.n):
+            for size in range(1, matrix.n):
                 for combo in itertools.combinations(range(1, matrix.n + 1), size):
-                    results.append(analyzer.t1(SupportPattern(combo)))
-                    record.t1[combo] = results[-1].value
+                    if size > 1:
+                        results.append(analyzer.t1(SupportPattern(combo)))
+                        record.t1[combo] = results[-1].value
+                    results.append(analyzer.closure(SupportPattern(combo)))
+                    record.closure[combo] = results[-1].value
         except LpError as exc:
             errors.append((index, matrix.entries.tolist(), repr(exc)))
             continue
@@ -162,7 +166,8 @@ def test_criterion_3_zero_one_law(sweep, report):
     # The feasibility programs answer 0 or 1 by construction, so the law is
     # checked on the margin-maximizing reference form of every program:
     # its optimum must be 0 or 1, and above one half exactly when the
-    # feasibility program certified.
+    # feasibility program certified.  A matrix's reference programs are
+    # solved in one call.
     records, _ = sweep
     off_binary, disagree = [], []
     total = 0
@@ -171,9 +176,10 @@ def test_criterion_3_zero_one_law(sweep, report):
         programs = [(Kind.T0, tuple(range(1, n + 1)), rec.t0)]
         programs += [(Kind.T2, (j,), value) for j, value in rec.t2.items()]
         programs += [(Kind.T1, combo, value) for combo, value in rec.t1.items()]
-        for kind, support, value in programs:
+        programs += [(Kind.CLOSURE, combo, value) for combo, value in rec.closure.items()]
+        optima = margin_form_optima(rec.matrix, [(kind, support) for kind, support, _ in programs])
+        for (kind, support, value), optimum in zip(programs, optima):
             total += 1
-            optimum = margin_form_optimum(rec.matrix, kind, support)
             case = (kind.value, support, value, optimum, rec.matrix.entries.tolist())
             if not _near_binary(optimum):
                 off_binary.append(case)

@@ -307,9 +307,9 @@ def test_test_reports_the_points_before_a_bad_one(capsys, edge_json, mode, bad, 
 @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
 def test_test_reports_the_points_before_a_solver_failure(capsys, edge_json, monkeypatch, mode):
     from conftest import EDGE_ONLY_ROWS as rows
-    from paretosimplex import CriteriaMatrix, NumericalBreakdownError, efficiency
+    from paretosimplex import CriteriaMatrix, NumericalBreakdownError, SupportPattern, efficiency
 
-    failing = efficiency.build_t2(CriteriaMatrix(rows), 3).lp
+    failing = efficiency.build_closure(CriteriaMatrix(rows), SupportPattern((3,))).lp
     real_solve = efficiency.solve
 
     def solve(lp, tol):
@@ -321,7 +321,7 @@ def test_test_reports_the_points_before_a_solver_failure(capsys, edge_json, monk
     monkeypatch.setattr(efficiency, "solve", solve)
     code, out, err = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0", "0,0,1", "0,1,0")
     assert (code, out) == (4, before)
-    assert err == "error: T2 program on support {3} of the 3x3 matrix: stub breakdown\n"
+    assert err == "error: closure program on support {3} of the 3x3 matrix: stub breakdown\n"
 
 
 def test_usage_errors_exit_2(capsys):

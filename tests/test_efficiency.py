@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import barycenter, margin_form_optimum, random_matrix, random_point_on_support
+from conftest import barycenter, margin_form_optima, random_matrix, random_point_on_support
 
 import paretosimplex.efficiency as efficiency_module
 from paretosimplex.cli import _report_payload
@@ -33,14 +33,17 @@ from paretosimplex import (
     UniqueVertex,
     Verdict,
     WeightVector,
+    argmax_set,
     build_closure,
     build_t0,
     build_t1,
     build_t2,
     check_points,
     decide,
+    solution_set,
     verify_certificate,
     vertex,
+    weighted_objective,
 )
 
 # Columns 2 and 3 are identical and jointly undominated: no weighting can
@@ -244,8 +247,8 @@ def test_zero_one_law_sample():
                 if size > 1:
                     programs.append((Kind.T1, combo, analyzer.t1(SupportPattern(combo))))
                 programs.append((Kind.CLOSURE, combo, analyzer.closure(SupportPattern(combo))))
-        for kind, support, result in programs:
-            optimum = margin_form_optimum(matrix, kind, support)
+        optima = margin_form_optima(matrix, [(kind, support) for kind, support, _ in programs])
+        for (kind, support, result), optimum in zip(programs, optima):
             assert min(abs(optimum), abs(optimum - 1.0)) < 1e-6
             assert result.value == (1.0 if optimum > 0.5 else 0.0)
 
@@ -297,9 +300,77 @@ def test_each_program_solved_once(edge_matrix, monkeypatch):
     ]
     for point in points:
         analyzer.decide(point)
-    # one T0, one T1 for {1,2}, one T2 each for vertices 1 and 3, and one
-    # closure for the dominated vertex 3
-    assert len(calls) == 5
+    # T0, closure {1,2}, closure {1} and closure {3}: the closure weights tie
+    # exactly {1,2} and {1}, and vertex 3 is dominated by closure {3} alone
+    assert len(calls) == 4
+
+
+def _strict_first(analyzer, support):
+    """Reference decision in the strict-first order: the exact-face program
+    (T1 or T2), then the closure program only when that fails.  Returns the
+    verdict, the test kind and the face."""
+    pattern = SupportPattern(support)
+    if analyzer.t0().certified:
+        return Verdict.EFFICIENT, Kind.T0, FullSimplex()
+    if len(support) == 1:
+        strict, face = analyzer.t2(support[0]), UniqueVertex(support[0])
+    else:
+        strict, face = analyzer.t1(pattern), OpenFace(pattern)
+    if strict.certified:
+        return Verdict.EFFICIENT, strict.program.kind, face
+    closure = analyzer.closure(pattern)
+    if not closure.certified:
+        return Verdict.DOMINATED, Kind.CLOSURE, None
+    weights = analyzer.certificate_from(closure)
+    return Verdict.EFFICIENT, Kind.CLOSURE, solution_set(analyzer.matrix, weights)
+
+
+def test_closure_first_keeps_the_strict_first_answers(monkeypatch):
+    # Duplicated columns and columns on a segment between two others are
+    # where the closure program's weights tie more than the support.
+    solved = []
+    real_solve = efficiency_module.solve
+
+    def counting_solve(lp, tol):
+        solved.append(lp)
+        return real_solve(lp, tol)
+
+    monkeypatch.setattr(efficiency_module, "solve", counting_solve)
+    rng = np.random.default_rng(9090)
+    costs = {}
+    for trial in range(60):
+        k, n = int(rng.integers(2, 6)), int(rng.integers(3, 7))
+        entries = rng.integers(-9, 10, size=(k, n)).astype(float)
+        a, b, c = rng.choice(n, size=3, replace=False)
+        if trial % 3 == 0:
+            entries[:, c] = entries[:, a]
+        elif trial % 3 == 1:
+            entries[:, c] = (entries[:, a] + entries[:, b]) / 2
+        matrix = CriteriaMatrix(entries)
+        analyzer, reference = EfficiencyAnalyzer(matrix), EfficiencyAnalyzer(matrix)
+        analyzer.t0()
+        for size in range(1, n):
+            for combo in itertools.combinations(range(1, n + 1), size):
+                solved.clear()
+                report = analyzer.decide(SimplexPoint(barycenter(n, combo)))
+                cost = len(solved)
+                assert (report.verdict, report.test, report.face) == _strict_first(reference, combo)
+                costs.setdefault((report.verdict, report.test), set()).add(cost)
+                if report.verdict is Verdict.DOMINATED:
+                    continue
+                weights = report.certificate
+                if report.test is Kind.CLOSURE:
+                    tied = argmax_set(weighted_objective(matrix, weights))
+                    assert weights.strictly_positive and set(combo) <= set(tied)
+                else:
+                    point_class = Randomized() if report.test is Kind.T0 else report.point_class
+                    assert verify_certificate(matrix, weights, point_class)
+    # a dominated vertex or face costs its closure program alone
+    assert costs[Verdict.DOMINATED, Kind.CLOSURE] == {1}
+    # an exact face costs one program when the closure weights already name
+    # it and two when the strict program must, and both paths occur
+    assert costs[Verdict.EFFICIENT, Kind.T1] | costs[Verdict.EFFICIENT, Kind.T2] == {1, 2}
+    assert costs[Verdict.EFFICIENT, Kind.CLOSURE] == {2}
 
 
 def test_analyzer_is_thread_safe(edge_matrix):

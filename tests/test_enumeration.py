@@ -8,7 +8,6 @@ import pytest
 from conftest import barycenter, random_matrix
 
 import paretosimplex.efficiency as efficiency_module
-import paretosimplex.enumeration as enumeration_module
 from paretosimplex import (
     CriteriaMatrix,
     DimensionMismatchError,
@@ -27,30 +26,27 @@ from paretosimplex import (
     verify_certificate,
     vertex,
 )
-from paretosimplex.enumeration import _pattern_efficient
 
 
 def exhaustive_structure(matrix, max_support=None):
-    """Reference scan: every support of every scanned size goes through
-    the per-support decision, with no pruning.  Returns the vertices, the
+    """Reference scan: every support of every scanned size is decided by
+    ``decide`` on its barycenter, with no pruning, so the level-wise scan
+    is checked against the per-point decision.  Returns the vertices, the
     faces and the exhaustive flag."""
     n = matrix.n
     analyzer = EfficiencyAnalyzer(matrix)
     cap = n - 1 if max_support is None else min(max_support, n - 1)
-    sizes = range(2, cap + 1)
-    if check_full(matrix, analyzer=analyzer)[0]:
-        faces = frozenset(
-            SupportPattern(combo)
-            for size in sizes
-            for combo in itertools.combinations(range(1, n + 1), size)
-        )
-        return frozenset(range(1, n + 1)), faces, cap == n - 1
-    vertices = enumerate_vertices(matrix, analyzer=analyzer)
+
+    def efficient(combo):
+        point = SimplexPoint(barycenter(n, combo))
+        return analyzer.decide(point).verdict is Verdict.EFFICIENT
+
+    vertices = frozenset(j for j in range(1, n + 1) if efficient((j,)))
     faces = frozenset(
-        pattern
-        for size in sizes
+        SupportPattern(combo)
+        for size in range(2, cap + 1)
         for combo in itertools.combinations(range(1, n + 1), size)
-        if _pattern_efficient(analyzer, pattern := SupportPattern(combo))
+        if efficient(combo)
     )
     return vertices, faces, cap == n - 1
 
@@ -206,12 +202,13 @@ def test_ratio_shortcut_is_sound():
 
 def test_level_wise_scan_matches_exhaustive_reference(monkeypatch):
     tested = []
+    real_closure = EfficiencyAnalyzer.closure
 
     def recording(analyzer, pattern):
         tested.append(pattern)
-        return _pattern_efficient(analyzer, pattern)
+        return real_closure(analyzer, pattern)
 
-    monkeypatch.setattr(enumeration_module, "_pattern_efficient", recording)
+    monkeypatch.setattr(EfficiencyAnalyzer, "closure", recording)
     rng = np.random.default_rng(2412)
     cases = []
     duplicated = limited = 0
@@ -234,13 +231,14 @@ def test_level_wise_scan_matches_exhaustive_reference(monkeypatch):
     for matrix, max_support in cases:
         tested.clear()
         structure = enumerate_faces(matrix, max_support=max_support)
+        scanned = list(tested)
         vertices, faces, exhaustive = exhaustive_structure(matrix, max_support)
         assert structure.vertices == vertices
         assert structure.faces == faces
         assert structure.exhaustive == exhaustive
         # a face is tested only when all its one-smaller subsets are efficient
         efficient = faces | {SupportPattern((j,)) for j in vertices}
-        for pattern in tested:
+        for pattern in scanned:
             if len(pattern) > 1:
                 subsets = itertools.combinations(pattern.indices, len(pattern) - 1)
                 assert all(SupportPattern(sub) in efficient for sub in subsets)
@@ -248,8 +246,8 @@ def test_level_wise_scan_matches_exhaustive_reference(monkeypatch):
 
 
 def test_level_wise_scan_solves_few_programs(monkeypatch):
-    # 4082 supports of size 2..11: the reference solves T1 on each and
-    # closure on most, the level-wise scan only on the few whose subsets
+    # 4082 supports of size 2..11: the reference decides each one, solving
+    # its closure program, the level-wise scan only the few whose subsets
     # are all efficient.
     matrix = random_matrix(np.random.default_rng(3), k=4, n=12)
     solved = []
