@@ -38,7 +38,7 @@ from .core import (
     SupportPattern,
     Tolerances,
     Verdict,
-    vertex,
+    check_points,
 )
 from .efficiency import EfficiencyAnalyzer, EfficiencyReport
 from .enumeration import (
@@ -309,24 +309,28 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     }
     agreement = None
     if args.oracle:
+        supports = [(j,) for j in range(1, matrix.n + 1)] + [
+            combo
+            for size in _scan_sizes(matrix.n, args.max_support)
+            for combo in itertools.combinations(range(1, matrix.n + 1), size)
+        ]
+        # Each support's barycenter, all checked in one batch.
+        rows = np.zeros((len(supports), matrix.n))
+        for row, combo in zip(rows, supports):
+            row[[j - 1 for j in combo]] = 1.0 / len(combo)
+        coords, error = check_points(rows, tol)
+        if error is not None:
+            raise error
         agreement = []
-        for j in range(1, matrix.n + 1):
-            verdict = dominance_lp_verdict(matrix, vertex(j, matrix.n), tol)
+        for combo, row in zip(supports, coords):
+            verdict = dominance_lp_verdict(matrix, SimplexPoint.trusted(row), tol)
+            if len(combo) == 1:
+                efficient = combo[0] in structure.vertices
+            else:
+                efficient = SupportPattern(combo) in structure.faces
             agreement.append(
-                {"support": [j], "agrees": (j in structure.vertices) == (verdict is Verdict.EFFICIENT)}
+                {"support": list(combo), "agrees": efficient == (verdict is Verdict.EFFICIENT)}
             )
-        for size in _scan_sizes(matrix.n, args.max_support):
-            for combo in itertools.combinations(range(1, matrix.n + 1), size):
-                pattern = SupportPattern(combo)
-                coords = np.zeros(matrix.n)
-                coords[[j - 1 for j in combo]] = 1.0 / size
-                verdict = dominance_lp_verdict(matrix, SimplexPoint(coords, tol), tol)
-                agreement.append(
-                    {
-                        "support": list(combo),
-                        "agrees": (pattern in structure.faces) == (verdict is Verdict.EFFICIENT),
-                    }
-                )
         payload["oracle"] = agreement
     disagreements = sum(not entry["agrees"] for entry in agreement or ())
     if disagreements:

@@ -11,8 +11,16 @@ level-wise: starting from the efficient vertices, it tests a support of
 size s only when all its subsets of size s-1 are efficient, and stops at
 the first size with no efficient support.  Every skipped support has a
 dominated subset, so the scan is exact, and its cost follows the size of
-the efficient set rather than the 2**n supports.  It can be limited to
-small supports, and wide matrices are refused by default.
+the efficient set rather than the 2**n supports.
+
+The weights that certify a support usually tie more columns: their argmax
+face.  Those weights certify every support inside the face too, so the
+scan keeps the argmax face of each certificate it has verified, vertices
+included, and decides a support inside one of them efficient without
+building or solving a program.  Only certificates that pass the closure
+re-verification on the original matrix are kept, so each such verdict
+rests on a verified certificate.  The scan can be limited to small
+supports, and wide matrices are refused by default.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from .core import (
     Tolerances,
 )
 from .efficiency import EfficiencyAnalyzer
-from .scalarize import WeightVector
+from .scalarize import WeightVector, argmax_set, weighted_objective
 
 __all__ = [
     "MAX_ENUMERABLE_COLUMNS",
@@ -61,9 +69,10 @@ class EfficientStructure:
     efficient column indices, faces the efficient support patterns of
     size two and up within the scanned sizes: those whose closure program
     is feasible, found by the level-wise scan (exact, since efficient
-    supports are closed under subsets).  exhaustive is set when no support
-    size up to n-1 was cut off, so the structure describes the entire
-    efficient set.
+    supports are closed under subsets).  A support inside the argmax face
+    of a certificate the scan already verified is decided without a
+    program.  exhaustive is set when no support size up to n-1 was cut
+    off, so the structure describes the entire efficient set.
     """
 
     full: bool
@@ -102,9 +111,41 @@ def enumerate_vertices(
     full, _ = check_full(matrix, tol, analyzer)
     if full:
         return frozenset(range(1, matrix.n + 1))
+    return _vertices(analyzer, [])
+
+
+def _vertices(analyzer: EfficiencyAnalyzer, faces: list[frozenset[int]]) -> frozenset[int]:
+    """The efficient vertices, each decided by ``_efficient`` with ``faces``."""
     return frozenset(
-        j for j in range(1, matrix.n + 1) if analyzer.closure(SupportPattern((j,))).certified
+        j for j in range(1, analyzer.matrix.n + 1)
+        if _efficient(analyzer, SupportPattern((j,)), faces)
     )
+
+
+def _efficient(
+    analyzer: EfficiencyAnalyzer, support: SupportPattern, faces: list[frozenset[int]]
+) -> bool:
+    """Whether ``support`` is efficient, given ``faces``, the argmax faces
+    of certificates verified so far in this scan.
+
+    A support inside one of them is efficient by that face's weights, and
+    no program is solved.  Otherwise its closure program decides, and when
+    the program is feasible and its certificate passes the closure
+    re-verification (strictly positive weights tying the support at the
+    maximum), the certificate's argmax face joins ``faces``.
+    """
+    columns = frozenset(support.indices)
+    if any(columns <= face for face in faces):
+        return True
+    result = analyzer.closure(support)
+    if result.certified:
+        certificate = analyzer.certificate_from(result)
+        tied = frozenset(
+            argmax_set(weighted_objective(analyzer.matrix, certificate), analyzer.tol)
+        )
+        if certificate.strictly_positive and columns <= tied:
+            faces.append(tied)
+    return result.certified
 
 
 def _scan_sizes(n: int, max_support: int | None) -> range:
@@ -170,11 +211,12 @@ def enumerate_faces(
             for combo in itertools.combinations(range(1, n + 1), size)
         )
         return EfficientStructure(True, vertices, faces, exhaustive, warning)
-    vertices = enumerate_vertices(matrix, tol, analyzer)
+    certified: list[frozenset[int]] = []
+    vertices = _vertices(analyzer, certified)
     level = [SupportPattern((j,)) for j in sorted(vertices)]
     faces: set[SupportPattern] = set()
     for _ in sizes:
-        level = [p for p in _candidates(level) if analyzer.closure(p).certified]
+        level = [p for p in _candidates(level) if _efficient(analyzer, p, certified)]
         if not level:
             break
         faces.update(level)

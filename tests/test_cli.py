@@ -1,6 +1,8 @@
 """End-to-end command line behaviour, run in-process through main()."""
 
 import json
+import shlex
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -353,3 +355,46 @@ def test_tolerance_flags_reach_the_classifier(capsys, edge_json):
 
     code, _, _ = run(capsys, "test", edge_json, "--tol-x", "-1", "1,0,0")
     assert code == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """Each ``$ command`` line of README.md's code blocks, with the lines
+    shown after it up to the next command or the end of the block."""
+    examples, inside, current = [], False, None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            inside, current = not inside, None
+        elif inside and line.startswith("$ "):
+            current = []
+            examples.append((line[2:], current))
+        elif inside and current is not None:
+            current.append(line)
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypatch):
+    # `$ cat FILE` examples give the matrix files the commands read.
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for command, shown in readme_examples():
+        words = shlex.split(command)
+        if words[0] == "cat":
+            Path(words[1]).write_text("".join(line + "\n" for line in shown))
+            continue
+        assert words[0] == "paretosimplex", command
+        keep = None
+        if "|" in words:
+            bar = words.index("|")
+            assert words[bar + 1 :] == ["head", words[-1]] and words[-1].startswith("-"), command
+            keep = int(words[-1][1:])
+            words = words[:bar]
+        code, out, err = run(capsys, *words[1:])
+        assert (code, err) == (0, ""), command
+        assert "".join(out.splitlines(keepends=True)[:keep]) == "".join(
+            line + "\n" for line in shown
+        ), command
+        ran += 1
+    assert ran == 8

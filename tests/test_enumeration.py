@@ -14,6 +14,7 @@ from paretosimplex import (
     EfficiencyAnalyzer,
     EnumerationCapError,
     InputError,
+    LpError,
     Randomized,
     SimplexPoint,
     SupportPattern,
@@ -265,3 +266,66 @@ def test_level_wise_scan_solves_few_programs(monkeypatch):
     assert (structure.vertices, structure.faces) == (vertices, faces)
     assert faces
     assert len(solved) * 20 < reference
+
+
+def test_face_reuse_matches_the_no_reuse_reference():
+    # The scan decides a support inside a verified certificate's argmax
+    # face without a program; the reference decides every support on its
+    # own.  Instances where the reference breaks down are skipped.
+    rng = np.random.default_rng(2026)
+    compared = 0
+    for trial in range(150):
+        n = int(rng.integers(3, 9))
+        k = int(rng.integers(2, 7))
+        entries = rng.integers(-9, 10, size=(k, n)).astype(float)
+        variant = trial % 5
+        if variant == 1:
+            source, target = rng.choice(n, size=2, replace=False)
+            entries[:, target] = entries[:, source]
+        elif variant == 2:
+            a, b, middle = rng.choice(n, size=3, replace=False)
+            entries[:, middle] = (entries[:, a] + entries[:, b]) / 2
+        elif variant == 3:
+            entries *= 1e-6
+        elif variant == 4:
+            entries *= 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1))
+        max_support = int(rng.integers(2, n)) if trial % 3 == 2 and n >= 4 else None
+        matrix = CriteriaMatrix(entries)
+        try:
+            reference = exhaustive_structure(matrix, max_support)
+        except LpError:
+            continue
+        structure = enumerate_faces(matrix, max_support=max_support)
+        assert (structure.vertices, structure.faces, structure.exhaustive) == reference
+        compared += 1
+    assert compared >= 140
+
+
+def test_support_inside_a_certified_face_solves_no_program(monkeypatch):
+    # Under weights (1, 1) columns 1, 2 and 3 tie at 2 and column 4 trails,
+    # so vertex 1's closure certificate ties the face {1, 2, 3}; column 2
+    # is the midpoint of columns 1 and 3.
+    matrix = CriteriaMatrix([[2.0, 1.0, 0.0, -3.0], [0.0, 1.0, 2.0, -3.0]])
+    closures, solved = [], []
+    real_closure, real_solve = EfficiencyAnalyzer.closure, efficiency_module.solve
+
+    def recording(analyzer, pattern):
+        closures.append(pattern)
+        return real_closure(analyzer, pattern)
+
+    def counting_solve(lp, tol):
+        solved.append(lp)
+        return real_solve(lp, tol)
+
+    monkeypatch.setattr(EfficiencyAnalyzer, "closure", recording)
+    monkeypatch.setattr(efficiency_module, "solve", counting_solve)
+    structure = enumerate_faces(matrix)
+    assert structure.vertices == {1, 2, 3}
+    assert structure.faces == {
+        SupportPattern(c) for size in (2, 3) for c in itertools.combinations((1, 2, 3), size)
+    }
+    # After vertex 1, no closure program runs on a support inside {1, 2, 3}:
+    # the scan solves T0, closure {1} and closure {4}, where deciding every
+    # candidate would solve 9 programs.
+    assert closures == [SupportPattern((1,)), SupportPattern((4,))]
+    assert len(solved) == 3
