@@ -361,18 +361,33 @@ class EfficiencyAnalyzer:
         strict = self.t2(support.indices[0]) if exact is TestKind.T2 else self.t1(support)
         return self._efficient(strict) if strict.certified else decision
 
-    def _efficient(self, result: TestResult) -> _Decision:
+    def verified(
+        self, result: TestResult, tol: Tolerances | None = None
+    ) -> tuple[WeightVector, SupportPattern] | None:
         """Re-verify a feasible program's certificate: strictly positive
         weights keeping the target at the maximum, and for T0, T1 and T2
-        tying exactly the target.  The face is the weights' argmax pattern."""
+        tying exactly the target, where columns within ``tol.tie`` of the
+        maximum tie (the analyzer's tolerances unless given).  Returns the
+        weights and the columns they tie, or None when the check fails."""
         target = result.program.target
         certificate = self.certificate_from(result)
-        tied = argmax_set(weighted_objective(self.matrix, certificate), self.tol)
+        tied = argmax_set(weighted_objective(self.matrix, certificate), tol or self.tol)
         exact = result.program.kind is not TestKind.CLOSURE
         held = tied == target if exact else set(target).issubset(tied)
         if not certificate.strictly_positive or not held:
+            return None
+        return certificate, tied
+
+    def _efficient(self, result: TestResult) -> _Decision:
+        """The decision a feasible program proves, once its certificate
+        passes ``verified``.  The face is the weights' argmax pattern."""
+        verified = self.verified(result)
+        if verified is None:
+            target = result.program.target
+            exact = result.program.kind is not TestKind.CLOSURE
             claim = f"tie exactly {target}" if exact else f"keep {target} at the maximum"
             raise NumericalBreakdownError(f"extracted certificate does not {claim}")
+        certificate, tied = verified
         return _Decision(
             Verdict.EFFICIENT,
             result.program.kind,

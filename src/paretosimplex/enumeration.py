@@ -18,8 +18,10 @@ face.  Those weights certify every support inside the face too, so the
 scan keeps the argmax face of each certificate it has verified, vertices
 included, and decides a support inside one of them efficient without
 building or solving a program.  Only certificates that pass the closure
-re-verification on the original matrix are kept, so each such verdict
-rests on a verified certificate.  The scan can be limited to small
+re-verification on the original matrix are kept, and a kept face counts
+a column as tied only within the solver tolerance, so each such verdict
+rests on weights that satisfy the support's own closure program to the
+solver's accuracy.  The scan can be limited to small
 supports, and wide matrices are refused by default.
 """
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .core import (
     Tolerances,
 )
 from .efficiency import EfficiencyAnalyzer
-from .scalarize import WeightVector, argmax_set, weighted_objective
+from .scalarize import WeightVector
 
 __all__ = [
     "MAX_ENUMERABLE_COLUMNS",
@@ -111,14 +113,9 @@ def enumerate_vertices(
     full, _ = check_full(matrix, tol, analyzer)
     if full:
         return frozenset(range(1, matrix.n + 1))
-    return _vertices(analyzer, [])
-
-
-def _vertices(analyzer: EfficiencyAnalyzer, faces: list[frozenset[int]]) -> frozenset[int]:
-    """The efficient vertices, each decided by ``_efficient`` with ``faces``."""
+    faces: list[frozenset[int]] = []
     return frozenset(
-        j for j in range(1, analyzer.matrix.n + 1)
-        if _efficient(analyzer, SupportPattern((j,)), faces)
+        j for j in range(1, matrix.n + 1) if _efficient(analyzer, SupportPattern((j,)), faces)
     )
 
 
@@ -130,21 +127,21 @@ def _efficient(
 
     A support inside one of them is efficient by that face's weights, and
     no program is solved.  Otherwise its closure program decides, and when
-    the program is feasible and its certificate passes the closure
-    re-verification (strictly positive weights tying the support at the
-    maximum), the certificate's argmax face joins ``faces``.
+    the program is feasible and its certificate passes the analyzer's
+    re-verification, the certificate's argmax face joins ``faces``.  That
+    face counts a column as tied only within the solver tolerance
+    ``tol.lp``, not the looser ``tol.tie``, so the kept weights pass the
+    solver's feasibility re-check on the closure program of every support
+    the face covers.
     """
     columns = frozenset(support.indices)
     if any(columns <= face for face in faces):
         return True
     result = analyzer.closure(support)
     if result.certified:
-        certificate = analyzer.certificate_from(result)
-        tied = frozenset(
-            argmax_set(weighted_objective(analyzer.matrix, certificate), analyzer.tol)
-        )
-        if certificate.strictly_positive and columns <= tied:
-            faces.append(tied)
+        verified = analyzer.verified(result, replace(analyzer.tol, tie=analyzer.tol.lp))
+        if verified is not None:
+            faces.append(frozenset(verified[1]))
     return result.certified
 
 
@@ -212,7 +209,9 @@ def enumerate_faces(
         )
         return EfficientStructure(True, vertices, faces, exhaustive, warning)
     certified: list[frozenset[int]] = []
-    vertices = _vertices(analyzer, certified)
+    vertices = frozenset(
+        j for j in range(1, n + 1) if _efficient(analyzer, SupportPattern((j,)), certified)
+    )
     level = [SupportPattern((j,)) for j in sorted(vertices)]
     faces: set[SupportPattern] = set()
     for _ in sizes:

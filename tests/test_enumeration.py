@@ -29,16 +29,20 @@ from paretosimplex import (
 )
 
 
-def exhaustive_structure(matrix, max_support=None):
-    """Reference scan: every support of every scanned size is decided by
-    ``decide`` on its barycenter, with no pruning, so the level-wise scan
-    is checked against the per-point decision.  Returns the vertices, the
-    faces and the exhaustive flag."""
+def exhaustive_structure(matrix, max_support=None, by_closure=False):
+    """Reference scan: every support of every scanned size is decided on
+    its own, with no pruning and no reuse.  By default ``decide`` on its
+    barycenter decides, so the level-wise scan is checked against the
+    per-point decision; with ``by_closure`` the support's own closure
+    program does.  Returns the vertices, the faces and the exhaustive
+    flag."""
     n = matrix.n
     analyzer = EfficiencyAnalyzer(matrix)
     cap = n - 1 if max_support is None else min(max_support, n - 1)
 
     def efficient(combo):
+        if by_closure:
+            return analyzer.closure(SupportPattern(combo)).certified
         point = SimplexPoint(barycenter(n, combo))
         return analyzer.decide(point).verdict is Verdict.EFFICIENT
 
@@ -270,35 +274,54 @@ def test_level_wise_scan_solves_few_programs(monkeypatch):
 
 def test_face_reuse_matches_the_no_reuse_reference():
     # The scan decides a support inside a verified certificate's argmax
-    # face without a program; the reference decides every support on its
-    # own.  Instances where the reference breaks down are skipped.
+    # face without a program; the references decide every support on its
+    # own, by ``decide`` and by its closure program.  A reference that
+    # breaks down on an instance is skipped there.  The near-tie variants
+    # put a column eps * (1, ..., 1) below the column with the largest
+    # sum, or below the midpoint of two others, with eps in [1e-9, 1e-7],
+    # between the solver tolerance and the tie tolerance.  Their entries
+    # are scaled by 1e-2, so the closure programs' own feasibility gap,
+    # which grows with their right-hand sides, stays below the tie
+    # tolerance and rejects the perturbed column.
     rng = np.random.default_rng(2026)
-    compared = 0
-    for trial in range(150):
+    compared = near_ties = 0
+    for trial in range(140):
         n = int(rng.integers(3, 9))
         k = int(rng.integers(2, 7))
         entries = rng.integers(-9, 10, size=(k, n)).astype(float)
-        variant = trial % 5
-        if variant == 1:
+        variant = trial % 7
+        if variant in (1, 5):
             source, target = rng.choice(n, size=2, replace=False)
+            if variant == 5:
+                source = int(np.argmax(entries.sum(axis=0)))
+                target = int(rng.choice([j for j in range(n) if j != source]))
             entries[:, target] = entries[:, source]
-        elif variant == 2:
-            a, b, middle = rng.choice(n, size=3, replace=False)
-            entries[:, middle] = (entries[:, a] + entries[:, b]) / 2
+        elif variant in (2, 6):
+            a, b, target = rng.choice(n, size=3, replace=False)
+            entries[:, target] = (entries[:, a] + entries[:, b]) / 2
         elif variant == 3:
             entries *= 1e-6
         elif variant == 4:
             entries *= 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1))
+        if variant in (5, 6):
+            entries *= 1e-2
+            entries[:, target] -= 10.0 ** rng.uniform(-9.0, -7.0)
         max_support = int(rng.integers(2, n)) if trial % 3 == 2 and n >= 4 else None
         matrix = CriteriaMatrix(entries)
-        try:
-            reference = exhaustive_structure(matrix, max_support)
-        except LpError:
+        references = []
+        for by_closure in (False, True):
+            try:
+                references.append(exhaustive_structure(matrix, max_support, by_closure))
+            except LpError:
+                pass
+        if not references:
             continue
         structure = enumerate_faces(matrix, max_support=max_support)
-        assert (structure.vertices, structure.faces, structure.exhaustive) == reference
+        for reference in references:
+            assert (structure.vertices, structure.faces, structure.exhaustive) == reference
         compared += 1
-    assert compared >= 140
+        near_ties += variant in (5, 6)
+    assert compared >= 125 and near_ties >= 30
 
 
 def test_support_inside_a_certified_face_solves_no_program(monkeypatch):
