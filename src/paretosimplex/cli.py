@@ -86,18 +86,13 @@ REPORT_SCHEMA = {
                 "support": {"type": "array", "items": {"type": "integer", "minimum": 1}},
             },
             "required": ["kind", "support"],
+            "additionalProperties": False,
         },
+        "clamped": {"type": "array", "items": {"type": "integer", "minimum": 1}},
     },
-    "required": ["class", "support", "verdict", "test", "value", "certificate", "face"],
+    "required": ["class", "support", "verdict", "test", "value", "certificate", "face", "clamped"],
+    "additionalProperties": False,
 }
-
-
-class CliParseError(Exception):
-    """Unreadable or malformed command line input."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _json_text(value) -> str:
@@ -111,7 +106,7 @@ def _json_text(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt(float(value))
+        return format(float(value), ".17g")
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
@@ -121,57 +116,47 @@ def _json_text(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def _items(values, braces: bool = False) -> str:
+    """Comma-separated values, each written as ``_json_text`` writes it,
+    in set braces if asked."""
+    text = ", ".join(_json_text(v) for v in values)
+    return "{" + text + "}" if braces else text
+
+
 def _numbers(text: str, what: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",")]
     except ValueError as exc:
-        raise CliParseError(f"malformed {what} literal {text!r}: {exc}") from None
+        raise InputError(f"malformed {what} literal {text!r}: {exc}") from None
 
 
 def load_matrix(path: str, fmt: str | None) -> CriteriaMatrix:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise CliParseError(f"cannot read {path}: {exc}") from None
+        raise InputError(f"cannot read {path}: {exc}") from None
     if fmt is None:
         fmt = "json" if path.lower().endswith(".json") else "csv"
+    doc = {}
     if fmt == "json":
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise CliParseError(f"{path}: invalid JSON: {exc}") from None
+            raise InputError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(doc, dict) or "C" not in doc:
-            raise CliParseError(f"{path}: expected an object with a 'C' field")
-        rows = doc["C"]
-        try:
-            matrix = CriteriaMatrix(rows)
-        except (InputError, ValueError) as exc:
-            raise CliParseError(f"{path}: {exc}") from None
-        for name, expected in (("k", matrix.k), ("n", matrix.n)):
-            if name in doc and doc[name] != expected:
-                raise CliParseError(
-                    f"{path}: field {name}={doc[name]} disagrees with C ({expected})"
-                )
-        return matrix
-    rows = []
-    for record in csv.reader(io.StringIO(text)):
-        if not record:
-            continue
-        try:
-            rows.append([float(cell) for cell in record])
-        except ValueError as exc:
-            raise CliParseError(f"{path}: {exc}") from None
+            raise InputError(f"{path}: expected an object with a 'C' field")
     try:
-        return CriteriaMatrix(rows)
-    except (InputError, ValueError) as exc:
-        raise CliParseError(f"{path}: {exc}") from None
-
-
-def _tolerances(args: argparse.Namespace) -> Tolerances:
-    try:
-        return Tolerances(x_zero=args.tol_x, tie=args.tol_d, lp=args.tol_lp)
-    except InputError as exc:
-        raise CliParseError(str(exc)) from None
+        if fmt == "json":
+            rows = doc["C"]
+        else:
+            rows = [[float(cell) for cell in record] for record in csv.reader(io.StringIO(text)) if record]
+        matrix = CriteriaMatrix(rows)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    for name, expected in (("k", matrix.k), ("n", matrix.n)):
+        if name in doc and doc[name] != expected:
+            raise InputError(f"{path}: field {name}={doc[name]} disagrees with C ({expected})")
+    return matrix
 
 
 def _parse_point(text: str, tol: Tolerances) -> SimplexPoint:
@@ -218,18 +203,18 @@ def _report_payload(report: EfficiencyReport) -> dict:
 
 def _print_report_text(report: EfficiencyReport) -> None:
     payload = _report_payload(report)
-    print(f"point: {', '.join(_fmt(c) for c in report.point.coords)}")
+    print(f"point: {_items(report.point.coords)}")
     print(f"class: {payload['class']}")
-    print(f"support: {', '.join(str(j) for j in payload['support'])}")
+    print(f"support: {_items(payload['support'])}")
     print(f"verdict: {payload['verdict']}")
-    print(f"test: {payload['test']}  value: {_fmt(payload['value'])}")
+    print(f"test: {payload['test']}  value: {_json_text(payload['value'])}")
     if payload["certificate"] is not None:
-        print(f"certificate: {', '.join(_fmt(w) for w in payload['certificate'])}")
+        print(f"certificate: {_items(payload['certificate'])}")
     if payload["face"] is not None:
         face = payload["face"]
-        print(f"face: {face['kind']} {{{', '.join(str(j) for j in face['support'])}}}")
+        print(f"face: {face['kind']} {_items(face['support'], braces=True)}")
     if payload["clamped"]:
-        print(f"clamped: {', '.join(str(j) for j in payload['clamped'])}")
+        print(f"clamped: {_items(payload['clamped'])}")
 
 
 def _point_rows(literals: list[str], n: int) -> tuple[np.ndarray, str | None]:
@@ -239,7 +224,7 @@ def _point_rows(literals: list[str], n: int) -> tuple[np.ndarray, str | None]:
     for count, literal in enumerate(literals):
         try:
             values = _numbers(literal, "point")
-        except CliParseError:
+        except InputError:
             break
         if len(values) != n:
             break
@@ -249,9 +234,7 @@ def _point_rows(literals: list[str], n: int) -> tuple[np.ndarray, str | None]:
     return rows[:count], literal
 
 
-def cmd_test(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    matrix = load_matrix(args.matrix, args.format)
+def cmd_test(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
     analyzer = EfficiencyAnalyzer(matrix, tol)
     rows, stop = _point_rows(args.points, matrix.n)
     # A JSON line holds no coordinates, so points that share a class and
@@ -274,9 +257,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_check_full(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    matrix = load_matrix(args.matrix, args.format)
+def cmd_check_full(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
     full, certificate = check_full(matrix, tol)
     payload = {
         "full": full,
@@ -287,13 +268,11 @@ def cmd_check_full(args: argparse.Namespace) -> int:
     else:
         print(f"full: {'yes' if full else 'no'}")
         if certificate is not None:
-            print(f"certificate: {', '.join(_fmt(w) for w in certificate.weights)}")
+            print(f"certificate: {_items(certificate.weights)}")
     return EXIT_OK
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    matrix = load_matrix(args.matrix, args.format)
+def cmd_enumerate(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
     analyzer = EfficiencyAnalyzer(matrix, tol)
     structure = enumerate_faces(
         matrix, tol, max_support=args.max_support, allow_large=args.allow_large_n, analyzer=analyzer
@@ -340,24 +319,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         print(_json_text(payload))
         return status
     print(f"full: {'yes' if structure.full else 'no'}")
-    print(f"efficient vertices: {', '.join(str(j) for j in vertices) or '(none)'}")
-    if faces:
-        print("efficient faces: " + "; ".join("{" + ", ".join(str(j) for j in face) + "}" for face in faces))
-    else:
-        print("efficient faces: (none)")
+    print(f"efficient vertices: {_items(vertices) or '(none)'}")
+    print(f"efficient faces: {'; '.join(_items(face, braces=True) for face in faces) or '(none)'}")
     print(f"exhaustive: {'yes' if structure.exhaustive else 'no'}")
     if structure.warning:
         print(f"warning: {structure.warning}")
     if agreement is not None:
         for entry in agreement:
-            label = ", ".join(str(j) for j in entry["support"])
-            print(f"oracle {{{label}}}: {'agree' if entry['agrees'] else 'DISAGREE'}")
+            print(f"oracle {_items(entry['support'], braces=True)}: {'agree' if entry['agrees'] else 'DISAGREE'}")
     return status
 
 
-def cmd_scalarize(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    matrix = load_matrix(args.matrix, args.format)
+def cmd_scalarize(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
     weights = WeightVector(_numbers(args.weights, "weights"))
     objective = weighted_objective(matrix, weights)
     tied = argmax_set(objective, tol)
@@ -371,39 +344,30 @@ def cmd_scalarize(args: argparse.Namespace) -> int:
     if args.json:
         print(_json_text(payload))
     else:
-        print(f"coeffs: {', '.join(_fmt(c) for c in objective.coeffs)}")
-        print(f"dmax: {_fmt(objective.dmax)}")
-        print(f"argmax: {', '.join(str(j) for j in tied)}")
-        print(f"solution set: {desc_payload['kind']} {{{', '.join(str(j) for j in desc_payload['support'])}}}")
+        print(f"coeffs: {_items(objective.coeffs)}")
+        print(f"dmax: {_json_text(objective.dmax)}")
+        print(f"argmax: {_items(tied)}")
+        print(f"solution set: {desc_payload['kind']} {_items(desc_payload['support'], braces=True)}")
     return EXIT_OK
 
 
-def cmd_bicheck(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    matrix = load_matrix(args.matrix, args.format)
-    try:
-        full = bicriterion_full_check(matrix, tol)
-    except DimensionMismatchError:
-        raise
-    except InputError as exc:
-        raise CliParseError(str(exc)) from None
+def cmd_bicheck(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
+    full = bicriterion_full_check(matrix, tol)
     ratios = bicriterion_ratios(matrix)
     payload = {"full": full, "ratios": [float(r) for r in ratios]}
     if args.json:
         print(_json_text(payload))
     else:
         print(f"full: {'yes' if full else 'no'}")
-        print(f"ratios: {', '.join(_fmt(r) for r in ratios)}")
+        print(f"ratios: {_items(ratios)}")
     return EXIT_OK
 
 
-def cmd_plot3(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    matrix = load_matrix(args.matrix, args.format)
+def cmd_plot3(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
     if matrix.n != 3:
         raise DimensionMismatchError(f"plot3 needs exactly 3 columns, matrix has {matrix.n}")
     if args.density < 1:
-        raise CliParseError("density must be at least 1")
+        raise InputError("density must be at least 1")
     analyzer = EfficiencyAnalyzer(matrix, tol)
     d = args.density
     grid = [[a / d, b / d, (d - a - b) / d] for a in range(d + 1) for b in range(d - a + 1)]
@@ -417,13 +381,11 @@ def cmd_plot3(args: argparse.Namespace) -> int:
     else:
         print("x1,x2,x3,verdict")
         for coords, verdict in rows:
-            print(",".join(_fmt(c) for c in coords) + f",{verdict}")
+            print(",".join(_json_text(c) for c in coords) + f",{verdict}")
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    matrix = load_matrix(args.matrix, args.format)
+def cmd_oracle(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
     first = True
     for literal in args.points:
         point = _parse_point(literal, tol)
@@ -437,21 +399,26 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         else:
             if not first:
                 print()
-            print(f"point: {', '.join(_fmt(c) for c in point.coords)}")
+            print(f"point: {_items(point.coords)}")
             print(f"verdict: {verdict.value}")
         first = False
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Every subcommand takes the tolerances, --json and --format; only
+    # enumerate takes the scan options, which its usage lists between them.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-x", type=float, default=1e-9, help="zero threshold for point components")
     common.add_argument("--tol-d", type=float, default=1e-7, help="tie threshold for objective coefficients")
     common.add_argument("--tol-lp", type=float, default=1e-9, help="simplex pivot tolerance")
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--max-support", type=int, default=None, help="largest support size to scan when enumerating")
-    common.add_argument("--allow-large-n", action="store_true", help="lift the enumeration column cap")
-    common.add_argument("--format", choices=("json", "csv"), default=None, help="matrix file format (default: sniff extension)")
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--max-support", type=int, default=None, help="largest support size to scan when enumerating")
+    scan.add_argument("--allow-large-n", action="store_true", help="lift the enumeration column cap")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--format", choices=("json", "csv"), default=None, help="matrix file format (default: sniff extension)")
+    parents = [common, source]
 
     parser = argparse.ArgumentParser(
         prog="paretosimplex",
@@ -459,35 +426,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("test", parents=[common], help="decide efficiency of one or more points")
+    p = sub.add_parser("test", parents=parents, help="decide efficiency of one or more points")
     p.add_argument("matrix", help="matrix file")
     p.add_argument("points", nargs="+", metavar="point", help="comma-separated coordinates")
     p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("enumerate", parents=[common], help="enumerate efficient vertices and faces")
+    p = sub.add_parser("enumerate", parents=[common, scan, source], help="enumerate efficient vertices and faces")
     p.add_argument("matrix")
     p.add_argument("--oracle", action="store_true", help="cross-check each scanned support against the dominance oracle")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("check-full", parents=[common], help="decide whether every feasible point is efficient")
+    p = sub.add_parser("check-full", parents=parents, help="decide whether every feasible point is efficient")
     p.add_argument("matrix")
     p.set_defaults(func=cmd_check_full)
 
-    p = sub.add_parser("scalarize", parents=[common], help="collapse the criteria under weights and describe the maximizers")
+    p = sub.add_parser("scalarize", parents=parents, help="collapse the criteria under weights and describe the maximizers")
     p.add_argument("matrix")
     p.add_argument("--weights", required=True, help="comma-separated weights, one per criterion")
     p.set_defaults(func=cmd_scalarize)
 
-    p = sub.add_parser("bicheck", parents=[common], help="closed-form full-efficiency test for two criteria")
+    p = sub.add_parser("bicheck", parents=parents, help="closed-form full-efficiency test for two criteria")
     p.add_argument("matrix")
     p.set_defaults(func=cmd_bicheck)
 
-    p = sub.add_parser("plot3", parents=[common], help="verdict grid over the 3-column simplex as plot data")
+    p = sub.add_parser("plot3", parents=parents, help="verdict grid over the 3-column simplex as plot data")
     p.add_argument("matrix")
     p.add_argument("--density", type=int, required=True, help="grid subdivisions per edge")
     p.set_defaults(func=cmd_plot3)
 
-    p = sub.add_parser("oracle", parents=[common], help="dominance-LP verdict for one or more points")
+    p = sub.add_parser("oracle", parents=parents, help="dominance-LP verdict for one or more points")
     p.add_argument("matrix")
     p.add_argument("points", nargs="+", metavar="point")
     p.set_defaults(func=cmd_oracle)
@@ -501,10 +468,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except CliParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        tol = Tolerances(x_zero=args.tol_x, tie=args.tol_d, lp=args.tol_lp)
+        return args.func(args, load_matrix(args.matrix, args.format), tol)
     except DimensionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
@@ -524,4 +489,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

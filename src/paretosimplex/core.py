@@ -279,6 +279,10 @@ def classify(x: SimplexPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> PointClas
     coords = x.coords
     if abs(float(coords.sum()) - 1.0) > coords.size * tol.x_zero:
         raise InvalidPointError("point does not lie on the simplex at this tolerance")
+    return _classify(coords, tol)
+
+
+def _classify(coords: np.ndarray, tol: Tolerances) -> PointClass:
     positive = np.flatnonzero(coords > tol.x_zero)
     if positive.size == 0:
         raise InvalidPointError("every component is within the zero threshold")
@@ -313,11 +317,13 @@ def classify_points(
     lazily and in row order, as ``classify`` and ``clamped_indices`` give
     them for the row's point.
 
-    Rows are grouped by their support mask (coords > x_zero), and
-    ``classify`` runs once per distinct mask, on its first row, so an error
-    it raises comes after every earlier row.  Rows with one mask share one
-    class object.  Clamped indices are searched for only in rows that have
-    a component in (0, x_zero].
+    Rows are grouped by their support mask (coords > x_zero), and each
+    distinct mask is classified once, on its first row, so an error it
+    raises comes after every earlier row.  The rows passed
+    ``check_points`` already, so neither the point rules nor the sum are
+    checked again.  Rows with one mask share one class object.
+    Clamped indices are searched for only in rows that have a component in
+    (0, x_zero].
     """
     support = np.ascontiguousarray(coords > tol.x_zero)
     masks = support.view(np.dtype((np.void, support.shape[1]))).ravel().tolist()
@@ -327,7 +333,7 @@ def classify_points(
     for i, mask in enumerate(masks):
         point_class = classes.get(mask)
         if point_class is None:
-            point_class = classes[mask] = classify(SimplexPoint(coords[i], tol), tol)
+            point_class = classes[mask] = _classify(coords[i], tol)
         yield point_class, clamped.get(i, ())
 
 

@@ -92,13 +92,14 @@ def check_full(
     """Decide whether every feasible point is efficient.
 
     True comes with a verified certificate: strictly positive weights
-    under which every column ties.
+    under which every column ties.  A certificate that fails the check
+    raises ``NumericalBreakdownError``, as in ``decide``.
     """
     analyzer = analyzer or EfficiencyAnalyzer(matrix, tol)
     result = analyzer.t0()
     if not result.certified:
         return False, None
-    return True, analyzer.certificate_from(result)
+    return True, analyzer._efficient(result).certificate
 
 
 def enumerate_vertices(

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -50,6 +51,12 @@ def test_test_command_json_reports_validate(capsys, edge_json):
     reports = [json.loads(line) for line in lines]
     for report in reports:
         jsonschema.validate(report, cli.REPORT_SCHEMA)
+    # Every key is required and no other key is allowed.
+    extra = {**reports[0], "extra": 1}
+    missing = {key: value for key, value in reports[0].items() if key != "clamped"}
+    for report in (extra, missing):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, cli.REPORT_SCHEMA)
     assert [r["verdict"] for r in reports] == ["efficient", "efficient", "dominated", "dominated"]
     assert [r["test"] for r in reports] == ["T2", "T1", "closure", "T0"]
     assert reports[0]["class"] == "deterministic"
@@ -93,7 +100,7 @@ def test_json_floats_round_trip(capsys, edge_json):
     assert code == 0
     report = json.loads(out)
     # .17g output parses back to the exact double that was printed
-    assert report["value"] == json.loads(cli._fmt(report["value"]))
+    assert report["value"] == json.loads(cli._json_text(report["value"]))
 
 
 def test_check_full_command(capsys, full_json, edge_json):
@@ -398,3 +405,80 @@ def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypat
         ), command
         ran += 1
     assert ran == 8
+
+
+# Matrix files for the error table, read from the working directory so
+# that the messages name them by these relative paths.
+ERROR_TABLE_FILES = {
+    "edge.json": json.dumps({"k": 3, "n": 3, "C": EDGE_ONLY_ROWS}),
+    "two.csv": "1,2\n2,1\n",
+    "flat.csv": "1,1,2\n0,1,2\n",
+    "bad.json": "{not json",
+    "wrong.json": json.dumps({"k": 3, "n": 4, "C": EDGE_ONLY_ROWS}),
+    "ragged.json": json.dumps({"C": [[1, 2, 3], [1, 2]]}),
+    "rows.json": json.dumps({"rows": EDGE_ONLY_ROWS}),
+    "cell.csv": "1,x\n2,3\n",
+    "wide.csv": ",".join(map(str, range(1, 18))) + "\n" + ",".join(map(str, range(17, 0, -1))) + "\n",
+}
+
+# (command line, exit code, stdout, stderr), each as printed before the
+# command line front end was consolidated.
+ERROR_TABLE = [
+    ("test edge.json --tol-x -1 1,0,0", 2, "", "error: tolerance 'x_zero' must be a positive finite number\n"),
+    ("test missing.json --tol-x -1 1,0,0", 2, "", "error: tolerance 'x_zero' must be a positive finite number\n"),
+    ("check-full edge.json --tol-lp 1e-6 --tol-d 1e-7", 2, "", "error: solver tolerance lp must not exceed tie tolerance\n"),
+    ("check-full missing.json", 2, "", "error: cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'\n"),
+    ("check-full bad.json", 2, "", "error: bad.json: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"),
+    ("check-full wrong.json", 2, "", "error: wrong.json: field n=4 disagrees with C (3)\n"),
+    ("check-full ragged.json", 2, "", "error: ragged.json: setting an array element with a sequence. The requested array has an inhomogeneous shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part.\n"),
+    ("check-full rows.json", 2, "", "error: rows.json: expected an object with a 'C' field\n"),
+    ("check-full cell.csv", 2, "", "error: cell.csv: could not convert string to float: 'x'\n"),
+    ("bicheck edge.json", 3, "", "error: the ratio test applies to exactly two criteria\n"),
+    ("bicheck flat.csv", 2, "", "error: consecutive first-criterion entries must be distinct for the ratio test\n"),
+    ("plot3 two.csv --density 4", 3, "", "error: plot3 needs exactly 3 columns, matrix has 2\n"),
+    ("plot3 edge.json --density 0", 2, "", "error: density must be at least 1\n"),
+    ("scalarize edge.json --weights 1,1", 3, "", "error: 2 weights for 3 criteria\n"),
+    ("scalarize edge.json --weights 1,x,1", 2, "", "error: malformed weights literal '1,x,1': could not convert string to float: 'x'\n"),
+    ("oracle edge.json 0.5,0.5", 3, "", "error: point has 2 components, matrix has 3 columns\n"),
+    ("oracle edge.json 0,0,1 0.5,oops,0.5", 2, "point: 0, 0, 1\nverdict: dominated\n", "error: malformed point literal '0.5,oops,0.5': could not convert string to float: 'oops'\n"),
+    ("test edge.json 0.5,0.5", 3, "", "error: point has 2 components, matrix has 3 columns\n"),
+    ("enumerate edge.json --max-support 1", 2, "", "error: max_support below 2 scans no faces; omit it instead\n"),
+    ("enumerate wide.csv", 5, "", "error: 17 columns means up to 131072 support patterns; pass allow_large to scan anyway\n"),
+]
+
+
+@pytest.fixture
+def error_table_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in ERROR_TABLE_FILES.items():
+        Path(name).write_text(text)
+
+
+@pytest.mark.parametrize(("command", "code", "out", "err"), ERROR_TABLE, ids=[c[0] for c in ERROR_TABLE])
+def test_error_table(capsys, error_table_dir, command, code, out, err):
+    assert run(capsys, *shlex.split(command)) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    ("command", "last_line"),
+    [
+        ("test edge.json 1,0,0 --max-support 2", "paretosimplex: error: unrecognized arguments: --max-support 2"),
+        ("oracle edge.json 1,0,0 --allow-large-n", "paretosimplex: error: unrecognized arguments: --allow-large-n"),
+        ("test", "paretosimplex test: error: the following arguments are required: matrix, point"),
+    ],
+)
+def test_usage_errors_name_the_argument(capsys, error_table_dir, command, last_line):
+    code, out, err = run(capsys, *shlex.split(command))
+    assert (code, out, err.splitlines()[-1:]) == (2, "", [last_line])
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "out"),
+    [(["check-full", "full.json", "--json"], 0, '{"full": true, "certificate": [1, 2, 1]}\n'), (["test"], 2, "")],
+)
+def test_console_script_entry_exits_with_the_code_of_main(capsys, full_json, monkeypatch, argv, code, out):
+    monkeypatch.chdir(Path(full_json).parent)
+    monkeypatch.setattr(sys, "argv", ["paretosimplex", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert (exit_info.value.code, capsys.readouterr().out) == (code, out)

@@ -15,10 +15,12 @@ from paretosimplex import (
     EnumerationCapError,
     InputError,
     LpError,
+    NumericalBreakdownError,
     Randomized,
     SimplexPoint,
     SupportPattern,
     Verdict,
+    WeightVector,
     bicriterion_full_check,
     check_full,
     decide,
@@ -93,6 +95,15 @@ def test_check_full_returns_verified_certificate(edge_matrix, full_matrix):
     assert full
     assert verify_certificate(full_matrix, certificate, Randomized())
     assert check_full(edge_matrix) == (False, None)
+
+
+def test_check_full_rejects_a_certificate_that_does_not_tie_every_column(full_matrix, monkeypatch):
+    # T0 is feasible, but the stub weights (1, 1, 1) score the columns 0, 1, 3.
+    monkeypatch.setattr(
+        EfficiencyAnalyzer, "certificate_from", lambda self, result: WeightVector([1.0, 1.0, 1.0])
+    )
+    with pytest.raises(NumericalBreakdownError, match="does not tie exactly"):
+        check_full(full_matrix)
 
 
 def test_vertex_sets(edge_matrix, full_matrix):
