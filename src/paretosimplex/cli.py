@@ -7,8 +7,8 @@ the format is sniffed from the file extension and can be forced with
 numbers.  All indices printed or read are 1-based.
 
 Exit codes: 0 success, 2 malformed input, 3 dimension mismatch, 4 solver
-failure or a disagreement under enumerate --oracle, 5 enumeration size cap
-exceeded.
+failure or a disagreement under enumerate --oracle, 5 enumeration would
+list more supports than the bound allows.
 
 Numbers are printed with 17 significant digits so every value round-trips
 exactly; for fixed input and options the output is byte-identical across
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -47,7 +46,7 @@ from .enumeration import (
     bicriterion_ratios,
     check_full,
     enumerate_faces,
-    _scan_sizes,
+    _listed_supports,
 )
 from .lp import LpError
 from .oracle import dominance_lp_verdict
@@ -273,10 +272,10 @@ def cmd_check_full(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolera
 
 
 def cmd_enumerate(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
-    analyzer = EfficiencyAnalyzer(matrix, tol)
-    structure = enumerate_faces(
-        matrix, tol, max_support=args.max_support, allow_large=args.allow_large_n, analyzer=analyzer
-    )
+    if args.oracle:
+        # Listed first, so that a sweep past the listing bound is refused unscanned.
+        supports = [(j,) for j in range(1, matrix.n + 1)] + _listed_supports(matrix.n, args.max_support)
+    structure = enumerate_faces(matrix, tol, max_support=args.max_support)
     vertices = sorted(structure.vertices)
     faces = sorted(structure.faces, key=lambda p: (len(p), p.indices))
     payload = {
@@ -284,15 +283,10 @@ def cmd_enumerate(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
         "vertices": vertices,
         "faces": [list(face) for face in faces],
         "exhaustive": structure.exhaustive,
-        "warning": structure.warning,
+        "warning": None,  # always null; kept so that readers of the document find the key
     }
     agreement = None
     if args.oracle:
-        supports = [(j,) for j in range(1, matrix.n + 1)] + [
-            combo
-            for size in _scan_sizes(matrix.n, args.max_support)
-            for combo in itertools.combinations(range(1, matrix.n + 1), size)
-        ]
         # Each support's barycenter, all checked in one batch.
         rows = np.zeros((len(supports), matrix.n))
         for row, combo in zip(rows, supports):
@@ -322,8 +316,6 @@ def cmd_enumerate(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
     print(f"efficient vertices: {_items(vertices) or '(none)'}")
     print(f"efficient faces: {'; '.join(_items(face, braces=True) for face in faces) or '(none)'}")
     print(f"exhaustive: {'yes' if structure.exhaustive else 'no'}")
-    if structure.warning:
-        print(f"warning: {structure.warning}")
     if agreement is not None:
         for entry in agreement:
             print(f"oracle {_items(entry['support'], braces=True)}: {'agree' if entry['agrees'] else 'DISAGREE'}")
@@ -406,19 +398,13 @@ def cmd_oracle(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Every subcommand takes the tolerances, --json and --format; only
-    # enumerate takes the scan options, which its usage lists between them.
+    # Every subcommand takes the tolerances, --json and --format.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-x", type=float, default=1e-9, help="zero threshold for point components")
     common.add_argument("--tol-d", type=float, default=1e-7, help="tie threshold for objective coefficients")
     common.add_argument("--tol-lp", type=float, default=1e-9, help="simplex pivot tolerance")
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    scan = argparse.ArgumentParser(add_help=False)
-    scan.add_argument("--max-support", type=int, default=None, help="largest support size to scan when enumerating")
-    scan.add_argument("--allow-large-n", action="store_true", help="lift the enumeration column cap")
-    source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--format", choices=("json", "csv"), default=None, help="matrix file format (default: sniff extension)")
-    parents = [common, source]
+    common.add_argument("--format", choices=("json", "csv"), default=None, help="matrix file format (default: sniff extension)")
 
     parser = argparse.ArgumentParser(
         prog="paretosimplex",
@@ -426,35 +412,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("test", parents=parents, help="decide efficiency of one or more points")
+    p = sub.add_parser("test", parents=[common], help="decide efficiency of one or more points")
     p.add_argument("matrix", help="matrix file")
     p.add_argument("points", nargs="+", metavar="point", help="comma-separated coordinates")
     p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("enumerate", parents=[common, scan, source], help="enumerate efficient vertices and faces")
+    p = sub.add_parser("enumerate", parents=[common], help="enumerate efficient vertices and faces")
     p.add_argument("matrix")
+    p.add_argument("--max-support", type=int, default=None, help="largest support size to scan when enumerating")
     p.add_argument("--oracle", action="store_true", help="cross-check each scanned support against the dominance oracle")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("check-full", parents=parents, help="decide whether every feasible point is efficient")
+    p = sub.add_parser("check-full", parents=[common], help="decide whether every feasible point is efficient")
     p.add_argument("matrix")
     p.set_defaults(func=cmd_check_full)
 
-    p = sub.add_parser("scalarize", parents=parents, help="collapse the criteria under weights and describe the maximizers")
+    p = sub.add_parser("scalarize", parents=[common], help="collapse the criteria under weights and describe the maximizers")
     p.add_argument("matrix")
     p.add_argument("--weights", required=True, help="comma-separated weights, one per criterion")
     p.set_defaults(func=cmd_scalarize)
 
-    p = sub.add_parser("bicheck", parents=parents, help="closed-form full-efficiency test for two criteria")
+    p = sub.add_parser("bicheck", parents=[common], help="closed-form full-efficiency test for two criteria")
     p.add_argument("matrix")
     p.set_defaults(func=cmd_bicheck)
 
-    p = sub.add_parser("plot3", parents=parents, help="verdict grid over the 3-column simplex as plot data")
+    p = sub.add_parser("plot3", parents=[common], help="verdict grid over the 3-column simplex as plot data")
     p.add_argument("matrix")
     p.add_argument("--density", type=int, required=True, help="grid subdivisions per edge")
     p.set_defaults(func=cmd_plot3)
 
-    p = sub.add_parser("oracle", parents=parents, help="dominance-LP verdict for one or more points")
+    p = sub.add_parser("oracle", parents=[common], help="dominance-LP verdict for one or more points")
     p.add_argument("matrix")
     p.add_argument("points", nargs="+", metavar="point")
     p.set_defaults(func=cmd_oracle)

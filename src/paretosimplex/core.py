@@ -82,7 +82,10 @@ DEFAULT_TOLERANCES = Tolerances()
 
 
 def _frozen_array(values, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except TypeError as exc:
+        raise InputError(str(exc)) from None
     if arr.ndim != ndim:
         raise InputError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     arr.setflags(write=False)

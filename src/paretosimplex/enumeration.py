@@ -21,13 +21,14 @@ building or solving a program.  Only certificates that pass the closure
 re-verification on the original matrix are kept, and a kept face counts
 a column as tied only within the solver tolerance, so each such verdict
 rests on weights that satisfy the support's own closure program to the
-solver's accuracy.  The scan can be limited to small
-supports, and wide matrices are refused by default.
+solver's accuracy.  The scan can be limited to small supports, and an
+enumeration that would list more than MAX_LISTED_SUPPORTS is refused.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -45,7 +46,7 @@ from .efficiency import EfficiencyAnalyzer
 from .scalarize import WeightVector
 
 __all__ = [
-    "MAX_ENUMERABLE_COLUMNS",
+    "MAX_LISTED_SUPPORTS",
     "EfficientStructure",
     "EnumerationCapError",
     "bicriterion_full_check",
@@ -55,12 +56,13 @@ __all__ = [
     "enumerate_vertices",
 ]
 
-#: Hard cap on columns for exhaustive scans (2**n support patterns).
-MAX_ENUMERABLE_COLUMNS = 16
+#: Most supports one enumeration lists.  A matrix of at most 16 columns
+#: has at most 2**16 - 18 faces, so it never reaches the bound.
+MAX_LISTED_SUPPORTS = 2**16
 
 
 class EnumerationCapError(RuntimeError):
-    """Exhaustive scan refused: too many columns without an explicit override."""
+    """Enumeration refused: it would list more than MAX_LISTED_SUPPORTS supports."""
 
 
 @dataclass(frozen=True)
@@ -74,14 +76,14 @@ class EfficientStructure:
     supports are closed under subsets).  A support inside the argmax face
     of a certificate the scan already verified is decided without a
     program.  exhaustive is set when no support size up to n-1 was cut
-    off, so the structure describes the entire efficient set.
+    off, so the structure describes the entire efficient set.  It lists
+    at most MAX_LISTED_SUPPORTS faces.
     """
 
     full: bool
     vertices: frozenset[int]
     faces: frozenset[SupportPattern]
     exhaustive: bool
-    warning: str | None = None
 
 
 def check_full(
@@ -151,6 +153,21 @@ def _scan_sizes(n: int, max_support: int | None) -> range:
     return range(2, cap + 1)
 
 
+def _listed_supports(n: int, max_support: int | None) -> list[tuple[int, ...]]:
+    """Every support of the scanned sizes, by size, then lexicographically.
+
+    Raises ``EnumerationCapError``, before building any, when there are
+    more than MAX_LISTED_SUPPORTS of them.
+    """
+    sizes = _scan_sizes(n, max_support)
+    count = sum(math.comb(n, size) for size in sizes)
+    if count > MAX_LISTED_SUPPORTS:
+        raise EnumerationCapError(
+            f"{count} supports to list, more than {MAX_LISTED_SUPPORTS}; limit max_support"
+        )
+    return [combo for size in sizes for combo in itertools.combinations(range(1, n + 1), size)]
+
+
 def _candidates(level: list[SupportPattern]) -> Iterator[SupportPattern]:
     """Supports one column larger than those of ``level`` whose every
     one-smaller subset is in ``level``, in lexicographic order.
@@ -175,40 +192,25 @@ def enumerate_faces(
     matrix: CriteriaMatrix,
     tol: Tolerances = DEFAULT_TOLERANCES,
     max_support: int | None = None,
-    allow_large: bool = False,
     analyzer: EfficiencyAnalyzer | None = None,
 ) -> EfficientStructure:
     """Find the efficient vertices, then the efficient support patterns
     level by level as the module docstring describes.
 
     max_support limits the scanned support sizes; the result is flagged
-    exhaustive only when nothing was cut off.  Matrices with more than
-    MAX_ENUMERABLE_COLUMNS columns are refused unless allow_large is set,
-    in which case the structure carries a warning instead.
+    exhaustive only when nothing was cut off.  Raises
+    ``EnumerationCapError`` past MAX_LISTED_SUPPORTS faces.
     """
     n = matrix.n
     if max_support is not None and max_support < 2:
         raise InputError("max_support below 2 scans no faces; omit it instead")
-    warning = None
-    if n > MAX_ENUMERABLE_COLUMNS:
-        if not allow_large:
-            raise EnumerationCapError(
-                f"{n} columns means up to {2 ** n} support patterns; "
-                f"pass allow_large to scan anyway"
-            )
-        warning = f"exhaustive scan over up to {2 ** n} support patterns"
     analyzer = analyzer or EfficiencyAnalyzer(matrix, tol)
     sizes = _scan_sizes(n, max_support)
     exhaustive = sizes.stop > n - 1
     full, _ = check_full(matrix, tol, analyzer)
     if full:
-        vertices = frozenset(range(1, n + 1))
-        faces = frozenset(
-            SupportPattern(combo)
-            for size in sizes
-            for combo in itertools.combinations(range(1, n + 1), size)
-        )
-        return EfficientStructure(True, vertices, faces, exhaustive, warning)
+        faces = frozenset(map(SupportPattern, _listed_supports(n, max_support)))
+        return EfficientStructure(True, frozenset(range(1, n + 1)), faces, exhaustive)
     certified: list[frozenset[int]] = []
     vertices = frozenset(
         j for j in range(1, n + 1) if _efficient(analyzer, SupportPattern((j,)), certified)
@@ -220,7 +222,12 @@ def enumerate_faces(
         if not level:
             break
         faces.update(level)
-    return EfficientStructure(False, vertices, frozenset(faces), exhaustive, warning)
+        if len(faces) > MAX_LISTED_SUPPORTS:
+            raise EnumerationCapError(
+                f"{len(faces)} supports to list so far, more than {MAX_LISTED_SUPPORTS}; "
+                "limit max_support"
+            )
+    return EfficientStructure(False, vertices, frozenset(faces), exhaustive)
 
 
 def bicriterion_ratios(matrix: CriteriaMatrix) -> np.ndarray:

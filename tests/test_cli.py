@@ -347,11 +347,27 @@ def test_enumeration_cap_exit_code(capsys, tmp_path):
     assert code == 5
     assert "error:" in err
 
-    code, out, _ = run(capsys, "enumerate", path, "--allow-large-n", "--max-support", "2", "--json")
+    code, _, err = run(capsys, "enumerate", path, "--oracle")
+    assert code == 5
+    assert "error:" in err
+
+    # The oracle sweep lists every support of the scanned sizes, so it is
+    # refused even where the efficient structure itself is small.
+    rows = [[j % 5 for j in range(17)], [j % 3 for j in range(17)]]
+    sparse = write_csv_matrix(tmp_path, rows, name="sparse.csv")
+    assert run(capsys, "enumerate", sparse)[0] == 0
+    assert run(capsys, "enumerate", sparse, "--oracle")[0] == 5
+
+    code, out, _ = run(capsys, "enumerate", path, "--max-support", "2", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["warning"] is not None
+    assert payload["warning"] is None
     assert payload["exhaustive"] is False
+    assert len(payload["faces"]) == 136
+
+    code, out, err = run(capsys, "enumerate", path, "--allow-large-n")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "paretosimplex: error: unrecognized arguments: --allow-large-n"
 
 
 def test_tolerance_flags_reach_the_classifier(capsys, edge_json):
@@ -418,6 +434,7 @@ ERROR_TABLE_FILES = {
     "ragged.json": json.dumps({"C": [[1, 2, 3], [1, 2]]}),
     "rows.json": json.dumps({"rows": EDGE_ONLY_ROWS}),
     "cell.csv": "1,x\n2,3\n",
+    "object.json": json.dumps({"C": [[{}, 1], [1, 2]]}),
     "wide.csv": ",".join(map(str, range(1, 18))) + "\n" + ",".join(map(str, range(17, 0, -1))) + "\n",
 }
 
@@ -433,6 +450,7 @@ ERROR_TABLE = [
     ("check-full ragged.json", 2, "", "error: ragged.json: setting an array element with a sequence. The requested array has an inhomogeneous shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part.\n"),
     ("check-full rows.json", 2, "", "error: rows.json: expected an object with a 'C' field\n"),
     ("check-full cell.csv", 2, "", "error: cell.csv: could not convert string to float: 'x'\n"),
+    ("check-full object.json", 2, "", "error: object.json: float() argument must be a string or a real number, not 'dict'\n"),
     ("bicheck edge.json", 3, "", "error: the ratio test applies to exactly two criteria\n"),
     ("bicheck flat.csv", 2, "", "error: consecutive first-criterion entries must be distinct for the ratio test\n"),
     ("plot3 two.csv --density 4", 3, "", "error: plot3 needs exactly 3 columns, matrix has 2\n"),
@@ -443,7 +461,7 @@ ERROR_TABLE = [
     ("oracle edge.json 0,0,1 0.5,oops,0.5", 2, "point: 0, 0, 1\nverdict: dominated\n", "error: malformed point literal '0.5,oops,0.5': could not convert string to float: 'oops'\n"),
     ("test edge.json 0.5,0.5", 3, "", "error: point has 2 components, matrix has 3 columns\n"),
     ("enumerate edge.json --max-support 1", 2, "", "error: max_support below 2 scans no faces; omit it instead\n"),
-    ("enumerate wide.csv", 5, "", "error: 17 columns means up to 131072 support patterns; pass allow_large to scan anyway\n"),
+    ("enumerate wide.csv", 5, "", "error: 131053 supports to list, more than 65536; limit max_support\n"),
 ]
 
 

@@ -15,6 +15,7 @@ from paretosimplex import (
     EnumerationCapError,
     InputError,
     LpError,
+    MAX_LISTED_SUPPORTS,
     NumericalBreakdownError,
     Randomized,
     SimplexPoint,
@@ -64,7 +65,6 @@ def test_edge_instance_structure(edge_matrix):
     assert structure.vertices == {1, 2}
     assert structure.faces == {SupportPattern((1, 2))}
     assert structure.exhaustive
-    assert structure.warning is None
 
 
 def test_full_instance_structure(full_matrix):
@@ -124,14 +124,43 @@ def test_two_columns_have_no_faces():
     assert structure.exhaustive
 
 
-def test_column_cap():
-    rng = np.random.default_rng(8)
-    big = CriteriaMatrix(rng.integers(-9, 10, size=(2, 17)).astype(float))
-    with pytest.raises(EnumerationCapError):
-        enumerate_faces(big)
-    structure = enumerate_faces(big, max_support=2, allow_large=True)
-    assert structure.warning is not None
-    assert not structure.exhaustive
+def test_wide_matrix_with_dominated_columns_is_enumerated():
+    # 22 columns, each an original column minus 1 in every criterion, are
+    # strictly dominated: the 30-column structure is the 8-column one.
+    rng = np.random.default_rng(1)
+    small = random_matrix(rng, k=3, n=8)
+    extra = small.entries[:, [i % 8 for i in range(22)]] - 1.0
+    wide = CriteriaMatrix(np.hstack([small.entries, extra]))
+    expected = enumerate_faces(small)
+    assert not expected.full and expected.faces
+    assert enumerate_faces(wide) == expected
+
+
+def full_rows(n):
+    """Two criteria under which every one of n columns ties at weights (1, 1)."""
+    return [list(range(1, n + 1)), list(range(n, 0, -1))]
+
+
+def test_listing_bound():
+    assert MAX_LISTED_SUPPORTS == 2**16
+    # The most faces 16 columns have: every support but the 16 vertices,
+    # the empty one and the whole simplex.
+    structure = enumerate_faces(CriteriaMatrix(full_rows(16)))
+    assert structure.full and structure.exhaustive
+    assert len(structure.faces) == 2**16 - 18
+    # 17 full columns would list 2**17 - 19 supports: refused before any
+    # is built, but a limited scan lists 136 + 680 of them.
+    full17 = CriteriaMatrix(full_rows(17))
+    with pytest.raises(EnumerationCapError, match="131053 supports to list"):
+        enumerate_faces(full17)
+    structure = enumerate_faces(full17, max_support=3)
+    assert structure.full and not structure.exhaustive
+    assert len(structure.faces) == 816
+    # 17 duplicated columns and a dominated one: the level-wise scan itself
+    # passes the bound, at support size 9.
+    duplicated = CriteriaMatrix([[1.0] * 17 + [0.0], [2.0] * 17 + [1.0]])
+    with pytest.raises(EnumerationCapError, match="so far, more than 65536"):
+        enumerate_faces(duplicated)
 
 
 def test_max_support_limits_the_scan():
