@@ -12,13 +12,15 @@ list more supports than the bound allows.
 
 Numbers are printed with 17 significant digits so every value round-trips
 exactly; for fixed input and options the output is byte-identical across
-runs.
+runs.  main can be called many times in one process; it builds its parser
+on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -448,10 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main call, not at import.  Sharing one parser is safe:
+# parse_args returns a fresh Namespace and no action has a mutable default.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:

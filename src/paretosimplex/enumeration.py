@@ -118,15 +118,16 @@ def enumerate_vertices(
         return frozenset(range(1, matrix.n + 1))
     faces: list[frozenset[int]] = []
     return frozenset(
-        j for j in range(1, matrix.n + 1) if _efficient(analyzer, SupportPattern((j,)), faces)
+        j for j in range(1, matrix.n + 1) if _efficient(analyzer, (j,), faces)
     )
 
 
 def _efficient(
-    analyzer: EfficiencyAnalyzer, support: SupportPattern, faces: list[frozenset[int]]
+    analyzer: EfficiencyAnalyzer, support: tuple[int, ...], faces: list[frozenset[int]]
 ) -> bool:
-    """Whether ``support`` is efficient, given ``faces``, the argmax faces
-    of certificates verified so far in this scan.
+    """Whether ``support``, sorted 1-based column indices, is efficient,
+    given ``faces``, the argmax faces of certificates verified so far in
+    this scan.
 
     A support inside one of them is efficient by that face's weights, and
     no program is solved.  Otherwise its closure program decides, and when
@@ -137,10 +138,10 @@ def _efficient(
     solver's feasibility re-check on the closure program of every support
     the face covers.
     """
-    columns = frozenset(support.indices)
+    columns = frozenset(support)
     if any(columns <= face for face in faces):
         return True
-    result = analyzer.closure(support)
+    result = analyzer.closure(SupportPattern(support))
     if result.certified:
         verified = analyzer.verified(result, replace(analyzer.tol, tie=analyzer.tol.lp))
         if verified is not None:
@@ -168,24 +169,21 @@ def _listed_supports(n: int, max_support: int | None) -> list[tuple[int, ...]]:
     return [combo for size in sizes for combo in itertools.combinations(range(1, n + 1), size)]
 
 
-def _candidates(level: list[SupportPattern]) -> Iterator[SupportPattern]:
-    """Supports one column larger than those of ``level`` whose every
-    one-smaller subset is in ``level``, in lexicographic order.
+def _candidates(level: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """Supports one column larger than those of ``level`` (sorted index
+    tuples) whose every one-smaller subset is in ``level``, in
+    lexicographic order.
 
     Each candidate joins the two members that share all but their last
     column; those two are subsets already, so only the subsets that drop
     one of the shared columns need a lookup.
     """
     known = set(level)
-    ordered = sorted(level, key=lambda p: p.indices)
-    for _, group in itertools.groupby(ordered, key=lambda p: p.indices[:-1]):
+    for _, group in itertools.groupby(sorted(level), key=lambda combo: combo[:-1]):
         for a, b in itertools.combinations(group, 2):
-            combo = a.indices + b.indices[-1:]
-            if all(
-                SupportPattern(combo[:i] + combo[i + 1 :]) in known
-                for i in range(len(combo) - 2)
-            ):
-                yield SupportPattern(combo)
+            combo = a + b[-1:]
+            if all(combo[:i] + combo[i + 1 :] in known for i in range(len(combo) - 2)):
+                yield combo
 
 
 def enumerate_faces(
@@ -199,7 +197,8 @@ def enumerate_faces(
 
     max_support limits the scanned support sizes; the result is flagged
     exhaustive only when nothing was cut off.  Raises
-    ``EnumerationCapError`` past MAX_LISTED_SUPPORTS faces.
+    ``EnumerationCapError`` as soon as the faces found pass
+    MAX_LISTED_SUPPORTS.
     """
     n = matrix.n
     if max_support is not None and max_support < 2:
@@ -212,22 +211,23 @@ def enumerate_faces(
         faces = frozenset(map(SupportPattern, _listed_supports(n, max_support)))
         return EfficientStructure(True, frozenset(range(1, n + 1)), faces, exhaustive)
     certified: list[frozenset[int]] = []
-    vertices = frozenset(
-        j for j in range(1, n + 1) if _efficient(analyzer, SupportPattern((j,)), certified)
-    )
-    level = [SupportPattern((j,)) for j in sorted(vertices)]
-    faces: set[SupportPattern] = set()
+    vertices = frozenset(j for j in range(1, n + 1) if _efficient(analyzer, (j,), certified))
+    level = [(j,) for j in sorted(vertices)]
+    faces: list[tuple[int, ...]] = []
     for _ in sizes:
-        level = [p for p in _candidates(level) if _efficient(analyzer, p, certified)]
+        start = len(faces)
+        for combo in _candidates(level):
+            if _efficient(analyzer, combo, certified):
+                faces.append(combo)
+                if len(faces) > MAX_LISTED_SUPPORTS:
+                    raise EnumerationCapError(
+                        f"{len(faces)} supports to list so far, more than {MAX_LISTED_SUPPORTS}; "
+                        "limit max_support"
+                    )
+        level = faces[start:]
         if not level:
             break
-        faces.update(level)
-        if len(faces) > MAX_LISTED_SUPPORTS:
-            raise EnumerationCapError(
-                f"{len(faces)} supports to list so far, more than {MAX_LISTED_SUPPORTS}; "
-                "limit max_support"
-            )
-    return EfficientStructure(False, vertices, frozenset(faces), exhaustive)
+    return EfficientStructure(False, vertices, frozenset(map(SupportPattern, faces)), exhaustive)
 
 
 def bicriterion_ratios(matrix: CriteriaMatrix) -> np.ndarray:

@@ -1,7 +1,9 @@
 """End-to-end command line behaviour, run in-process through main()."""
 
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 
 from conftest import EDGE_ONLY_ROWS, ALL_EFFICIENT_ROWS
 
+import paretosimplex
 from paretosimplex import Verdict, cli
 
 
@@ -488,6 +491,30 @@ def test_error_table(capsys, error_table_dir, command, code, out, err):
 def test_usage_errors_name_the_argument(capsys, error_table_dir, command, last_line):
     code, out, err = run(capsys, *shlex.split(command))
     assert (code, out, err.splitlines()[-1:]) == (2, "", [last_line])
+
+
+def test_main_carries_no_state_between_calls(capsys, error_table_dir, monkeypatch):
+    # main reuses one parser; each call in this sequence must print what the
+    # same command prints as the first call of a fresh process.
+    commands = [
+        "test edge.json 1,0,0 --max-support 2",
+        "test edge.json --json 1,0,0 0.5,0.5,0 0,0,1 0.2,0.3,0.5",
+        "enumerate edge.json --max-support 2 --json",
+        "scalarize edge.json --weights 1,2,1",
+        "test edge.json 0.5,0.5,0 0,1,0",
+        "",
+    ]
+    # Usage text wraps at the terminal width, which the subprocess reads too.
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(paretosimplex.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for command in commands:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "paretosimplex.cli", *shlex.split(command)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert run(capsys, *shlex.split(command)) == (fresh.returncode, fresh.stdout, fresh.stderr), command
+    assert cli.build_parser() is not cli.build_parser()
 
 
 @pytest.mark.parametrize(
