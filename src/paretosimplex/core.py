@@ -97,7 +97,7 @@ class CriteriaMatrix:
     criterion i.  Requires at least two criteria and two columns, all finite.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_normalized")
 
     def __init__(self, entries) -> None:
         arr = _frozen_array(entries, ndim=2)
@@ -107,6 +107,23 @@ class CriteriaMatrix:
         if not np.isfinite(arr).all():
             raise InputError("criteria entries must be finite")
         self.entries = arr
+        self._normalized: np.ndarray | None = None
+
+    @property
+    def normalized(self) -> np.ndarray:
+        """The entries with each row minus its mean, divided by its largest
+        absolute entry; constant rows become zero.  Neither map changes
+        which points of the simplex dominate which.  Computed on first use
+        and kept, read-only."""
+        if self._normalized is None:
+            entries = self.entries
+            centered = entries - entries.mean(axis=1, keepdims=True)
+            centered[np.ptp(entries, axis=1) == 0.0] = 0.0
+            spread = np.abs(centered).max(axis=1, keepdims=True)
+            normalized = centered / np.where(spread > 0.0, spread, 1.0)
+            normalized.setflags(write=False)
+            self._normalized = normalized
+        return self._normalized
 
     @property
     def k(self) -> int:
@@ -219,6 +236,14 @@ class SupportPattern:
             raise InputError("support indices are 1-based")
         object.__setattr__(self, "indices", tuple(sorted(cleaned)))
 
+    @classmethod
+    def trusted(cls, indices: tuple[int, ...]) -> SupportPattern:
+        """The pattern on ``indices``, a tuple of distinct positive ints
+        already in increasing order; nothing is checked again."""
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "indices", indices)
+        return pattern
+
     def __len__(self) -> int:
         return len(self.indices)
 
@@ -245,7 +270,7 @@ class Deterministic:
 
     @property
     def support(self) -> SupportPattern:
-        return SupportPattern((self.index,))
+        return SupportPattern.trusted((self.index,))
 
 
 @dataclass(frozen=True)
@@ -293,7 +318,7 @@ def _classify(coords: np.ndarray, tol: Tolerances) -> PointClass:
         return Deterministic(int(positive[0]) + 1)
     if positive.size == coords.size:
         return Randomized()
-    return PartiallyRandomized(SupportPattern(int(j) + 1 for j in positive))
+    return PartiallyRandomized(SupportPattern.trusted(tuple((positive + 1).tolist())))
 
 
 def clamped_indices(x: SimplexPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[int, ...]:

@@ -39,6 +39,14 @@ exists.  Because the programs depend only on the support, each program is
 solved once per analyzer, and the decision it leads to (verdict, test,
 verified certificate and face) is kept per point class, so a batch of
 points costs one decision per distinct support.
+
+Efficient supports are closed under subsets: weights that keep a support
+at the maximum keep each of its subsets there.  So a support that contains
+a dominated support is dominated, and its closure program is infeasible
+whenever the subset's is.  The analyzer keeps the supports its closure
+programs found dominated, and decides a support containing one of them
+dominated by the closure test, with no certificate, without building or
+solving a program: the decision solving would give.
 """
 
 from __future__ import annotations
@@ -243,10 +251,11 @@ class EfficiencyAnalyzer:
     Verdicts depend only on a point's support, so each certificate program
     is solved at most once per analyzer, and each point class is decided
     once: its verdict, test, certificate and face are extracted and
-    re-verified on first use and kept.  ``decide`` and ``decide_many``
-    read the same per-class decisions.  Both caches are keyed on supports
-    or classes and guarded by a lock; instances are safe to share across
-    threads.
+    re-verified on first use and kept.  A support containing one that its
+    closure program found dominated is decided dominated without a program
+    (see the module docstring).  ``decide`` and ``decide_many`` read the
+    same per-class decisions.  The caches are keyed on supports or classes
+    and guarded by a lock; instances are safe to share across threads.
     """
 
     def __init__(self, matrix: CriteriaMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
@@ -255,6 +264,9 @@ class EfficiencyAnalyzer:
         self._lock = threading.Lock()
         self._programs: dict[tuple[TestKind, SupportPattern], TestResult] = {}
         self._decisions: dict[PointClass, _Decision] = {}
+        # Bit masks (bit j for column j) of the supports decided dominated
+        # by their own closure program.
+        self._dominated: list[int] = []
 
     def _cached(self, cache: dict, key, compute):
         """cache[key], computed outside the lock on a miss; when two threads
@@ -284,7 +296,7 @@ class EfficiencyAnalyzer:
         return f"{kind.value} program on support {{{support}}} of the {self.matrix.k}x{self.matrix.n} matrix"
 
     def t0(self) -> TestResult:
-        full = SupportPattern(range(1, self.matrix.n + 1))
+        full = SupportPattern.trusted(tuple(range(1, self.matrix.n + 1)))
         return self._solve(TestKind.T0, full, lambda: build_t0(self.matrix))
 
     def t1(self, support: SupportPattern) -> TestResult:
@@ -307,7 +319,8 @@ class EfficiencyAnalyzer:
 
     def decide(self, x: SimplexPoint) -> EfficiencyReport:
         """Classify ``x`` and decide efficiency: T0, then the closure
-        program on the support, then T1 or T2 only to name the exact face."""
+        program on the support unless it contains a support already found
+        dominated, then T1 or T2 only to name the exact face."""
         if x.n != self.matrix.n:
             raise DimensionMismatchError(
                 f"point has {x.n} components, matrix has {self.matrix.n} columns"
@@ -350,8 +363,16 @@ class EfficiencyAnalyzer:
             # No all-tying weights exist, so no randomized point is efficient.
             return _Decision(Verdict.DOMINATED, TestKind.T0, None, None)
         support = point_class.support
+        mask = sum(1 << j for j in support.indices)
+        with self._lock:
+            inferred = any(d & mask == d for d in self._dominated)
+        if inferred:
+            # Contains a dominated support, so its closure program is infeasible too.
+            return _Decision(Verdict.DOMINATED, TestKind.CLOSURE, None, None)
         closure = self.closure(support)
         if not closure.certified:
+            with self._lock:
+                self._dominated.append(mask)
             return _Decision(Verdict.DOMINATED, TestKind.CLOSURE, None, None)
         decision = self._efficient(closure)
         exact = TestKind.T2 if len(support) == 1 else TestKind.T1

@@ -141,7 +141,7 @@ def _efficient(
     columns = frozenset(support)
     if any(columns <= face for face in faces):
         return True
-    result = analyzer.closure(SupportPattern(support))
+    result = analyzer.closure(SupportPattern.trusted(support))
     if result.certified:
         verified = analyzer.verified(result, replace(analyzer.tol, tie=analyzer.tol.lp))
         if verified is not None:
@@ -208,7 +208,7 @@ def enumerate_faces(
     exhaustive = sizes.stop > n - 1
     full, _ = check_full(matrix, tol, analyzer)
     if full:
-        faces = frozenset(map(SupportPattern, _listed_supports(n, max_support)))
+        faces = frozenset(map(SupportPattern.trusted, _listed_supports(n, max_support)))
         return EfficientStructure(True, frozenset(range(1, n + 1)), faces, exhaustive)
     certified: list[frozenset[int]] = []
     vertices = frozenset(j for j in range(1, n + 1) if _efficient(analyzer, (j,), certified))
@@ -227,7 +227,9 @@ def enumerate_faces(
         level = faces[start:]
         if not level:
             break
-    return EfficientStructure(False, vertices, frozenset(map(SupportPattern, faces)), exhaustive)
+    return EfficientStructure(
+        False, vertices, frozenset(map(SupportPattern.trusted, faces)), exhaustive
+    )
 
 
 def bicriterion_ratios(matrix: CriteriaMatrix) -> np.ndarray:

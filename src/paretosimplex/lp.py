@@ -10,7 +10,9 @@ Conversion to computational form: rows are sign-normalized to a
 nonnegative right-hand side, and slack, surplus, and artificial columns
 are appended.  Phase one minimizes the sum of the artificials; the system
 is feasible exactly when that minimum is zero, and the basic solution
-phase one ends at is then a feasible point.
+phase one ends at is then a feasible point.  The phase-one objective is
+kept as the last row of the tableau, so that each pivot updates every
+row, the objective included, with one broadcast subtraction.
 
 Pivoting uses Dantzig's rule (most positive reduced cost) and switches to
 Bland's rule after a stall of 2 * (rows + columns) consecutive degenerate
@@ -128,48 +130,49 @@ def feasibility_violation(lp: StandardLp, point: np.ndarray) -> float:
     return float(max(worst, np.max(-x, initial=0.0)))
 
 
-def _pivot(tableau: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    column = tableau[:, col].copy()
-    column[row] = 0.0
-    tableau -= np.outer(column, tableau[row])
-    obj -= obj[col] * tableau[row]
-    basis[row] = col
-
-
 def _run_simplex(
     tableau: np.ndarray,
-    obj: np.ndarray,
     basis: np.ndarray,
     tol: Tolerances,
     iteration_cap: int,
 ) -> tuple[str, int]:
-    """Optimize in place; returns ("optimal" | "unbounded", pivot count)."""
-    rows, width = tableau.shape
-    stall_limit = 2 * (rows + width - 1)
+    """Optimize in place; returns ("optimal" | "unbounded", pivot count).
+
+    The last row of ``tableau`` is the maximized objective: its reduced
+    costs, then minus its current value.  Each pivot divides the pivot row by the pivot
+    and subtracts a multiple of it from every other row, the objective
+    included, in one update."""
+    rows = tableau.shape[0] - 1
+    stall_limit = 2 * (rows + tableau.shape[1] - 1)
+    reduced = tableau[-1, :-1]
+    levels = tableau[:-1, -1]
     pivots = 0
     stall = 0
     bland = False
     while True:
-        reduced = obj[:-1]
         if bland:
-            improving = np.flatnonzero(reduced > tol.lp)
+            improving = (reduced > tol.lp).nonzero()[0]
             if improving.size == 0:
                 return "optimal", pivots
             col = int(improving[0])
         else:
-            col = int(np.argmax(reduced))
+            col = int(reduced.argmax())
             if reduced[col] <= tol.lp:
                 return "optimal", pivots
-        column = tableau[:, col]
-        candidates = np.flatnonzero(column > tol.lp)
+        column = tableau[:-1, col]
+        candidates = (column > tol.lp).nonzero()[0]
         if candidates.size == 0:
             return "unbounded", pivots
-        ratios = np.maximum(tableau[candidates, -1], 0.0) / column[candidates]
+        ratios = np.maximum(levels[candidates], 0.0) / column[candidates]
         best = float(ratios.min())
         tied = candidates[ratios <= best + tol.lp]
-        row = int(tied[np.argmin(basis[tied])])
-        _pivot(tableau, obj, basis, row, col)
+        row = int(tied[basis[tied].argmin()])
+        pivot_row = tableau[row]
+        pivot_row /= pivot_row[col]
+        factor = tableau[:, col].copy()
+        factor[row] = 0.0
+        tableau -= factor[:, None] * pivot_row
+        basis[row] = col
         pivots += 1
         if best <= tol.lp:
             stall += 1
@@ -184,6 +187,9 @@ def _run_simplex(
             )
 
 
+_CODES = {Relation.LE: 0, Relation.EQ: 1, Relation.GE: 2}
+
+
 def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
     """Decide whether ``lp`` is Feasible or Infeasible.
 
@@ -194,53 +200,49 @@ def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
     n_struct, r = lp.num_vars, lp.num_rows
 
     # Sign-normalize rows, then append slack/surplus and artificial columns.
+    # Codes: 0 for <=, 1 for =, 2 for >=; a flipped inequality swaps 0 and 2.
     flip = lp.rhs < 0.0
     b = np.abs(lp.rhs)
-    rel_codes = np.empty(r, dtype=int)  # 0: <=, 1: =, 2: >=
-    for i, rel in enumerate(lp.relations):
-        code = {Relation.LE: 0, Relation.EQ: 1, Relation.GE: 2}[rel]
-        if flip[i] and code != 1:
-            code = 2 - code
-        rel_codes[i] = code
+    rel_codes = np.array([_CODES[rel] for rel in lp.relations], dtype=int)
+    rel_codes = np.where(flip & (rel_codes != 1), 2 - rel_codes, rel_codes)
 
-    slack_rows = np.flatnonzero(rel_codes != 1)
-    art_rows = np.flatnonzero(rel_codes != 0)
+    slack_rows = (rel_codes != 1).nonzero()[0]
+    art_rows = (rel_codes != 0).nonzero()[0]
     n_slack = slack_rows.size
     n_art = art_rows.size
     width = n_struct + n_slack + n_art + 1
-    tableau = np.zeros((r, width))
-    tableau[:, :n_struct] = np.where(flip[:, None], -lp.a, lp.a)
-    tableau[:, -1] = b
+    # Rows 0..r-1 are the constraints; row r is the phase-one objective.
+    tableau = np.zeros((r + 1, width))
+    tableau[:r, :n_struct] = np.where(flip[:, None], -lp.a, lp.a)
+    tableau[:r, -1] = b
+    slack_cols = n_struct + np.arange(n_slack)
+    art_cols = n_struct + n_slack + np.arange(n_art)
+    le = rel_codes[slack_rows] == 0
+    tableau[slack_rows, slack_cols] = np.where(le, 1.0, -1.0)
+    tableau[art_rows, art_cols] = 1.0
     basis = np.empty(r, dtype=int)
-    for offset, i in enumerate(slack_rows):
-        col = n_struct + offset
-        tableau[i, col] = 1.0 if rel_codes[i] == 0 else -1.0
-        if rel_codes[i] == 0:
-            basis[i] = col
-    for offset, i in enumerate(art_rows):
-        col = n_struct + n_slack + offset
-        tableau[i, col] = 1.0
-        basis[i] = col
+    basis[art_rows] = art_cols
+    basis[slack_rows[le]] = slack_cols[le]
 
     iterations = 0
     if n_art:
         phase_cost = np.zeros(width)
         phase_cost[n_struct + n_slack : -1] = -1.0
-        obj = phase_cost - phase_cost[basis] @ tableau
+        tableau[-1] = phase_cost - phase_cost[basis] @ tableau[:r]
         iteration_cap = 10_000 + 100 * (r + width)
-        status, iterations = _run_simplex(tableau, obj, basis, tol, iteration_cap)
+        status, iterations = _run_simplex(tableau, basis, tol, iteration_cap)
         if status != "optimal":
             raise NumericalBreakdownError(
                 f"phase one reported an unbounded auxiliary program after {iterations} pivots"
             )
-        feas_gap = 10.0 * tol.lp * (1.0 + float(np.max(b, initial=0.0)))
-        if -obj[-1] < -feas_gap:
+        feas_gap = 10.0 * tol.lp * (1.0 + float(b.max(initial=0.0)))
+        if tableau[-1, -1] > feas_gap:
             return LpSolution(LpStatus.INFEASIBLE, None, iterations)
 
     # Artificials still basic sit at level zero and are not part of the point.
     point = np.zeros(n_struct)
     structural = basis < n_struct
-    point[basis[structural]] = tableau[structural, -1]
+    point[basis[structural]] = tableau[:r, -1][structural]
     if feasibility_violation(lp, point) > tol.lp:
         raise NumericalBreakdownError(
             f"phase-one point failed its feasibility re-check after {iterations} pivots"

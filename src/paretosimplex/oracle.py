@@ -8,7 +8,8 @@ By Gordan's and Motzkin's theorems of the alternative exactly one of the
 two has an answer, so the routes share the LP solver but no program, and
 agreement between them is a meaningful cross-check.
 
-The criteria are normalized before the program is built: each row loses
+The program is built on the normalized criteria
+(``CriteriaMatrix.normalized``, computed once per matrix): each row loses
 its mean and is divided by its largest absolute entry, and a constant row
 becomes zero.  Neither map changes which points dominate which, because
 every feasible point sums to one, and together they make the program
@@ -32,15 +33,6 @@ from .lp import LpStatus, Relation, StandardLp, solve
 __all__ = ["build_dominance_lp", "dominance_lp_verdict"]
 
 
-def _normalized(entries: np.ndarray) -> np.ndarray:
-    """Each row minus its mean, divided by its largest absolute entry;
-    constant rows become zero."""
-    centered = entries - entries.mean(axis=1, keepdims=True)
-    centered[np.ptp(entries, axis=1) == 0.0] = 0.0
-    spread = np.abs(centered).max(axis=1, keepdims=True)
-    return centered / np.where(spread > 0.0, spread, 1.0)
-
-
 def build_dominance_lp(matrix: CriteriaMatrix, x: SimplexPoint) -> StandardLp:
     """Feasibility program over (y, t) >= 0, on the normalized criteria C:
 
@@ -55,7 +47,7 @@ def build_dominance_lp(matrix: CriteriaMatrix, x: SimplexPoint) -> StandardLp:
             f"point has {x.n} components, matrix has {matrix.n} columns"
         )
     k, n = matrix.k, matrix.n
-    criteria = _normalized(matrix.entries)
+    criteria = matrix.normalized
     gains = np.hstack([criteria, -(criteria @ x.coords)[:, None]])
     rows = np.vstack([np.append(np.ones(n), -1.0), gains, gains.sum(axis=0)])
     relations = [Relation.EQ] + [Relation.GE] * k + [Relation.EQ]

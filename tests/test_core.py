@@ -147,6 +147,13 @@ def test_support_pattern_normalizes_and_validates():
         SupportPattern([1.5, 2])
 
 
+def test_trusted_support_pattern_equals_the_checked_one():
+    trusted = SupportPattern.trusted((1, 3, 4))
+    assert trusted == SupportPattern([4, 1, 3])
+    assert hash(trusted) == hash(SupportPattern((1, 3, 4)))
+    assert trusted in {SupportPattern((1, 3, 4))}
+
+
 def test_tolerances_validation():
     with pytest.raises(InputError):
         Tolerances(lp=1e-3)  # solver noise above the tie threshold

@@ -21,6 +21,7 @@ from paretosimplex import (
     FullSimplex,
     InputError,
     LpError,
+    LpStatus,
     NumericalBreakdownError,
     OpenFace,
     PartiallyRandomized,
@@ -41,6 +42,7 @@ from paretosimplex import (
     check_points,
     decide,
     solution_set,
+    solve,
     verify_certificate,
     vertex,
     weighted_objective,
@@ -349,6 +351,7 @@ def test_closure_first_keeps_the_strict_first_answers(monkeypatch):
         matrix = CriteriaMatrix(entries)
         analyzer, reference = EfficiencyAnalyzer(matrix), EfficiencyAnalyzer(matrix)
         analyzer.t0()
+        dominated = []
         for size in range(1, n):
             for combo in itertools.combinations(range(1, n + 1), size):
                 solved.clear()
@@ -357,6 +360,10 @@ def test_closure_first_keeps_the_strict_first_answers(monkeypatch):
                 assert (report.verdict, report.test, report.face) == _strict_first(reference, combo)
                 costs.setdefault((report.verdict, report.test), set()).add(cost)
                 if report.verdict is Verdict.DOMINATED:
+                    # its closure program, unless a dominated subset was decided first
+                    inferred = any(set(d) < set(combo) for d in dominated)
+                    assert cost == (0 if inferred else 1)
+                    dominated.append(combo)
                     continue
                 weights = report.certificate
                 if report.test is Kind.CLOSURE:
@@ -365,12 +372,62 @@ def test_closure_first_keeps_the_strict_first_answers(monkeypatch):
                 else:
                     point_class = Randomized() if report.test is Kind.T0 else report.point_class
                     assert verify_certificate(matrix, weights, point_class)
-    # a dominated vertex or face costs its closure program alone
-    assert costs[Verdict.DOMINATED, Kind.CLOSURE] == {1}
+    # a dominated vertex or face costs its closure program alone, or no
+    # program when it contains a support already decided dominated
+    assert costs[Verdict.DOMINATED, Kind.CLOSURE] == {0, 1}
     # an exact face costs one program when the closure weights already name
     # it and two when the strict program must, and both paths occur
     assert costs[Verdict.EFFICIENT, Kind.T1] | costs[Verdict.EFFICIENT, Kind.T2] == {1, 2}
     assert costs[Verdict.EFFICIENT, Kind.CLOSURE] == {2}
+
+
+@pytest.mark.parametrize("order", ["by size", "shuffled"])
+def test_dominated_supersets_are_inferred(order, monkeypatch):
+    # A support containing a dominated support is decided dominated without
+    # a program; every verdict must still be the one its own closure program
+    # gives.  Duplicated columns and columns on a segment between two others
+    # make closure programs whose weights tie more than the support.
+    built = []
+    real_build = efficiency_module.build_closure
+
+    def counting_build(matrix, support):
+        built.append(support)
+        return real_build(matrix, support)
+
+    monkeypatch.setattr(efficiency_module, "build_closure", counting_build)
+    rng = np.random.default_rng(4141)
+    inferred = 0
+    for trial in range(45):
+        k, n = int(rng.integers(2, 6)), int(rng.integers(3, 8))
+        entries = rng.integers(-9, 10, size=(k, n)).astype(float)
+        a, b, c = rng.choice(n, size=3, replace=False)
+        if trial % 3 == 0:
+            entries[:, c] = entries[:, a]
+        elif trial % 3 == 1:
+            entries[:, c] = (entries[:, a] + entries[:, b]) / 2
+        matrix = CriteriaMatrix(entries)
+        analyzer = EfficiencyAnalyzer(matrix)
+        if analyzer.t0().certified:
+            continue
+        supports = [
+            combo for size in range(1, n) for combo in itertools.combinations(range(1, n + 1), size)
+        ]
+        if order == "shuffled":
+            supports = [supports[i] for i in rng.permutation(len(supports))]
+        built.clear()
+        dominated, needed = [], 0
+        for combo in supports:
+            if not any(set(d) < set(combo) for d in dominated):
+                needed += 1
+            report = analyzer.decide(SimplexPoint(barycenter(n, combo)))
+            own = solve(real_build(matrix, SupportPattern(combo)).lp)
+            assert (report.verdict is Verdict.EFFICIENT) == (own.status is LpStatus.FEASIBLE)
+            if report.verdict is Verdict.DOMINATED:
+                assert report.test is Kind.CLOSURE and report.certificate is None
+                dominated.append(combo)
+        assert len(built) == needed
+        inferred += len(supports) - needed
+    assert inferred >= 1000
 
 
 def test_analyzer_is_thread_safe(edge_matrix):
@@ -388,6 +445,32 @@ def test_analyzer_is_thread_safe(edge_matrix):
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(decide_all, [True, False] * 8, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 16
+
+
+def test_dominated_supports_are_shared_across_threads():
+    # Threads record dominated supports while others infer from them; each
+    # verdict must be the one a fresh analyzer gives the point alone.
+    matrix = random_matrix(np.random.default_rng(11), k=3, n=7)
+    rows = np.array(
+        [barycenter(7, c) for s in range(1, 8) for c in itertools.combinations(range(1, 8), s)]
+    )
+    expected = [decide(matrix, SimplexPoint(row)).verdict for row in rows]
+    assert expected.count(Verdict.DOMINATED) > len(rows) // 2
+    analyzer = EfficiencyAnalyzer(matrix)
+
+    def decide_all(offset: int):
+        order = np.roll(np.arange(len(rows)), offset)
+        verdicts = dict(zip(order.tolist(), (r.verdict for r in analyzer.decide_many(rows[order]))))
+        return [verdicts[i] for i in range(len(rows))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(decide_all, range(0, 128, 8), timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected] * 16

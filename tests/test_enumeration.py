@@ -291,9 +291,10 @@ def test_level_wise_scan_matches_exhaustive_reference(monkeypatch):
 
 
 def test_level_wise_scan_solves_few_programs(monkeypatch):
-    # 4082 supports of size 2..11: the reference decides each one, solving
-    # its closure program, the level-wise scan only the few whose subsets
-    # are all efficient.
+    # 4082 supports of size 2..11: the reference decides each one by its
+    # own closure program, the level-wise scan only the few whose subsets
+    # are all efficient.  (``decide`` would skip the supersets of dominated
+    # supports too, so it is not the reference here.)
     matrix = random_matrix(np.random.default_rng(3), k=4, n=12)
     solved = []
     real_solve = efficiency_module.solve
@@ -303,7 +304,7 @@ def test_level_wise_scan_solves_few_programs(monkeypatch):
         return real_solve(lp, tol)
 
     monkeypatch.setattr(efficiency_module, "solve", counting_solve)
-    vertices, faces, _ = exhaustive_structure(matrix)
+    vertices, faces, _ = exhaustive_structure(matrix, by_closure=True)
     reference = len(solved)
     solved.clear()
     structure = enumerate_faces(matrix)

@@ -8,11 +8,16 @@ from scipy import optimize
 
 import paretosimplex.lp as lp_module
 from paretosimplex import (
+    CriteriaMatrix,
     InputError,
     LpStatus,
     NumericalBreakdownError,
     Relation,
+    SimplexPoint,
     StandardLp,
+    SupportPattern,
+    build_closure,
+    build_dominance_lp,
     feasibility_violation,
     solve,
 )
@@ -153,3 +158,39 @@ def test_solves_are_deterministic():
         assert first.iterations == second.iterations
         if first.status is LpStatus.FEASIBLE:
             assert np.array_equal(first.point, second.point)
+
+
+def _pinned_corpus() -> list[StandardLp]:
+    """Closure programs on supports of size 1, 2 and n - 1 and a dominance
+    program per seeded integer matrix, then random systems."""
+    rng = np.random.default_rng(20261019)
+    programs = []
+    for _ in range(24):
+        k, n = int(rng.integers(2, 7)), int(rng.integers(3, 9))
+        matrix = CriteriaMatrix(rng.integers(-9, 10, size=(k, n)).astype(float))
+        for size in (1, 2, n - 1):
+            support = SupportPattern(int(j) + 1 for j in rng.choice(n, size, replace=False))
+            programs.append(build_closure(matrix, support).lp)
+        columns = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+        x = np.zeros(n)
+        x[columns] = 1.0 / columns.size
+        programs.append(build_dominance_lp(matrix, SimplexPoint(x)))
+    programs += [_random_lp(rng) for _ in range(48)]
+    return programs
+
+
+# Status initial (F or I) and pivot count of each program of the corpus, in
+# order, as the pivot rule, tie-breaking and stall switch decide them.
+PINNED_SOLVES = """
+    F0 I1 I0 F5 I1 I0 I0 F5 F0 I2 I2 F6 F0 I1 I1 F5 I0 I0 I1 I5 I0 I1 I0 I4
+    F0 I2 I2 F6 F1 F1 F2 I5 F1 F3 I1 I4 I1 I2 I0 F5 F3 F7 I2 F11 F0 F5 F3 F8
+    I5 I2 I2 F6 F5 F5 I3 I7 I0 F1 I0 F5 I4 I3 I1 F5 F6 I6 I2 F12 F1 I0 I0 I1
+    I1 I1 I0 F5 F4 F2 I0 F5 F9 I1 I2 F7 I1 I1 I0 F5 I0 I1 I0 F6 I0 I1 I0 F4
+    I0 I0 I1 F0 I2 I2 I4 F1 F0 I2 F4 F1 F1 I2 F2 F1 I1 F1 F2 I0 I0 I1 F1 I3
+    F1 F1 F3 I0 F1 F2 I0 F1 F1 I5 I2 F1 I0 I1 I1 I2 I2 F2 F4 I2 I1 F2 F2 I1
+""".split()
+
+
+def test_pivot_paths_are_pinned():
+    got = [f"{s.status.value[0].upper()}{s.iterations}" for s in map(solve, _pinned_corpus())]
+    assert got == PINNED_SOLVES

@@ -41,6 +41,10 @@ def test_criteria_are_normalized_per_row():
     lp = build_dominance_lp(matrix, vertex(1, 3))
     assert not lp.a[1].any()
     assert np.array_equal(lp.a[2, :3], [-0.2, -0.8, 1.0])
+    # normalized once per matrix, and shared read-only by every program
+    assert matrix.normalized is matrix.normalized
+    assert not matrix.normalized.flags.writeable
+    assert np.array_equal(build_dominance_lp(matrix, vertex(2, 3)).a[1:3, :3], matrix.normalized)
 
 
 def test_verdicts_on_edge_instance(edge_matrix):
