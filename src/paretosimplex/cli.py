@@ -6,6 +6,12 @@ the format is sniffed from the file extension and can be forced with
 --format.  Points and weights on the command line are comma-separated
 numbers.  All indices printed or read are 1-based.
 
+``test`` reports its points in order, up to the first bad one, and then
+fails with that point's error.  A report depends on the point only through
+its class and clamped indices, apart from the text ``point:`` line, which
+shows the point's own clamped coordinates; each distinct (class, clamped
+indices) key is decided and rendered once, on its first point.
+
 Exit codes: 0 success, 2 malformed input, 3 dimension mismatch, 4 solver
 failure or a disagreement under enumerate --oracle, 5 enumeration would
 list more supports than the bound allows.
@@ -40,6 +46,7 @@ from .core import (
     Tolerances,
     Verdict,
     check_points,
+    classify_points,
 )
 from .efficiency import EfficiencyAnalyzer, EfficiencyReport
 from .enumeration import (
@@ -202,25 +209,42 @@ def _report_payload(report: EfficiencyReport) -> dict:
     }
 
 
-def _print_report_text(report: EfficiencyReport) -> None:
+def _report_text(report: EfficiencyReport, as_json: bool) -> str:
+    """The report's JSON line, or the lines of its text block after
+    ``point:``.  Neither holds the point's coordinates, so either is the
+    same for every point with the report's class and clamped indices."""
     payload = _report_payload(report)
-    print(f"point: {_items(report.point.coords)}")
-    print(f"class: {payload['class']}")
-    print(f"support: {_items(payload['support'])}")
-    print(f"verdict: {payload['verdict']}")
-    print(f"test: {payload['test']}  value: {_json_text(payload['value'])}")
+    if as_json:
+        return _json_text(payload)
+    lines = [
+        f"class: {payload['class']}",
+        f"support: {_items(payload['support'])}",
+        f"verdict: {payload['verdict']}",
+        f"test: {payload['test']}  value: {_json_text(payload['value'])}",
+    ]
     if payload["certificate"] is not None:
-        print(f"certificate: {_items(payload['certificate'])}")
+        lines.append(f"certificate: {_items(payload['certificate'])}")
     if payload["face"] is not None:
         face = payload["face"]
-        print(f"face: {face['kind']} {_items(face['support'], braces=True)}")
+        lines.append(f"face: {face['kind']} {_items(face['support'], braces=True)}")
     if payload["clamped"]:
-        print(f"clamped: {_items(payload['clamped'])}")
+        lines.append(f"clamped: {_items(payload['clamped'])}")
+    return "\n".join(lines)
 
 
 def _point_rows(literals: list[str], n: int) -> tuple[np.ndarray, str | None]:
     """Coordinates of the literals before the first one that is malformed or
     does not have n components, and that literal (None if there is none)."""
+    # One float pass over every component, taken only when each literal
+    # has n components and all of them parse.
+    if all(literal.count(",") == n - 1 for literal in literals):
+        parts = ",".join(literals).split(",")
+        try:
+            flat = np.fromiter(map(float, parts), float, len(parts))
+        except ValueError:
+            pass
+        else:
+            return flat.reshape(len(literals), n), None
     rows = np.empty((len(literals), n))
     for count, literal in enumerate(literals):
         try:
@@ -238,20 +262,23 @@ def _point_rows(literals: list[str], n: int) -> tuple[np.ndarray, str | None]:
 def cmd_test(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
     analyzer = EfficiencyAnalyzer(matrix, tol)
     rows, stop = _point_rows(args.points, matrix.n)
-    # A JSON line holds no coordinates, so points that share a class and
-    # clamped indices share it.
-    lines: dict[tuple, str] = {}
-    for index, report in enumerate(analyzer.decide_many(rows)):
-        if args.json:
-            key = (report.point_class, report.clamped)
-            line = lines.get(key)
-            if line is None:
-                line = lines[key] = _json_text(_report_payload(report))
-            print(line)
-        else:
+    coords, error = check_points(rows, tol)
+    # Efficiency depends on the point class alone, and the JSON line or
+    # text block after "point:" on the class and clamped indices, so each
+    # such key is decided and rendered once, on its first row.
+    rendered: dict[tuple, str] = {}
+    for index, key in enumerate(classify_points(coords, tol)):
+        text = rendered.get(key)
+        if text is None:
+            report = analyzer.decide(SimplexPoint(coords[index], tol))
+            text = rendered[key] = _report_text(report, args.json)
+        if not args.json:
             if index:
                 print()
-            _print_report_text(report)
+            print(f"point: {_items(coords[index])}")
+        print(text)
+    if error is not None:
+        raise error
     if stop is not None:
         # Raises the error that deciding this literal on its own raises.
         analyzer.decide(_parse_point(stop, tol))

@@ -65,13 +65,16 @@ class NumericalBreakdownError(LpError):
     its feasibility re-check.  Never silently reported as Feasible."""
 
 
+_CODES = {Relation.LE: 0, Relation.EQ: 1, Relation.GE: 2}
+
+
 class StandardLp:
     """The system  a x (rel) rhs  and  x >= 0.
 
     Rows may be empty, variables may not.
     """
 
-    __slots__ = ("a", "relations", "rhs")
+    __slots__ = ("a", "relations", "rhs", "codes")
 
     def __init__(self, a, relations: Sequence[Relation], rhs) -> None:
         self.a = np.array(a, dtype=float)
@@ -82,12 +85,15 @@ class StandardLp:
         self.rhs = np.array(rhs, dtype=float).reshape(-1)
         if len(self.relations) != r or self.rhs.size != r:
             raise DimensionMismatchError("rows, relations, and rhs must align")
-        if not all(isinstance(rel, Relation) for rel in self.relations):
-            raise InputError("relations must be Relation members")
+        try:
+            # Relation codes for the solver: 0 for <=, 1 for =, 2 for >=.
+            self.codes = np.array([_CODES[rel] for rel in self.relations], dtype=int)
+        except (KeyError, TypeError):
+            raise InputError("relations must be Relation members") from None
         for arr, name in ((self.a, "matrix"), (self.rhs, "rhs")):
             if not np.isfinite(arr).all():
                 raise InputError(f"{name} entries must be finite")
-        for arr in (self.a, self.rhs):
+        for arr in (self.a, self.rhs, self.codes):
             arr.setflags(write=False)
 
     @property
@@ -187,9 +193,6 @@ def _run_simplex(
             )
 
 
-_CODES = {Relation.LE: 0, Relation.EQ: 1, Relation.GE: 2}
-
-
 def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
     """Decide whether ``lp`` is Feasible or Infeasible.
 
@@ -200,11 +203,10 @@ def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
     n_struct, r = lp.num_vars, lp.num_rows
 
     # Sign-normalize rows, then append slack/surplus and artificial columns.
-    # Codes: 0 for <=, 1 for =, 2 for >=; a flipped inequality swaps 0 and 2.
+    # A flipped inequality swaps codes 0 (<=) and 2 (>=).
     flip = lp.rhs < 0.0
     b = np.abs(lp.rhs)
-    rel_codes = np.array([_CODES[rel] for rel in lp.relations], dtype=int)
-    rel_codes = np.where(flip & (rel_codes != 1), 2 - rel_codes, rel_codes)
+    rel_codes = np.where(flip & (lp.codes != 1), 2 - lp.codes, lp.codes)
 
     slack_rows = (rel_codes != 1).nonzero()[0]
     art_rows = (rel_codes != 0).nonzero()[0]

@@ -48,8 +48,13 @@ def build_dominance_lp(matrix: CriteriaMatrix, x: SimplexPoint) -> StandardLp:
         )
     k, n = matrix.k, matrix.n
     criteria = matrix.normalized
-    gains = np.hstack([criteria, -(criteria @ x.coords)[:, None]])
-    rows = np.vstack([np.append(np.ones(n), -1.0), gains, gains.sum(axis=0)])
+    rows = np.empty((k + 2, n + 1))
+    rows[0, :n] = 1.0
+    rows[0, n] = -1.0
+    gains = rows[1 : k + 1]
+    gains[:, :n] = criteria
+    gains[:, n] = -(criteria @ x.coords)
+    rows[-1] = gains.sum(axis=0)
     relations = [Relation.EQ] + [Relation.GE] * k + [Relation.EQ]
     rhs = np.zeros(k + 2)
     rhs[-1] = 1.0

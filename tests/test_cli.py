@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from conftest import EDGE_ONLY_ROWS, ALL_EFFICIENT_ROWS
@@ -300,20 +301,79 @@ def test_malformed_point_literal(capsys, edge_json):
     assert code == 2
 
 
+# Each entry: the literals after the two good points, the exit code and
+# stderr.  The later entries hold n - 1 commas per literal, or N * n numbers
+# in all, so that parsing every literal in one pass must find the same
+# first bad literal as parsing them one by one.
 BAD_THIRD_POINTS = [
-    ("0.5,oops,0.5", 2, "error: malformed point literal '0.5,oops,0.5': could not convert string to float: 'oops'\n"),
-    ("0.5,0.6,0", 2, "error: components sum to 1.1, not 1\n"),
-    ("0.5,-0.001,0.501", 2, "error: component -0.001 is below -x_zero\n"),
-    ("0.5,0.5", 3, "error: point has 2 components, matrix has 3 columns\n"),
+    (("0.5,oops,0.5",), 2, "error: malformed point literal '0.5,oops,0.5': could not convert string to float: 'oops'\n"),
+    (("0.5,0.6,0",), 2, "error: components sum to 1.1, not 1\n"),
+    (("0.5,-0.001,0.501",), 2, "error: component -0.001 is below -x_zero\n"),
+    (("0.5,0.5",), 3, "error: point has 2 components, matrix has 3 columns\n"),
+    (("0.5,0.5", "0.25,0.25,0.25,0.25"), 3, "error: point has 2 components, matrix has 3 columns\n"),
+    (("0.5,,0.5",), 2, "error: malformed point literal '0.5,,0.5': could not convert string to float: ''\n"),
+    (("0.5,0.5,",), 2, "error: malformed point literal '0.5,0.5,': could not convert string to float: ''\n"),
+    (("1e400,0,0",), 2, "error: point components must be finite\n"),
+    (("nan,0.5,0.5",), 2, "error: point components must be finite\n"),
+    ((" 0.5,0.6,0",), 2, "error: components sum to 1.1, not 1\n"),
+]
+BAD_THIRD_IDS = [
+    "malformed", "sum", "below", "length",
+    "split-length", "empty-part", "trailing-comma", "overflow", "nan", "space",
 ]
 
 
 @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
-@pytest.mark.parametrize(("bad", "code", "message"), BAD_THIRD_POINTS, ids=["malformed", "sum", "below", "length"])
+@pytest.mark.parametrize(("bad", "code", "message"), BAD_THIRD_POINTS, ids=BAD_THIRD_IDS)
 def test_test_reports_the_points_before_a_bad_one(capsys, edge_json, mode, bad, code, message):
     _, before, _ = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0")
-    got = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0", bad, "0,1,0", "oops")
-    assert got == (code, before, message)
+    for tail in (("0,1,0",), ("0,1,0", "oops")):
+        got = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0", *bad, *tail)
+        assert got == (code, before, message)
+
+
+@pytest.mark.parametrize("tol_x", [None, "1e-4"], ids=["default-tol-x", "tol-x-1e-4"])
+@pytest.mark.parametrize("seed", range(3))
+def test_keyed_output_equals_per_point_output(capsys, tmp_path, seed, tol_x):
+    """`test` decides and renders each (class, clamped indices) key once;
+    every point still prints what it prints when run alone, and its text
+    block starts with its own clamped coordinates."""
+    rng = np.random.default_rng(seed)
+    n = 5
+    path = write_csv_matrix(tmp_path, rng.integers(-9, 10, size=(3, n)).tolist())
+    options = () if tol_x is None else ("--tol-x", tol_x)
+    x_zero = 1e-9 if tol_x is None else float(tol_x)
+    supports = [(1,), (2, 4), (1, 3, 5), tuple(range(1, n + 1))]
+    literals, clamped_rows = [], []
+    for _ in range(24):
+        support = supports[rng.integers(len(supports))]
+        coords = np.zeros(n)
+        mass = rng.uniform(0.1, 1.0, len(support))
+        coords[[j - 1 for j in support]] = mass / mass.sum()
+        # Mass within the zero threshold, either side of zero, off the support.
+        small = (coords == 0.0) & (rng.random(n) < 0.4)
+        coords[small] = x_zero * rng.uniform(0.1, 1.0, small.sum()) * rng.choice([-1.0, 1.0], small.sum())
+        literals.append(",".join(repr(float(c)) for c in coords))
+        clamped_rows.append(np.where(coords < 0.0, 0.0, coords))
+    assert any(c < 0.0 for c in map(float, ",".join(literals).split(",")))
+
+    outputs = {}
+    for mode, separator in (("text", "\n"), ("--json", "")):
+        flags = (*options, mode) if mode == "--json" else options
+        # "--" ends the options, since a literal may start with a minus sign.
+        code, out, err = run(capsys, "test", path, *flags, "--", *literals)
+        alone = [run(capsys, "test", path, *flags, "--", literal) for literal in literals]
+        assert (code, err) == (0, "")
+        assert all((c, e) == (0, "") for c, _, e in alone)
+        assert out == separator.join(o for _, o, _ in alone)
+        outputs[mode] = out
+    points = [line for line in outputs["text"].splitlines() if line.startswith("point: ")]
+    assert points == [f"point: {', '.join(format(c, '.17g') for c in row)}" for row in clamped_rows]
+    reports = [json.loads(line) for line in outputs["--json"].splitlines()]
+    keys = [(r["class"], tuple(r["support"]), tuple(r["clamped"])) for r in reports]
+    # Keys repeat, and some class recurs with other clamped indices.
+    assert len(set(keys)) < len(keys)
+    assert len(set(keys)) > len({key[:2] for key in keys})
 
 
 @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])

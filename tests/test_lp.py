@@ -74,6 +74,9 @@ def test_validation():
         StandardLp(np.zeros((0, 0)), [], [])
     with pytest.raises(InputError):
         StandardLp([1.0], [Relation.LE], [1.0])
+    for relation in ("<=", "LE", ["<="]):
+        with pytest.raises(InputError, match="^relations must be Relation members$"):
+            StandardLp([[1.0]], [relation], [1.0])
 
 
 def test_breakdown_messages_name_the_pivot_count(monkeypatch):
