@@ -316,16 +316,11 @@ def cmd_enumerate(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
     }
     agreement = None
     if args.oracle:
-        # Each support's barycenter, all checked in one batch.
-        rows = np.zeros((len(supports), matrix.n))
-        for row, combo in zip(rows, supports):
-            row[[j - 1 for j in combo]] = 1.0 / len(combo)
-        coords, error = check_points(rows, tol)
-        if error is not None:
-            raise error
         agreement = []
-        for combo, row in zip(supports, coords):
-            verdict = dominance_lp_verdict(matrix, SimplexPoint.trusted(row), tol)
+        for combo in supports:
+            coords = np.zeros(matrix.n)
+            coords[[j - 1 for j in combo]] = 1.0 / len(combo)
+            verdict = dominance_lp_verdict(matrix, SimplexPoint(coords, tol), tol)
             if len(combo) == 1:
                 efficient = combo[0] in structure.vertices
             else:

@@ -47,13 +47,25 @@ whenever the subset's is.  The analyzer keeps the supports its closure
 programs found dominated, and decides a support containing one of them
 dominated by the closure test, with no certificate, without building or
 solving a program: the decision solving would give.
+
+The weights that certify a support usually tie more columns: their argmax
+face.  Those weights certify every support inside the face too, so
+``EfficiencyAnalyzer.efficient``, the support predicate the face scan
+asks, keeps the argmax face of each closure certificate it has verified,
+vertices included, and decides a support inside one of them efficient
+without building or solving a program.  Only certificates that pass the
+closure re-verification on the original matrix are kept, and a kept face
+counts a column as tied only within the solver tolerance, so each such
+verdict rests on weights that satisfy the support's own closure program
+to the solver's accuracy.  Kept faces persist for the analyzer's
+lifetime; ``decide`` neither reads nor adds them.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -252,8 +264,9 @@ class EfficiencyAnalyzer:
     is solved at most once per analyzer, and each point class is decided
     once: its verdict, test, certificate and face are extracted and
     re-verified on first use and kept.  A support containing one that its
-    closure program found dominated is decided dominated without a program
-    (see the module docstring).  ``decide`` and ``decide_many`` read the
+    closure program found dominated is decided dominated without a program,
+    and ``efficient`` decides a support inside a kept face efficient without
+    one (see the module docstring).  ``decide`` and ``decide_many`` read the
     same per-class decisions.  The caches are keyed on supports or classes
     and guarded by a lock; instances are safe to share across threads.
     """
@@ -265,8 +278,9 @@ class EfficiencyAnalyzer:
         self._programs: dict[tuple[TestKind, SupportPattern], TestResult] = {}
         self._decisions: dict[PointClass, _Decision] = {}
         # Bit masks (bit j for column j) of the supports decided dominated
-        # by their own closure program.
+        # by their own closure program, and of the faces ``efficient`` keeps.
         self._dominated: list[int] = []
+        self._kept: list[int] = []
 
     def _cached(self, cache: dict, key, compute):
         """cache[key], computed outside the lock on a miss; when two threads
@@ -358,29 +372,53 @@ class EfficiencyAnalyzer:
     def _decide_class(self, point_class: PointClass) -> _Decision:
         t0 = self.t0()
         if t0.certified:
-            return self._efficient(t0)
+            return self._proved(t0)
         if isinstance(point_class, Randomized):
             # No all-tying weights exist, so no randomized point is efficient.
             return _Decision(Verdict.DOMINATED, TestKind.T0, None, None)
         support = point_class.support
-        mask = sum(1 << j for j in support.indices)
-        with self._lock:
-            inferred = any(d & mask == d for d in self._dominated)
-        if inferred:
-            # Contains a dominated support, so its closure program is infeasible too.
+        closure = self._closure_route(support)
+        if closure is None or not closure.certified:
             return _Decision(Verdict.DOMINATED, TestKind.CLOSURE, None, None)
-        closure = self.closure(support)
-        if not closure.certified:
-            with self._lock:
-                self._dominated.append(mask)
-            return _Decision(Verdict.DOMINATED, TestKind.CLOSURE, None, None)
-        decision = self._efficient(closure)
+        decision = self._proved(closure)
         exact = TestKind.T2 if len(support) == 1 else TestKind.T1
         if decision.face == argmax_descriptor(support, self.matrix.n):
             # The weak gaps came out strict, so these weights name the exact face.
             return decision._replace(test=exact)
         strict = self.t2(support.indices[0]) if exact is TestKind.T2 else self.t1(support)
-        return self._efficient(strict) if strict.certified else decision
+        return self._proved(strict) if strict.certified else decision
+
+    def efficient(self, support: SupportPattern) -> bool:
+        """Whether ``support``, short of the full one, is efficient: true
+        inside a kept face, otherwise as ``_closure_route`` decides.  A feasible
+        program's argmax face, tied within ``tol.lp``, is kept once its
+        certificate passes ``verified`` (see the module docstring)."""
+        mask = _mask(support)
+        with self._lock:
+            if any(mask & face == mask for face in self._kept):
+                return True
+        result = self._closure_route(support)
+        if result is None or not result.certified:
+            return False
+        verified = self.verified(result, replace(self.tol, tie=self.tol.lp))
+        if verified is not None:
+            with self._lock:
+                self._kept.append(_mask(verified[1]))
+        return True
+
+    def _closure_route(self, support: SupportPattern) -> TestResult | None:
+        """The closure program on ``support``, or None when the support
+        contains one found dominated, so that its program is infeasible too.
+        An infeasible program records its support as dominated."""
+        mask = _mask(support)
+        with self._lock:
+            if any(d & mask == d for d in self._dominated):
+                return None
+        result = self.closure(support)
+        if not result.certified:
+            with self._lock:
+                self._dominated.append(mask)
+        return result
 
     def verified(
         self, result: TestResult, tol: Tolerances | None = None
@@ -399,7 +437,7 @@ class EfficiencyAnalyzer:
             return None
         return certificate, tied
 
-    def _efficient(self, result: TestResult) -> _Decision:
+    def _proved(self, result: TestResult) -> _Decision:
         """The decision a feasible program proves, once its certificate
         passes ``verified``.  The face is the weights' argmax pattern."""
         verified = self.verified(result)
@@ -415,6 +453,11 @@ class EfficiencyAnalyzer:
             certificate,
             argmax_descriptor(tied, self.matrix.n),
         )
+
+
+def _mask(support: SupportPattern) -> int:
+    """Bit j set for each column j of ``support``."""
+    return sum(1 << j for j in support.indices)
 
 
 def decide(

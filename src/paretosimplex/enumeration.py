@@ -2,27 +2,20 @@
 
 Because efficiency depends only on a point's support, the efficient set
 is a union of open faces and the whole structure is finite: one verdict
-per support pattern.  Each support is decided by the closure program
-alone, the predicate ``decide`` uses too: a support is efficient exactly
-when some strictly positive weighting keeps it at the maximum.  Efficient
-supports are closed under subsets, since weights that keep a support at
-the maximum keep each of its subsets there.  The face scan is therefore
-level-wise: starting from the efficient vertices, it tests a support of
-size s only when all its subsets of size s-1 are efficient, and stops at
-the first size with no efficient support.  Every skipped support has a
-dominated subset, so the scan is exact, and its cost follows the size of
-the efficient set rather than the 2**n supports.
-
-The weights that certify a support usually tie more columns: their argmax
-face.  Those weights certify every support inside the face too, so the
-scan keeps the argmax face of each certificate it has verified, vertices
-included, and decides a support inside one of them efficient without
-building or solving a program.  Only certificates that pass the closure
-re-verification on the original matrix are kept, and a kept face counts
-a column as tied only within the solver tolerance, so each such verdict
-rests on weights that satisfy the support's own closure program to the
-solver's accuracy.  The scan can be limited to small supports, and an
-enumeration that would list more than MAX_LISTED_SUPPORTS is refused.
+per support pattern.  Each support is decided by the analyzer's
+``efficient`` predicate, the closure test ``decide`` uses too: a support
+is efficient exactly when some strictly positive weighting keeps it at the
+maximum.  Efficient supports are closed under subsets, since weights that
+keep a support at the maximum keep each of its subsets there.  The face
+scan is therefore level-wise: starting from the efficient vertices, it
+tests a support of size s only when all its subsets of size s-1 are
+efficient, and stops at the first size with no efficient support.  Every
+skipped support has a dominated subset, so the scan is exact, and its cost
+follows the size of the efficient set rather than the 2**n supports.  The
+analyzer decides a support inside the argmax face of a certificate it has
+already verified without a program (see ``paretosimplex.efficiency``).
+The scan can be limited to small supports, and an enumeration that would
+list more than MAX_LISTED_SUPPORTS is refused.
 """
 
 from __future__ import annotations
@@ -30,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +67,7 @@ class EfficientStructure:
     size two and up within the scanned sizes: those whose closure program
     is feasible, found by the level-wise scan (exact, since efficient
     supports are closed under subsets).  A support inside the argmax face
-    of a certificate the scan already verified is decided without a
+    of a certificate the analyzer already verified is decided without a
     program.  exhaustive is set when no support size up to n-1 was cut
     off, so the structure describes the entire efficient set.  It lists
     at most MAX_LISTED_SUPPORTS faces.
@@ -101,7 +94,7 @@ def check_full(
     result = analyzer.t0()
     if not result.certified:
         return False, None
-    return True, analyzer._efficient(result).certificate
+    return True, analyzer._proved(result).certificate
 
 
 def enumerate_vertices(
@@ -113,40 +106,10 @@ def enumerate_vertices(
     maximizes any strictly positive weighting, and one always exists that
     certifies at least one vertex."""
     analyzer = analyzer or EfficiencyAnalyzer(matrix, tol)
-    full, _ = check_full(matrix, tol, analyzer)
-    if full:
-        return frozenset(range(1, matrix.n + 1))
-    faces: list[frozenset[int]] = []
-    return frozenset(
-        j for j in range(1, matrix.n + 1) if _efficient(analyzer, (j,), faces)
-    )
-
-
-def _efficient(
-    analyzer: EfficiencyAnalyzer, support: tuple[int, ...], faces: list[frozenset[int]]
-) -> bool:
-    """Whether ``support``, sorted 1-based column indices, is efficient,
-    given ``faces``, the argmax faces of certificates verified so far in
-    this scan.
-
-    A support inside one of them is efficient by that face's weights, and
-    no program is solved.  Otherwise its closure program decides, and when
-    the program is feasible and its certificate passes the analyzer's
-    re-verification, the certificate's argmax face joins ``faces``.  That
-    face counts a column as tied only within the solver tolerance
-    ``tol.lp``, not the looser ``tol.tie``, so the kept weights pass the
-    solver's feasibility re-check on the closure program of every support
-    the face covers.
-    """
-    columns = frozenset(support)
-    if any(columns <= face for face in faces):
-        return True
-    result = analyzer.closure(SupportPattern.trusted(support))
-    if result.certified:
-        verified = analyzer.verified(result, replace(analyzer.tol, tie=analyzer.tol.lp))
-        if verified is not None:
-            faces.append(frozenset(verified[1]))
-    return result.certified
+    columns = range(1, matrix.n + 1)
+    if check_full(matrix, tol, analyzer)[0]:
+        return frozenset(columns)
+    return frozenset(j for j in columns if analyzer.efficient(SupportPattern.trusted((j,))))
 
 
 def _scan_sizes(n: int, max_support: int | None) -> range:
@@ -206,18 +169,16 @@ def enumerate_faces(
     analyzer = analyzer or EfficiencyAnalyzer(matrix, tol)
     sizes = _scan_sizes(n, max_support)
     exhaustive = sizes.stop > n - 1
-    full, _ = check_full(matrix, tol, analyzer)
-    if full:
+    vertices = enumerate_vertices(matrix, tol, analyzer)
+    if analyzer.t0().certified:
         faces = frozenset(map(SupportPattern.trusted, _listed_supports(n, max_support)))
-        return EfficientStructure(True, frozenset(range(1, n + 1)), faces, exhaustive)
-    certified: list[frozenset[int]] = []
-    vertices = frozenset(j for j in range(1, n + 1) if _efficient(analyzer, (j,), certified))
+        return EfficientStructure(True, vertices, faces, exhaustive)
     level = [(j,) for j in sorted(vertices)]
     faces: list[tuple[int, ...]] = []
     for _ in sizes:
         start = len(faces)
         for combo in _candidates(level):
-            if _efficient(analyzer, combo, certified):
+            if analyzer.efficient(SupportPattern.trusted(combo)):
                 faces.append(combo)
                 if len(faces) > MAX_LISTED_SUPPORTS:
                     raise EnumerationCapError(

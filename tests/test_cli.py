@@ -148,6 +148,15 @@ def test_enumerate_oracle_crosscheck(capsys, edge_json):
     assert "DISAGREE" not in out
 
 
+def test_enumerate_oracle_builds_its_points_through_the_class_name(capsys, edge_json, monkeypatch):
+    # Wrappers such as a tracer may replace ``cli.SimplexPoint`` with a plain
+    # function, so the oracle sweep must not reach its class attributes.
+    expected = run(capsys, "enumerate", edge_json, "--oracle", "--json")
+    real_point = cli.SimplexPoint
+    monkeypatch.setattr(cli, "SimplexPoint", lambda coords, tol: real_point(coords, tol))
+    assert run(capsys, "enumerate", edge_json, "--oracle", "--json") == expected
+
+
 def test_enumerate_oracle_disagreement_exits_4(capsys, edge_json, monkeypatch):
     real_verdict = cli.dominance_lp_verdict
 
@@ -483,7 +492,7 @@ def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypat
             line + "\n" for line in shown
         ), command
         ran += 1
-    assert ran == 8
+    assert ran == 9
 
 
 # Matrix files for the error table, read from the working directory so

@@ -1,6 +1,8 @@
 """Enumeration of the efficient structure and the two-criteria shortcut."""
 
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -365,23 +367,32 @@ def test_face_reuse_matches_the_no_reuse_reference():
     assert compared >= 125 and near_ties >= 30
 
 
-def test_support_inside_a_certified_face_solves_no_program(monkeypatch):
-    # Under weights (1, 1) columns 1, 2 and 3 tie at 2 and column 4 trails,
-    # so vertex 1's closure certificate ties the face {1, 2, 3}; column 2
-    # is the midpoint of columns 1 and 3.
-    matrix = CriteriaMatrix([[2.0, 1.0, 0.0, -3.0], [0.0, 1.0, 2.0, -3.0]])
-    closures, solved = [], []
-    real_closure, real_solve = EfficiencyAnalyzer.closure, efficiency_module.solve
+def recording_closures(monkeypatch) -> list:
+    """Patch ``EfficiencyAnalyzer.closure`` to record the supports it is
+    asked about, and return that record."""
+    closures = []
+    real_closure = EfficiencyAnalyzer.closure
 
     def recording(analyzer, pattern):
         closures.append(pattern)
         return real_closure(analyzer, pattern)
 
+    monkeypatch.setattr(EfficiencyAnalyzer, "closure", recording)
+    return closures
+
+
+def test_support_inside_a_certified_face_solves_no_program(monkeypatch):
+    # Under weights (1, 1) columns 1, 2 and 3 tie at 2 and column 4 trails,
+    # so vertex 1's closure certificate ties the face {1, 2, 3}; column 2
+    # is the midpoint of columns 1 and 3.
+    matrix = CriteriaMatrix([[2.0, 1.0, 0.0, -3.0], [0.0, 1.0, 2.0, -3.0]])
+    closures, solved = recording_closures(monkeypatch), []
+    real_solve = efficiency_module.solve
+
     def counting_solve(lp, tol):
         solved.append(lp)
         return real_solve(lp, tol)
 
-    monkeypatch.setattr(EfficiencyAnalyzer, "closure", recording)
     monkeypatch.setattr(efficiency_module, "solve", counting_solve)
     structure = enumerate_faces(matrix)
     assert structure.vertices == {1, 2, 3}
@@ -393,3 +404,80 @@ def test_support_inside_a_certified_face_solves_no_program(monkeypatch):
     # candidate would solve 9 programs.
     assert closures == [SupportPattern((1,)), SupportPattern((4,))]
     assert len(solved) == 3
+
+
+def test_a_second_scan_on_one_analyzer_asks_no_closure_program(monkeypatch):
+    # The analyzer keeps the faces and the dominated supports the first
+    # scan found, and those answer every support the second scan tests.
+    closures = recording_closures(monkeypatch)
+    rng = np.random.default_rng(1606)
+    asked = faces = 0
+    for _ in range(60):
+        matrix = random_matrix(rng, n=int(rng.integers(3, 9)))
+        fresh = enumerate_faces(matrix)
+        analyzer = EfficiencyAnalyzer(matrix)
+        closures.clear()
+        assert enumerate_faces(matrix, analyzer=analyzer) == fresh
+        asked += len(closures)
+        closures.clear()
+        assert enumerate_faces(matrix, analyzer=analyzer) == fresh
+        assert closures == []
+        faces += len(fresh.faces)
+    assert asked >= 200 and faces >= 100
+
+
+def test_a_vertex_decide_found_dominated_needs_no_closure_call(edge_matrix, monkeypatch):
+    analyzer = EfficiencyAnalyzer(edge_matrix)
+    assert analyzer.decide(vertex(3, 3)).verdict is Verdict.DOMINATED
+    closures = recording_closures(monkeypatch)
+    assert not analyzer.efficient(SupportPattern((3,)))
+    assert closures == []
+    assert enumerate_vertices(edge_matrix, analyzer=analyzer) == {1, 2}
+    assert SupportPattern((3,)) not in closures
+
+
+def test_decide_after_a_scan_gives_the_fresh_reports():
+    # ``decide`` neither reads nor adds kept faces: after a scan on the
+    # same analyzer, each barycenter gets the report a fresh analyzer gives.
+    def summary(report):
+        weights = None if report.certificate is None else report.certificate.weights.tolist()
+        return report.point_class, report.verdict, report.test, weights, report.face
+
+    rng = np.random.default_rng(1607)
+    for _ in range(20):
+        matrix = random_matrix(rng, n=int(rng.integers(3, 7)))
+        analyzer = EfficiencyAnalyzer(matrix)
+        enumerate_faces(matrix, analyzer=analyzer)
+        for size in range(1, matrix.n):
+            for combo in itertools.combinations(range(1, matrix.n + 1), size):
+                point = SimplexPoint(barycenter(matrix.n, combo))
+                assert summary(analyzer.decide(point)) == summary(decide(matrix, point))
+
+
+def test_scans_sharing_one_analyzer_across_threads(monkeypatch):
+    # Kept faces and dominated supports are shared state: 8 threads scan
+    # one analyzer at once, and each gets the structure a fresh scan gives.
+    # A face or support lost between threads would make the next scan ask
+    # a closure program again.  A duplicated column widens the faces.
+    closures = recording_closures(monkeypatch)
+    rng = np.random.default_rng(1608)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    faces = 0
+    try:
+        for _ in range(10):
+            entries = rng.integers(-9, 10, size=(3, 8)).astype(float)
+            entries[:, 7] = entries[:, 0]
+            matrix = CriteriaMatrix(entries)
+            expected = enumerate_faces(matrix)
+            analyzer = EfficiencyAnalyzer(matrix)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                scans = [pool.submit(enumerate_faces, matrix, analyzer=analyzer) for _ in range(8)]
+                assert [scan.result(timeout=60) for scan in scans] == [expected] * 8
+            closures.clear()
+            assert enumerate_faces(matrix, analyzer=analyzer) == expected
+            assert closures == []
+            faces += len(expected.faces)
+    finally:
+        sys.setswitchinterval(interval)
+    assert faces >= 40
