@@ -63,8 +63,8 @@ from .scalarize import (
     FullSimplex,
     UniqueVertex,
     WeightVector,
+    argmax_descriptor,
     argmax_set,
-    solution_set,
     weighted_objective,
 )
 
@@ -286,7 +286,7 @@ def cmd_test(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) 
 
 
 def cmd_check_full(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
-    full, certificate = check_full(matrix, tol)
+    full, certificate = check_full(EfficiencyAnalyzer(matrix, tol))
     payload = {
         "full": full,
         "certificate": None if certificate is None else [float(w) for w in certificate.weights],
@@ -304,7 +304,7 @@ def cmd_enumerate(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
     if args.oracle:
         # Listed first, so that a sweep past the listing bound is refused unscanned.
         supports = [(j,) for j in range(1, matrix.n + 1)] + _listed_supports(matrix.n, args.max_support)
-    structure = enumerate_faces(matrix, tol, max_support=args.max_support)
+    structure = enumerate_faces(EfficiencyAnalyzer(matrix, tol), args.max_support)
     vertices = sorted(structure.vertices)
     faces = sorted(structure.faces, key=lambda p: (len(p), p.indices))
     payload = {
@@ -350,7 +350,7 @@ def cmd_scalarize(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
     weights = WeightVector(_numbers(args.weights, "weights"))
     objective = weighted_objective(matrix, weights)
     tied = argmax_set(objective, tol)
-    desc_payload = _face_payload(solution_set(matrix, weights, tol), matrix.n)
+    desc_payload = _face_payload(argmax_descriptor(tied, matrix.n), matrix.n)
     payload = {
         "coeffs": [float(c) for c in objective.coeffs],
         "dmax": objective.dmax,

@@ -106,7 +106,6 @@ __all__ = [
     "build_t0",
     "build_t1",
     "build_t2",
-    "decide",
     "verify_certificate",
 ]
 
@@ -203,12 +202,7 @@ def build_t0(matrix: CriteriaMatrix) -> TestProgram:
 
 def build_t1(matrix: CriteriaMatrix, support: SupportPattern) -> TestProgram:
     """Certificate program for the open face on ``support``."""
-    if not 2 <= len(support) <= matrix.n - 1:
-        raise InputError(
-            f"support size {len(support)} outside 2..{matrix.n - 1} for n={matrix.n}"
-        )
-    if support.indices[-1] > matrix.n:
-        raise DimensionMismatchError("support index exceeds the number of columns")
+    _check_support(matrix, support, 2)
     return _build(matrix, support, TestKind.T1)
 
 
@@ -225,13 +219,18 @@ def build_closure(matrix: CriteriaMatrix, support: SupportPattern) -> TestProgra
     tie and the rest must not exceed them.  Tying all columns is the job
     of the all-column program, so the full support is rejected here.
     """
-    if not 1 <= len(support) <= matrix.n - 1:
+    _check_support(matrix, support, 1)
+    return _build(matrix, support, TestKind.CLOSURE)
+
+
+def _check_support(matrix: CriteriaMatrix, support: SupportPattern, smallest: int) -> None:
+    """Raise unless ``support`` has smallest..n-1 columns, all of ``matrix``."""
+    if not smallest <= len(support) <= matrix.n - 1:
         raise InputError(
-            f"support size {len(support)} outside 1..{matrix.n - 1} for n={matrix.n}"
+            f"support size {len(support)} outside {smallest}..{matrix.n - 1} for n={matrix.n}"
         )
     if support.indices[-1] > matrix.n:
         raise DimensionMismatchError("support index exceeds the number of columns")
-    return _build(matrix, support, TestKind.CLOSURE)
 
 
 def _expected_support(matrix: CriteriaMatrix, point_class: PointClass) -> SupportPattern:
@@ -268,7 +267,10 @@ class EfficiencyAnalyzer:
     and ``efficient`` decides a support inside a kept face efficient without
     one (see the module docstring).  ``decide`` and ``decide_many`` read the
     same per-class decisions.  The caches are keyed on supports or classes
-    and guarded by a lock; instances are safe to share across threads.
+    and guarded by a lock; instances are safe to share across threads.  The
+    analyzer is the one object that pairs a matrix with tolerances:
+    ``check_full``, ``enumerate_vertices`` and ``enumerate_faces`` take one,
+    so whatever they solve stays cached on it.
     """
 
     def __init__(self, matrix: CriteriaMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
@@ -392,7 +394,10 @@ class EfficiencyAnalyzer:
         """Whether ``support``, short of the full one, is efficient: true
         inside a kept face, otherwise as ``_closure_route`` decides.  A feasible
         program's argmax face, tied within ``tol.lp``, is kept once its
-        certificate passes ``verified`` (see the module docstring)."""
+        certificate passes ``verified`` (see the module docstring).  A
+        support that is not a closure program's raises as ``build_closure``
+        does, whatever the caches hold."""
+        _check_support(self.matrix, support, 1)
         mask = _mask(support)
         with self._lock:
             if any(mask & face == mask for face in self._kept):
@@ -459,13 +464,3 @@ def _mask(support: SupportPattern) -> int:
     """Bit j set for each column j of ``support``."""
     return sum(1 << j for j in support.indices)
 
-
-def decide(
-    matrix: CriteriaMatrix,
-    x: SimplexPoint,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> EfficiencyReport:
-    """Decide efficiency of one point.  Builds a fresh analyzer; callers
-    checking many points against one matrix should hold an
-    EfficiencyAnalyzer instead to reuse its certificate cache."""
-    return EfficiencyAnalyzer(matrix, tol).decide(x)

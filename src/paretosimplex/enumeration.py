@@ -2,7 +2,10 @@
 
 Because efficiency depends only on a point's support, the efficient set
 is a union of open faces and the whole structure is finite: one verdict
-per support pattern.  Each support is decided by the analyzer's
+per support pattern.  ``check_full``, ``enumerate_vertices`` and
+``enumerate_faces`` take an ``EfficiencyAnalyzer``, which holds the
+matrix and tolerances, and every program they solve and face they keep
+stays on it for later calls.  Each support is decided by the analyzer's
 ``efficient`` predicate, the closure test ``decide`` uses too: a support
 is efficient exactly when some strictly positive weighting keeps it at the
 maximum.  Efficient supports are closed under subsets, since weights that
@@ -79,35 +82,25 @@ class EfficientStructure:
     exhaustive: bool
 
 
-def check_full(
-    matrix: CriteriaMatrix,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    analyzer: EfficiencyAnalyzer | None = None,
-) -> tuple[bool, WeightVector | None]:
+def check_full(analyzer: EfficiencyAnalyzer) -> tuple[bool, WeightVector | None]:
     """Decide whether every feasible point is efficient.
 
     True comes with a verified certificate: strictly positive weights
     under which every column ties.  A certificate that fails the check
     raises ``NumericalBreakdownError``, as in ``decide``.
     """
-    analyzer = analyzer or EfficiencyAnalyzer(matrix, tol)
     result = analyzer.t0()
     if not result.certified:
         return False, None
     return True, analyzer._proved(result).certificate
 
 
-def enumerate_vertices(
-    matrix: CriteriaMatrix,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    analyzer: EfficiencyAnalyzer | None = None,
-) -> frozenset[int]:
+def enumerate_vertices(analyzer: EfficiencyAnalyzer) -> frozenset[int]:
     """1-based indices of the efficient vertices.  Never empty: some vertex
     maximizes any strictly positive weighting, and one always exists that
     certifies at least one vertex."""
-    analyzer = analyzer or EfficiencyAnalyzer(matrix, tol)
-    columns = range(1, matrix.n + 1)
-    if check_full(matrix, tol, analyzer)[0]:
+    columns = range(1, analyzer.matrix.n + 1)
+    if check_full(analyzer)[0]:
         return frozenset(columns)
     return frozenset(j for j in columns if analyzer.efficient(SupportPattern.trusted((j,))))
 
@@ -150,10 +143,7 @@ def _candidates(level: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_faces(
-    matrix: CriteriaMatrix,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    max_support: int | None = None,
-    analyzer: EfficiencyAnalyzer | None = None,
+    analyzer: EfficiencyAnalyzer, max_support: int | None = None
 ) -> EfficientStructure:
     """Find the efficient vertices, then the efficient support patterns
     level by level as the module docstring describes.
@@ -163,13 +153,12 @@ def enumerate_faces(
     ``EnumerationCapError`` as soon as the faces found pass
     MAX_LISTED_SUPPORTS.
     """
-    n = matrix.n
+    n = analyzer.matrix.n
     if max_support is not None and max_support < 2:
         raise InputError("max_support below 2 scans no faces; omit it instead")
-    analyzer = analyzer or EfficiencyAnalyzer(matrix, tol)
     sizes = _scan_sizes(n, max_support)
     exhaustive = sizes.stop > n - 1
-    vertices = enumerate_vertices(matrix, tol, analyzer)
+    vertices = enumerate_vertices(analyzer)
     if analyzer.t0().certified:
         faces = frozenset(map(SupportPattern.trusted, _listed_supports(n, max_support)))
         return EfficientStructure(True, vertices, faces, exhaustive)

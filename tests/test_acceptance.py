@@ -32,7 +32,6 @@ from paretosimplex import (
     WeightVector,
     bicriterion_full_check,
     check_full,
-    decide,
     dominance_lp_verdict,
     enumerate_faces,
     enumerate_vertices,
@@ -120,7 +119,7 @@ def test_criterion_1_worked_example(report):
         values[f"T1{combo}"] = analyzer.t1(SupportPattern(combo)).value
     for j in (1, 2, 3):
         values[f"T2({j})"] = analyzer.t2(j).value
-    structure = enumerate_faces(matrix, analyzer=analyzer)
+    structure = enumerate_faces(analyzer)
     elapsed = time.perf_counter() - started
 
     expected = {
@@ -148,7 +147,7 @@ def test_criterion_1_worked_example(report):
 
 def test_criterion_2_fully_efficient_instance(report):
     matrix = CriteriaMatrix(ALL_EFFICIENT_ROWS)
-    full, certificate = check_full(matrix)
+    full, certificate = check_full(EfficiencyAnalyzer(matrix))
     emitted_ok = (
         full
         and certificate is not None
@@ -231,8 +230,8 @@ def test_criterion_5_support_invariance(report):
                     first = SimplexPoint(random_point_on_support(rng, n, combo))
                     second = SimplexPoint(random_point_on_support(rng, n, combo))
                     # fresh decide per point: no shared cache to hide a bug
-                    va = decide(matrix, first).verdict
-                    vb = decide(matrix, second).verdict
+                    va = EfficiencyAnalyzer(matrix).decide(first).verdict
+                    vb = EfficiencyAnalyzer(matrix).decide(second).verdict
                     pairs += 1
                     if va is not vb:
                         violations.append(
@@ -250,7 +249,7 @@ def test_criterion_6_existence(sweep, report):
         rec.matrix.entries.tolist()
         for rec in records
         if rec.t0 == 0.0
-        and not enumerate_vertices(rec.matrix, analyzer=rec.analyzer)
+        and not enumerate_vertices(rec.analyzer)
     ]
     detail = f"; {len(records)} instances"
     if bad:
@@ -271,7 +270,7 @@ def test_criterion_7_ratio_condition_soundness(report):
             second.append(second[-1] + r * (first[j] - first[j + 1]))
         matrix = CriteriaMatrix([first.tolist(), second])
         ratio_ok = bicriterion_full_check(matrix)
-        lp_ok, _ = check_full(matrix)
+        lp_ok, _ = check_full(EfficiencyAnalyzer(matrix))
         if not (ratio_ok and lp_ok):
             bad.append((matrix.entries.tolist(), ratio_ok, lp_ok))
     detail = "; 100 constructed instances"

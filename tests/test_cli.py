@@ -1,5 +1,6 @@
 """End-to-end command line behaviour, run in-process through main()."""
 
+import ast
 import json
 import os
 import shlex
@@ -493,6 +494,29 @@ def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypat
         ), command
         ran += 1
     assert ran == 9
+
+
+def test_readme_library_usage_shows_what_it_returns():
+    # The "Library usage" block runs as written, and each expression
+    # statement's comment, on its line or alone on the next, starts with
+    # the repr of its value.
+    block = README.read_text().split("## Library usage", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = 0
+    for statement in ast.parse(block).body:
+        if not isinstance(statement, ast.Expr):
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+        after = lines[statement.end_lineno - 1][statement.end_col_offset :]
+        if "#" not in after:
+            after = lines[statement.end_lineno]
+        comment = after.split("#", 1)[1].strip()
+        assert comment.startswith(repr(value)), (ast.unparse(statement), comment)
+        shown += 1
+    assert shown == 6
 
 
 # Matrix files for the error table, read from the working directory so

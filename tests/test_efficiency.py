@@ -40,7 +40,6 @@ from paretosimplex import (
     build_t1,
     build_t2,
     check_points,
-    decide,
     solution_set,
     solve,
     verify_certificate,
@@ -138,7 +137,7 @@ def test_t0_optimum_on_full_instance(full_matrix):
 
 
 def test_decide_open_face_point(edge_matrix):
-    report = decide(edge_matrix, SimplexPoint([0.55, 0.45, 0.0]))
+    report = EfficiencyAnalyzer(edge_matrix).decide(SimplexPoint([0.55, 0.45, 0.0]))
     assert report.verdict is Verdict.EFFICIENT
     assert report.test is Kind.T1
     assert report.face == OpenFace(SupportPattern((1, 2)))
@@ -148,7 +147,7 @@ def test_decide_open_face_point(edge_matrix):
 
 
 def test_decide_dominated_face_point(edge_matrix):
-    report = decide(edge_matrix, SimplexPoint([0.3, 0.0, 0.7]))
+    report = EfficiencyAnalyzer(edge_matrix).decide(SimplexPoint([0.3, 0.0, 0.7]))
     assert report.verdict is Verdict.DOMINATED
     # dominated means even the weak-gap closure test failed
     assert report.test is Kind.CLOSURE
@@ -159,7 +158,7 @@ def test_decide_dominated_face_point(edge_matrix):
 
 def test_decide_vertices(edge_matrix):
     for j, expected in ((1, Verdict.EFFICIENT), (2, Verdict.EFFICIENT), (3, Verdict.DOMINATED)):
-        report = decide(edge_matrix, vertex(j, 3))
+        report = EfficiencyAnalyzer(edge_matrix).decide(vertex(j, 3))
         assert report.verdict is expected
         if expected is Verdict.EFFICIENT:
             assert report.test is Kind.T2
@@ -170,7 +169,7 @@ def test_decide_vertices(edge_matrix):
 
 
 def test_decide_randomized_point_is_dominated_when_not_full(edge_matrix):
-    report = decide(edge_matrix, SimplexPoint([0.2, 0.3, 0.5]))
+    report = EfficiencyAnalyzer(edge_matrix).decide(SimplexPoint([0.2, 0.3, 0.5]))
     assert report.verdict is Verdict.DOMINATED
     assert report.test is Kind.T0
     assert _report_payload(report)["value"] == 0.0
@@ -178,7 +177,7 @@ def test_decide_randomized_point_is_dominated_when_not_full(edge_matrix):
 
 def test_decide_on_full_instance_short_circuits(full_matrix):
     for point in (vertex(2, 3), SimplexPoint([0.5, 0.5, 0.0]), SimplexPoint([0.2, 0.3, 0.5])):
-        report = decide(full_matrix, point)
+        report = EfficiencyAnalyzer(full_matrix).decide(point)
         assert report.verdict is Verdict.EFFICIENT
         assert report.test is Kind.T0
         assert report.face == FullSimplex()
@@ -207,7 +206,7 @@ def test_column_inside_tied_hull_is_efficient():
     # column 3 is the midpoint of columns 1 and 2, so it can never be a
     # strict argmax, yet it is optimal whenever those two tie
     matrix = CriteriaMatrix([[1.0, 0.0, 0.5, -5.0], [0.0, 1.0, 0.5, -5.0]])
-    report = decide(matrix, vertex(3, 4))
+    report = EfficiencyAnalyzer(matrix).decide(vertex(3, 4))
     assert report.verdict is Verdict.EFFICIENT
     assert report.test is Kind.CLOSURE
     assert report.face == OpenFace(SupportPattern((1, 2, 3)))
@@ -222,7 +221,7 @@ def test_verify_certificate_fixture_values(edge_matrix):
 
 
 def test_clamped_boundary_point_decided_by_clamped_support(edge_matrix):
-    report = decide(edge_matrix, SimplexPoint([0.5, 0.5 - 1e-12, 1e-12]))
+    report = EfficiencyAnalyzer(edge_matrix).decide(SimplexPoint([0.5, 0.5 - 1e-12, 1e-12]))
     assert report.point_class == PartiallyRandomized(SupportPattern((1, 2)))
     assert report.clamped == (3,)
     assert report.test is Kind.T1
@@ -231,7 +230,7 @@ def test_clamped_boundary_point_decided_by_clamped_support(edge_matrix):
 
 def test_decide_dimension_mismatch(edge_matrix):
     with pytest.raises(DimensionMismatchError):
-        decide(edge_matrix, SimplexPoint([0.5, 0.5]))
+        EfficiencyAnalyzer(edge_matrix).decide(SimplexPoint([0.5, 0.5]))
 
 
 def test_zero_one_law_sample():
@@ -261,8 +260,10 @@ def test_verdict_depends_only_on_support():
         matrix = random_matrix(rng, n=int(rng.integers(3, 6)))
         size = int(rng.integers(2, matrix.n))
         support = sorted(1 + rng.choice(matrix.n, size=size, replace=False))
-        first = decide(matrix, SimplexPoint(random_point_on_support(rng, matrix.n, support)))
-        second = decide(matrix, SimplexPoint(random_point_on_support(rng, matrix.n, support)))
+        first, second = (
+            EfficiencyAnalyzer(matrix).decide(SimplexPoint(random_point_on_support(rng, matrix.n, support)))
+            for _ in range(2)
+        )
         assert first.verdict is second.verdict
         assert first.test is second.test
 
@@ -434,7 +435,7 @@ def test_analyzer_is_thread_safe(edge_matrix):
     analyzer = EfficiencyAnalyzer(edge_matrix)
     rows = np.array([[a / 4, b / 4, (4 - a - b) / 4] for a in range(5) for b in range(5 - a)])
     grid = [SimplexPoint(row) for row in rows]
-    expected = [decide(edge_matrix, p).verdict for p in grid]
+    expected = [EfficiencyAnalyzer(edge_matrix).decide(p).verdict for p in grid]
 
     def decide_all(batch: bool):
         reports = analyzer.decide_many(rows) if batch else map(analyzer.decide, grid)
@@ -457,7 +458,7 @@ def test_dominated_supports_are_shared_across_threads():
     rows = np.array(
         [barycenter(7, c) for s in range(1, 8) for c in itertools.combinations(range(1, 8), s)]
     )
-    expected = [decide(matrix, SimplexPoint(row)).verdict for row in rows]
+    expected = [EfficiencyAnalyzer(matrix).decide(SimplexPoint(row)).verdict for row in rows]
     assert expected.count(Verdict.DOMINATED) > len(rows) // 2
     analyzer = EfficiencyAnalyzer(matrix)
 
@@ -646,5 +647,6 @@ def test_small_units_keep_certificate_gaps_above_the_tie_tolerance():
         [-7.0, -5.0, -5.0, 3.0, -1.0, 3.0],
     ]
     point = SimplexPoint(barycenter(6, (1, 2, 4, 6)))
-    assert decide(CriteriaMatrix(rows), point).verdict is Verdict.EFFICIENT
-    assert decide(CriteriaMatrix(np.array(rows) * 1e-6), point).verdict is Verdict.EFFICIENT
+    assert EfficiencyAnalyzer(CriteriaMatrix(rows)).decide(point).verdict is Verdict.EFFICIENT
+    small = EfficiencyAnalyzer(CriteriaMatrix(np.array(rows) * 1e-6))
+    assert small.decide(point).verdict is Verdict.EFFICIENT

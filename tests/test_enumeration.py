@@ -14,6 +14,7 @@ from paretosimplex import (
     CriteriaMatrix,
     DimensionMismatchError,
     EfficiencyAnalyzer,
+    EfficientStructure,
     EnumerationCapError,
     InputError,
     LpError,
@@ -26,7 +27,6 @@ from paretosimplex import (
     WeightVector,
     bicriterion_full_check,
     check_full,
-    decide,
     enumerate_faces,
     enumerate_vertices,
     verify_certificate,
@@ -62,7 +62,7 @@ def exhaustive_structure(matrix, max_support=None, by_closure=False):
 
 
 def test_edge_instance_structure(edge_matrix):
-    structure = enumerate_faces(edge_matrix)
+    structure = enumerate_faces(EfficiencyAnalyzer(edge_matrix))
     assert not structure.full
     assert structure.vertices == {1, 2}
     assert structure.faces == {SupportPattern((1, 2))}
@@ -70,7 +70,7 @@ def test_edge_instance_structure(edge_matrix):
 
 
 def test_full_instance_structure(full_matrix):
-    structure = enumerate_faces(full_matrix)
+    structure = enumerate_faces(EfficiencyAnalyzer(full_matrix))
     assert structure.full
     assert structure.vertices == {1, 2, 3}
     assert structure.faces == {
@@ -85,7 +85,7 @@ def test_duplicate_column_structure():
     # vertices 2 and 3 carry identical columns: neither passes the strict
     # vertex test, but both border the efficient face {2,3} and must be listed
     matrix = CriteriaMatrix([[-2, 6, 6, 5, -9], [1, 4, 4, 1, 1]])
-    structure = enumerate_faces(matrix)
+    structure = enumerate_faces(EfficiencyAnalyzer(matrix))
     assert not structure.full
     assert structure.vertices == {2, 3}
     assert structure.faces == {SupportPattern((2, 3))}
@@ -93,10 +93,10 @@ def test_duplicate_column_structure():
 
 
 def test_check_full_returns_verified_certificate(edge_matrix, full_matrix):
-    full, certificate = check_full(full_matrix)
+    full, certificate = check_full(EfficiencyAnalyzer(full_matrix))
     assert full
     assert verify_certificate(full_matrix, certificate, Randomized())
-    assert check_full(edge_matrix) == (False, None)
+    assert check_full(EfficiencyAnalyzer(edge_matrix)) == (False, None)
 
 
 def test_check_full_rejects_a_certificate_that_does_not_tie_every_column(full_matrix, monkeypatch):
@@ -105,23 +105,23 @@ def test_check_full_rejects_a_certificate_that_does_not_tie_every_column(full_ma
         EfficiencyAnalyzer, "certificate_from", lambda self, result: WeightVector([1.0, 1.0, 1.0])
     )
     with pytest.raises(NumericalBreakdownError, match="does not tie exactly"):
-        check_full(full_matrix)
+        check_full(EfficiencyAnalyzer(full_matrix))
 
 
 def test_vertex_sets(edge_matrix, full_matrix):
-    assert enumerate_vertices(edge_matrix) == {1, 2}
-    assert enumerate_vertices(full_matrix) == {1, 2, 3}
+    assert enumerate_vertices(EfficiencyAnalyzer(edge_matrix)) == {1, 2}
+    assert enumerate_vertices(EfficiencyAnalyzer(full_matrix)) == {1, 2, 3}
 
 
 def test_some_vertex_is_always_efficient():
     rng = np.random.default_rng(31)
     for _ in range(80):
-        assert enumerate_vertices(random_matrix(rng))
+        assert enumerate_vertices(EfficiencyAnalyzer(random_matrix(rng)))
 
 
 def test_two_columns_have_no_faces():
     matrix = CriteriaMatrix([[1.0, 0.0], [0.0, 1.0]])
-    structure = enumerate_faces(matrix)
+    structure = enumerate_faces(EfficiencyAnalyzer(matrix))
     assert structure.faces == frozenset()
     assert structure.exhaustive
 
@@ -133,9 +133,9 @@ def test_wide_matrix_with_dominated_columns_is_enumerated():
     small = random_matrix(rng, k=3, n=8)
     extra = small.entries[:, [i % 8 for i in range(22)]] - 1.0
     wide = CriteriaMatrix(np.hstack([small.entries, extra]))
-    expected = enumerate_faces(small)
+    expected = enumerate_faces(EfficiencyAnalyzer(small))
     assert not expected.full and expected.faces
-    assert enumerate_faces(wide) == expected
+    assert enumerate_faces(EfficiencyAnalyzer(wide)) == expected
 
 
 def full_rows(n):
@@ -147,36 +147,36 @@ def test_listing_bound():
     assert MAX_LISTED_SUPPORTS == 2**16
     # The most faces 16 columns have: every support but the 16 vertices,
     # the empty one and the whole simplex.
-    structure = enumerate_faces(CriteriaMatrix(full_rows(16)))
+    structure = enumerate_faces(EfficiencyAnalyzer(CriteriaMatrix(full_rows(16))))
     assert structure.full and structure.exhaustive
     assert len(structure.faces) == 2**16 - 18
     # 17 full columns would list 2**17 - 19 supports: refused before any
     # is built, but a limited scan lists 136 + 680 of them.
     full17 = CriteriaMatrix(full_rows(17))
     with pytest.raises(EnumerationCapError, match="131053 supports to list"):
-        enumerate_faces(full17)
-    structure = enumerate_faces(full17, max_support=3)
+        enumerate_faces(EfficiencyAnalyzer(full17))
+    structure = enumerate_faces(EfficiencyAnalyzer(full17), max_support=3)
     assert structure.full and not structure.exhaustive
     assert len(structure.faces) == 816
     # 17 duplicated columns and a dominated one: the level-wise scan itself
     # passes the bound, at support size 9, and stops at the face that does.
     duplicated = CriteriaMatrix([[1.0] * 17 + [0.0], [2.0] * 17 + [1.0]])
     with pytest.raises(EnumerationCapError, match="^65537 supports to list so far, more than 65536"):
-        enumerate_faces(duplicated)
+        enumerate_faces(EfficiencyAnalyzer(duplicated))
 
 
 def test_max_support_limits_the_scan():
     rng = np.random.default_rng(9)
     matrix = random_matrix(rng, k=3, n=5)
-    partial = enumerate_faces(matrix, max_support=2)
+    partial = enumerate_faces(EfficiencyAnalyzer(matrix), max_support=2)
     assert not partial.exhaustive
     assert all(len(face) <= 2 for face in partial.faces)
-    complete = enumerate_faces(matrix)
+    complete = enumerate_faces(EfficiencyAnalyzer(matrix))
     assert complete.exhaustive
     assert partial.faces == {face for face in complete.faces if len(face) <= 2}
     assert partial.vertices == complete.vertices
     with pytest.raises(InputError):
-        enumerate_faces(matrix, max_support=1)
+        enumerate_faces(EfficiencyAnalyzer(matrix), max_support=1)
 
 
 def test_structure_matches_pointwise_decisions():
@@ -184,7 +184,7 @@ def test_structure_matches_pointwise_decisions():
     for _ in range(25):
         matrix = random_matrix(rng, n=int(rng.integers(2, 6)))
         analyzer = EfficiencyAnalyzer(matrix)
-        structure = enumerate_faces(matrix, analyzer=analyzer)
+        structure = enumerate_faces(analyzer)
         for j in range(1, matrix.n + 1):
             report = analyzer.decide(vertex(j, matrix.n))
             assert (j in structure.vertices) == (report.verdict is Verdict.EFFICIENT)
@@ -202,7 +202,7 @@ def test_full_structure_lists_every_pattern():
     found = 0
     for _ in range(200):
         matrix = random_matrix(rng, k=2, n=3)
-        structure = enumerate_faces(matrix)
+        structure = enumerate_faces(EfficiencyAnalyzer(matrix))
         if not structure.full:
             continue
         found += 1
@@ -243,7 +243,7 @@ def test_ratio_shortcut_is_sound():
         matrix = CriteriaMatrix(np.vstack([first, second]))
         if bicriterion_full_check(matrix):
             fired += 1
-            assert check_full(matrix)[0]
+            assert check_full(EfficiencyAnalyzer(matrix))[0]
     assert fired >= 30
 
 
@@ -277,7 +277,7 @@ def test_level_wise_scan_matches_exhaustive_reference(monkeypatch):
     cases.append((random_matrix(np.random.default_rng(1), k=4, n=12), None))
     for matrix, max_support in cases:
         tested.clear()
-        structure = enumerate_faces(matrix, max_support=max_support)
+        structure = enumerate_faces(EfficiencyAnalyzer(matrix), max_support=max_support)
         scanned = list(tested)
         vertices, faces, exhaustive = exhaustive_structure(matrix, max_support)
         assert structure.vertices == vertices
@@ -309,7 +309,7 @@ def test_level_wise_scan_solves_few_programs(monkeypatch):
     vertices, faces, _ = exhaustive_structure(matrix, by_closure=True)
     reference = len(solved)
     solved.clear()
-    structure = enumerate_faces(matrix)
+    structure = enumerate_faces(EfficiencyAnalyzer(matrix))
     assert (structure.vertices, structure.faces) == (vertices, faces)
     assert faces
     assert len(solved) * 20 < reference
@@ -359,7 +359,7 @@ def test_face_reuse_matches_the_no_reuse_reference():
                 pass
         if not references:
             continue
-        structure = enumerate_faces(matrix, max_support=max_support)
+        structure = enumerate_faces(EfficiencyAnalyzer(matrix), max_support=max_support)
         for reference in references:
             assert (structure.vertices, structure.faces, structure.exhaustive) == reference
         compared += 1
@@ -394,7 +394,7 @@ def test_support_inside_a_certified_face_solves_no_program(monkeypatch):
         return real_solve(lp, tol)
 
     monkeypatch.setattr(efficiency_module, "solve", counting_solve)
-    structure = enumerate_faces(matrix)
+    structure = enumerate_faces(EfficiencyAnalyzer(matrix))
     assert structure.vertices == {1, 2, 3}
     assert structure.faces == {
         SupportPattern(c) for size in (2, 3) for c in itertools.combinations((1, 2, 3), size)
@@ -414,13 +414,13 @@ def test_a_second_scan_on_one_analyzer_asks_no_closure_program(monkeypatch):
     asked = faces = 0
     for _ in range(60):
         matrix = random_matrix(rng, n=int(rng.integers(3, 9)))
-        fresh = enumerate_faces(matrix)
+        fresh = enumerate_faces(EfficiencyAnalyzer(matrix))
         analyzer = EfficiencyAnalyzer(matrix)
         closures.clear()
-        assert enumerate_faces(matrix, analyzer=analyzer) == fresh
+        assert enumerate_faces(analyzer) == fresh
         asked += len(closures)
         closures.clear()
-        assert enumerate_faces(matrix, analyzer=analyzer) == fresh
+        assert enumerate_faces(analyzer) == fresh
         assert closures == []
         faces += len(fresh.faces)
     assert asked >= 200 and faces >= 100
@@ -432,8 +432,29 @@ def test_a_vertex_decide_found_dominated_needs_no_closure_call(edge_matrix, monk
     closures = recording_closures(monkeypatch)
     assert not analyzer.efficient(SupportPattern((3,)))
     assert closures == []
-    assert enumerate_vertices(edge_matrix, analyzer=analyzer) == {1, 2}
+    assert enumerate_vertices(analyzer) == {1, 2}
     assert SupportPattern((3,)) not in closures
+
+
+@pytest.mark.parametrize(
+    "rows, warm, invalid, error, message",
+    [
+        # {3} is found dominated, and {3, 99} contains it.
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], (3,), (3, 99), DimensionMismatchError, "exceeds"),
+        # {1}'s certificate ties every column, so its kept face holds the full support.
+        ([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], (1,), (1, 2, 3), InputError, r"outside 1\.\.2"),
+    ],
+)
+def test_efficient_rejects_an_invalid_support_whatever_the_caches_hold(
+    rows, warm, invalid, error, message
+):
+    matrix = CriteriaMatrix(rows)
+    with pytest.raises(error, match=message):
+        EfficiencyAnalyzer(matrix).efficient(SupportPattern(invalid))
+    analyzer = EfficiencyAnalyzer(matrix)
+    analyzer.efficient(SupportPattern(warm))
+    with pytest.raises(error, match=message):
+        analyzer.efficient(SupportPattern(invalid))
 
 
 def test_decide_after_a_scan_gives_the_fresh_reports():
@@ -447,11 +468,12 @@ def test_decide_after_a_scan_gives_the_fresh_reports():
     for _ in range(20):
         matrix = random_matrix(rng, n=int(rng.integers(3, 7)))
         analyzer = EfficiencyAnalyzer(matrix)
-        enumerate_faces(matrix, analyzer=analyzer)
+        enumerate_faces(analyzer)
         for size in range(1, matrix.n):
             for combo in itertools.combinations(range(1, matrix.n + 1), size):
                 point = SimplexPoint(barycenter(matrix.n, combo))
-                assert summary(analyzer.decide(point)) == summary(decide(matrix, point))
+                fresh = EfficiencyAnalyzer(matrix).decide(point)
+                assert summary(analyzer.decide(point)) == summary(fresh)
 
 
 def test_scans_sharing_one_analyzer_across_threads(monkeypatch):
@@ -469,15 +491,74 @@ def test_scans_sharing_one_analyzer_across_threads(monkeypatch):
             entries = rng.integers(-9, 10, size=(3, 8)).astype(float)
             entries[:, 7] = entries[:, 0]
             matrix = CriteriaMatrix(entries)
-            expected = enumerate_faces(matrix)
+            expected = enumerate_faces(EfficiencyAnalyzer(matrix))
             analyzer = EfficiencyAnalyzer(matrix)
             with ThreadPoolExecutor(max_workers=8) as pool:
-                scans = [pool.submit(enumerate_faces, matrix, analyzer=analyzer) for _ in range(8)]
+                scans = [pool.submit(enumerate_faces, analyzer) for _ in range(8)]
                 assert [scan.result(timeout=60) for scan in scans] == [expected] * 8
             closures.clear()
-            assert enumerate_faces(matrix, analyzer=analyzer) == expected
+            assert enumerate_faces(analyzer) == expected
             assert closures == []
             faces += len(expected.faces)
     finally:
         sys.setswitchinterval(interval)
     assert faces >= 40
+
+
+def permuted_columns(rng, entries):
+    """The entries with their columns in a random order, and the map from
+    each old 1-based column to its new one."""
+    order = rng.permutation(entries.shape[1])
+    return entries[:, order], {int(old) + 1: new + 1 for new, old in enumerate(order)}
+
+
+def shifted_rows(rng, entries):
+    """The entries with an integer added to each row; columns stay put."""
+    return entries + rng.integers(-9, 10, size=(entries.shape[0], 1)), {
+        j: j for j in range(1, entries.shape[1] + 1)
+    }
+
+
+@pytest.mark.parametrize("relation", [permuted_columns, shifted_rows], ids=["permute", "shift"])
+def test_structure_and_verdicts_follow_column_permutations_and_row_shifts(relation):
+    # Efficiency is unchanged by renaming the columns and by adding a
+    # constant to a criterion, which moves every feasible point's score by
+    # the same amount.  So the transformed matrix's structure is the
+    # original's with the columns renamed, and each support barycenter gets
+    # the verdict of the renamed support's barycenter.
+    rng = np.random.default_rng(2030)
+    failures = []
+    checked = 0
+    for _ in range(100):
+        k, n = int(rng.integers(2, 7)), int(rng.integers(3, 9))
+        entries = rng.integers(-9, 10, size=(k, n)).astype(float)
+        moved_entries, column = relation(rng, entries)
+        plain = EfficiencyAnalyzer(CriteriaMatrix(entries))
+        moved = EfficiencyAnalyzer(CriteriaMatrix(moved_entries))
+
+        def rename(support):
+            return SupportPattern(sorted(column[j] for j in support))
+
+        try:
+            expected = enumerate_faces(plain)
+            got = enumerate_faces(moved)
+        except LpError as exc:
+            failures.append((entries.tolist(), repr(exc)))
+            continue
+        renamed = EfficientStructure(
+            expected.full,
+            frozenset(column[j] for j in expected.vertices),
+            frozenset(map(rename, expected.faces)),
+            expected.exhaustive,
+        )
+        if got != renamed:
+            failures.append((entries.tolist(), "structure"))
+        for size in range(1, n + 1):
+            for combo in itertools.combinations(range(1, n + 1), size):
+                before = plain.decide(SimplexPoint(barycenter(n, combo))).verdict
+                after = moved.decide(SimplexPoint(barycenter(n, rename(combo)))).verdict
+                checked += 1
+                if after is not before:
+                    failures.append((entries.tolist(), combo, after.value))
+    assert not failures, f"{len(failures)} failures, first: {failures[:2]}"
+    assert checked > 5000

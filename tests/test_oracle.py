@@ -10,12 +10,12 @@ from conftest import barycenter, random_matrix
 from paretosimplex import (
     CriteriaMatrix,
     DimensionMismatchError,
+    EfficiencyAnalyzer,
     LpStatus,
     Relation,
     SimplexPoint,
     Verdict,
     build_dominance_lp,
-    decide,
     dominance_lp_verdict,
     solve,
     vertex,
@@ -82,7 +82,8 @@ def test_agreement_with_certificate_route():
         points = [vertex(j, n) for j in range(1, n + 1)]
         points.append(SimplexPoint(barycenter(n, range(1, n + 1))))
         for point in points:
-            assert decide(matrix, point).verdict is dominance_lp_verdict(matrix, point)
+            verdict = EfficiencyAnalyzer(matrix).decide(point).verdict
+            assert verdict is dominance_lp_verdict(matrix, point)
 
 
 @st.composite
