@@ -6,11 +6,12 @@ the format is sniffed from the file extension and can be forced with
 --format.  Points and weights on the command line are comma-separated
 numbers.  All indices printed or read are 1-based.
 
-``test`` reports its points in order, up to the first bad one, and then
-fails with that point's error.  A report depends on the point only through
-its class and clamped indices, apart from the text ``point:`` line, which
-shows the point's own clamped coordinates; each distinct (class, clamped
-indices) key is decided and rendered once, on its first point.
+``test`` and ``oracle`` report their points in order, up to the first bad
+one, and then fail with the error that point raises on its own.  ``test``
+and ``plot3`` decide their points through ``EfficiencyAnalyzer.decide_many``,
+which yields one shared report per (class, clamped indices) key; ``test``
+renders each report once, and only the text ``point:`` line shows the
+point's own clamped coordinates.
 
 Exit codes: 0 success, 2 malformed input, 3 dimension mismatch, 4 solver
 failure or a disagreement under enumerate --oracle, 5 enumeration would
@@ -46,7 +47,6 @@ from .core import (
     Tolerances,
     Verdict,
     check_points,
-    classify_points,
 )
 from .efficiency import EfficiencyAnalyzer, EfficiencyReport
 from .enumeration import (
@@ -57,8 +57,8 @@ from .enumeration import (
     enumerate_faces,
     _listed_supports,
 )
+from . import oracle
 from .lp import LpError
-from .oracle import dominance_lp_verdict
 from .scalarize import (
     FullSimplex,
     UniqueVertex,
@@ -167,11 +167,6 @@ def load_matrix(path: str, fmt: str | None) -> CriteriaMatrix:
     return matrix
 
 
-def _parse_point(text: str, tol: Tolerances) -> SimplexPoint:
-    values = _numbers(text, "point")
-    return SimplexPoint(values, tol)
-
-
 def _class_name(report: EfficiencyReport) -> str:
     if isinstance(report.point_class, Deterministic):
         return "deterministic"
@@ -180,9 +175,9 @@ def _class_name(report: EfficiencyReport) -> str:
     return "randomized"
 
 
-def _support_list(report: EfficiencyReport) -> list[int]:
+def _support_list(report: EfficiencyReport, n: int) -> list[int]:
     if isinstance(report.point_class, Randomized):
-        return list(range(1, report.point.n + 1))
+        return list(range(1, n + 1))
     return list(report.point_class.support)
 
 
@@ -196,24 +191,25 @@ def _face_payload(face, n: int) -> dict | None:
     return {"kind": "open-face", "support": list(face.support)}
 
 
-def _report_payload(report: EfficiencyReport) -> dict:
+def _report_payload(report: EfficiencyReport, n: int) -> dict:
+    """The JSON document of a report on a point with n components."""
     return {
         "class": _class_name(report),
-        "support": _support_list(report),
+        "support": _support_list(report, n),
         "verdict": report.verdict.value,
         "test": report.test.value,
         "value": 1.0 if report.verdict is Verdict.EFFICIENT else 0.0,
         "certificate": None if report.certificate is None else [float(w) for w in report.certificate.weights],
-        "face": _face_payload(report.face, report.point.n),
+        "face": _face_payload(report.face, n),
         "clamped": list(report.clamped),
     }
 
 
-def _report_text(report: EfficiencyReport, as_json: bool) -> str:
+def _report_text(report: EfficiencyReport, n: int, as_json: bool) -> str:
     """The report's JSON line, or the lines of its text block after
     ``point:``.  Neither holds the point's coordinates, so either is the
     same for every point with the report's class and clamped indices."""
-    payload = _report_payload(report)
+    payload = _report_payload(report, n)
     if as_json:
         return _json_text(payload)
     lines = [
@@ -232,9 +228,12 @@ def _report_text(report: EfficiencyReport, as_json: bool) -> str:
     return "\n".join(lines)
 
 
-def _point_rows(literals: list[str], n: int) -> tuple[np.ndarray, str | None]:
-    """Coordinates of the literals before the first one that is malformed or
-    does not have n components, and that literal (None if there is none)."""
+def _point_rows(
+    literals: list[str], n: int, tol: Tolerances
+) -> tuple[np.ndarray, InputError | None]:
+    """Checked coordinates of the literals before the first bad one, and
+    the error that literal raises on its own (None if there is none): a
+    malformed literal's, else the point rules', else a dimension mismatch."""
     # One float pass over every component, taken only when each literal
     # has n components and all of them parse.
     if all(literal.count(",") == n - 1 for literal in literals):
@@ -244,34 +243,37 @@ def _point_rows(literals: list[str], n: int) -> tuple[np.ndarray, str | None]:
         except ValueError:
             pass
         else:
-            return flat.reshape(len(literals), n), None
-    rows = np.empty((len(literals), n))
-    for count, literal in enumerate(literals):
+            return check_points(flat.reshape(len(literals), n), tol)
+    rows: list[list[float]] = []
+    bad: list[float] | InputError | None = None
+    for literal in literals:
         try:
             values = _numbers(literal, "point")
-        except InputError:
+        except InputError as exc:
+            bad = exc
             break
         if len(values) != n:
+            bad = values
             break
-        rows[count] = values
-    else:
-        return rows, None
-    return rows[:count], literal
+        rows.append(values)
+    coords, error = check_points(np.reshape(rows, (len(rows), n)), tol)
+    if isinstance(bad, list) and error is None:
+        # Its point rules come before its length, as for this literal alone.
+        bad = check_points([bad], tol)[1] or DimensionMismatchError(
+            f"point has {len(bad)} components, matrix has {n} columns"
+        )
+    return coords, error or bad
 
 
 def cmd_test(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
-    analyzer = EfficiencyAnalyzer(matrix, tol)
-    rows, stop = _point_rows(args.points, matrix.n)
-    coords, error = check_points(rows, tol)
-    # Efficiency depends on the point class alone, and the JSON line or
-    # text block after "point:" on the class and clamped indices, so each
-    # such key is decided and rendered once, on its first row.
-    rendered: dict[tuple, str] = {}
-    for index, key in enumerate(classify_points(coords, tol)):
-        text = rendered.get(key)
+    coords, error = _point_rows(args.points, matrix.n, tol)
+    # Rows with one class and clamped indices share one report, and its
+    # JSON line or text block after "point:" is rendered once.
+    rendered: dict[int, str] = {}
+    for index, report in enumerate(EfficiencyAnalyzer(matrix, tol).decide_many(coords)):
+        text = rendered.get(id(report))
         if text is None:
-            report = analyzer.decide(SimplexPoint(coords[index], tol))
-            text = rendered[key] = _report_text(report, args.json)
+            text = rendered[id(report)] = _report_text(report, matrix.n, args.json)
         if not args.json:
             if index:
                 print()
@@ -279,9 +281,6 @@ def cmd_test(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) 
         print(text)
     if error is not None:
         raise error
-    if stop is not None:
-        # Raises the error that deciding this literal on its own raises.
-        analyzer.decide(_parse_point(stop, tol))
     return EXIT_OK
 
 
@@ -320,7 +319,7 @@ def cmd_enumerate(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
         for combo in supports:
             coords = np.zeros(matrix.n)
             coords[[j - 1 for j in combo]] = 1.0 / len(combo)
-            verdict = dominance_lp_verdict(matrix, SimplexPoint(coords, tol), tol)
+            verdict = oracle.dominance_lp_verdict(matrix, SimplexPoint(coords, tol), tol)
             if len(combo) == 1:
                 efficient = combo[0] in structure.vertices
             else:
@@ -402,22 +401,18 @@ def cmd_plot3(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances)
 
 
 def cmd_oracle(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
-    first = True
-    for literal in args.points:
-        point = _parse_point(literal, tol)
-        verdict = dominance_lp_verdict(matrix, point, tol)
-        payload = {
-            "point": [float(c) for c in point.coords],
-            "verdict": verdict.value,
-        }
+    coords, error = _point_rows(args.points, matrix.n, tol)
+    for index, row in enumerate(coords):
+        verdict = oracle.dominance_lp_verdict(matrix, SimplexPoint(row, tol), tol)
         if args.json:
-            print(_json_text(payload))
+            print(_json_text({"point": row.tolist(), "verdict": verdict.value}))
         else:
-            if not first:
+            if index:
                 print()
-            print(f"point: {_items(point.coords)}")
+            print(f"point: {_items(row)}")
             print(f"verdict: {verdict.value}")
-        first = False
+    if error is not None:
+        raise error
     return EXIT_OK
 
 

@@ -157,14 +157,6 @@ class SimplexPoint:
             raise error
         self.coords = checked[0]
 
-    @classmethod
-    def trusted(cls, coords: np.ndarray) -> SimplexPoint:
-        """The point on one row that ``check_points`` returned, which has
-        passed the rules already; nothing is checked again."""
-        point = object.__new__(cls)
-        point.coords = coords
-        return point
-
     @property
     def n(self) -> int:
         return self.coords.size

@@ -36,7 +36,7 @@ so feasibility is exactly the certificate's existence (Isermann's
 weight-space test).  A feasible program certifies efficiency, with
 weights (1 + u) / min(1 + u); an infeasible one proves that no weighting
 exists.  Because the programs depend only on the support, each program is
-solved once per analyzer, and the decision it leads to (verdict, test,
+solved once per analyzer, and the report it leads to (verdict, test,
 verified certificate and face) is kept per point class, so a batch of
 points costs one decision per distinct support.
 
@@ -67,7 +67,7 @@ import itertools
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -147,7 +147,9 @@ class TestResult:
 
 @dataclass(frozen=True)
 class EfficiencyReport:
-    """Outcome of deciding one point.
+    """Outcome of deciding a point, which depends on the point only through
+    its class and clamped indices: every point with both alike gets the
+    same report, and the analyzer keeps one report per such key.
 
     face describes the region the decisive certificate proves efficient
     alongside the point (whole simplex, one vertex, or an open face); it
@@ -156,22 +158,12 @@ class EfficiencyReport:
     from the support.
     """
 
-    point: SimplexPoint
     point_class: PointClass
     verdict: Verdict
     test: TestKind
     certificate: WeightVector | None
     face: SolutionSetDescriptor | None
     clamped: tuple[int, ...] = ()
-
-
-class _Decision(NamedTuple):
-    """The part of a report that depends on the point class alone."""
-
-    verdict: Verdict
-    test: TestKind
-    certificate: WeightVector | None
-    face: SolutionSetDescriptor | None
 
 
 def _build(matrix: CriteriaMatrix, support: SupportPattern, kind: TestKind) -> TestProgram:
@@ -265,9 +257,10 @@ class EfficiencyAnalyzer:
     re-verified on first use and kept.  A support containing one that its
     closure program found dominated is decided dominated without a program,
     and ``efficient`` decides a support inside a kept face efficient without
-    one (see the module docstring).  ``decide`` and ``decide_many`` read the
-    same per-class decisions.  The caches are keyed on supports or classes
-    and guarded by a lock; instances are safe to share across threads.  The
+    one (see the module docstring).  ``decide`` and ``decide_many`` return
+    the same report object for every point with one class and clamped
+    indices.  The caches are keyed on supports or classes and guarded by a
+    lock; instances are safe to share across threads.  The
     analyzer is the one object that pairs a matrix with tolerances:
     ``check_full``, ``enumerate_vertices`` and ``enumerate_faces`` take one,
     so whatever they solve stays cached on it.
@@ -278,7 +271,7 @@ class EfficiencyAnalyzer:
         self.tol = tol
         self._lock = threading.Lock()
         self._programs: dict[tuple[TestKind, SupportPattern], TestResult] = {}
-        self._decisions: dict[PointClass, _Decision] = {}
+        self._reports: dict[tuple[PointClass, tuple[int, ...]], EfficiencyReport] = {}
         # Bit masks (bit j for column j) of the supports decided dominated
         # by their own closure program, and of the faces ``efficient`` keeps.
         self._dominated: list[int] = []
@@ -336,22 +329,22 @@ class EfficiencyAnalyzer:
     def decide(self, x: SimplexPoint) -> EfficiencyReport:
         """Classify ``x`` and decide efficiency: T0, then the closure
         program on the support unless it contains a support already found
-        dominated, then T1 or T2 only to name the exact face."""
+        dominated, then T1 or T2 only to name the exact face.  Returns the
+        analyzer's one report for the point's class and clamped indices."""
         if x.n != self.matrix.n:
             raise DimensionMismatchError(
                 f"point has {x.n} components, matrix has {self.matrix.n} columns"
             )
-        point_class = classify(x, self.tol)
-        clamped = clamped_indices(x, self.tol)
-        return EfficiencyReport(x, point_class, *self._decision(point_class), clamped)
+        return self._report(classify(x, self.tol), clamped_indices(x, self.tol))
 
     def decide_many(self, points) -> Iterator[EfficiencyReport]:
         """Decide each row of an (N, n) array, yielding one report per row,
         lazily and in row order.
 
-        The reports are those ``decide(SimplexPoint(row))`` gives, but the
-        rows are checked and classified together, and each distinct point
-        class is decided once.  An invalid row raises the error
+        Each report is the one ``decide(SimplexPoint(row))`` returns, and
+        rows with one class and clamped indices yield the same object.  The
+        rows are checked and classified together, and each such key is
+        looked up once per call.  An invalid row raises the error
         ``SimplexPoint`` raises for it, and a failing decision its own
         error, each after every earlier row has been yielded.
         """
@@ -361,34 +354,44 @@ class EfficiencyAnalyzer:
                 f"point has {rows.shape[1]} components, matrix has {self.matrix.n} columns"
             )
         coords, error = check_points(rows, self.tol)
-        for row, (point_class, clamped) in zip(coords, classify_points(coords, self.tol)):
-            yield EfficiencyReport(
-                SimplexPoint.trusted(row), point_class, *self._decision(point_class), clamped
-            )
+        reports: dict[tuple[PointClass, tuple[int, ...]], EfficiencyReport] = {}
+        for key in classify_points(coords, self.tol):
+            report = reports.get(key)
+            if report is None:
+                report = reports[key] = self._report(*key)
+            yield report
         if error is not None:
             raise error
 
-    def _decision(self, point_class: PointClass) -> _Decision:
-        return self._cached(self._decisions, point_class, lambda: self._decide_class(point_class))
+    def _report(self, point_class: PointClass, clamped: tuple[int, ...] = ()) -> EfficiencyReport:
+        """The report kept for this key.  Each class is decided once, on
+        the key without clamped indices; the other keys copy that report."""
 
-    def _decide_class(self, point_class: PointClass) -> _Decision:
+        def compute() -> EfficiencyReport:
+            if clamped:
+                return replace(self._report(point_class), clamped=clamped)
+            return self._decide_class(point_class)
+
+        return self._cached(self._reports, (point_class, clamped), compute)
+
+    def _decide_class(self, point_class: PointClass) -> EfficiencyReport:
         t0 = self.t0()
         if t0.certified:
-            return self._proved(t0)
+            return self._proved(point_class, t0)
         if isinstance(point_class, Randomized):
             # No all-tying weights exist, so no randomized point is efficient.
-            return _Decision(Verdict.DOMINATED, TestKind.T0, None, None)
+            return EfficiencyReport(point_class, Verdict.DOMINATED, TestKind.T0, None, None)
         support = point_class.support
         closure = self._closure_route(support)
         if closure is None or not closure.certified:
-            return _Decision(Verdict.DOMINATED, TestKind.CLOSURE, None, None)
-        decision = self._proved(closure)
+            return EfficiencyReport(point_class, Verdict.DOMINATED, TestKind.CLOSURE, None, None)
+        report = self._proved(point_class, closure)
         exact = TestKind.T2 if len(support) == 1 else TestKind.T1
-        if decision.face == argmax_descriptor(support, self.matrix.n):
+        if report.face == argmax_descriptor(support, self.matrix.n):
             # The weak gaps came out strict, so these weights name the exact face.
-            return decision._replace(test=exact)
+            return replace(report, test=exact)
         strict = self.t2(support.indices[0]) if exact is TestKind.T2 else self.t1(support)
-        return self._proved(strict) if strict.certified else decision
+        return self._proved(point_class, strict) if strict.certified else report
 
     def efficient(self, support: SupportPattern) -> bool:
         """Whether ``support``, short of the full one, is efficient: true
@@ -442,9 +445,10 @@ class EfficiencyAnalyzer:
             return None
         return certificate, tied
 
-    def _proved(self, result: TestResult) -> _Decision:
-        """The decision a feasible program proves, once its certificate
-        passes ``verified``.  The face is the weights' argmax pattern."""
+    def _proved(self, point_class: PointClass, result: TestResult) -> EfficiencyReport:
+        """The report a feasible program proves for ``point_class``, once its
+        certificate passes ``verified``.  The face is the weights' argmax
+        pattern."""
         verified = self.verified(result)
         if verified is None:
             target = result.program.target
@@ -452,7 +456,8 @@ class EfficiencyAnalyzer:
             claim = f"tie exactly {target}" if exact else f"keep {target} at the maximum"
             raise NumericalBreakdownError(f"extracted certificate does not {claim}")
         certificate, tied = verified
-        return _Decision(
+        return EfficiencyReport(
+            point_class,
             Verdict.EFFICIENT,
             result.program.kind,
             certificate,

@@ -35,8 +35,10 @@ from .core import (
     CriteriaMatrix,
     DimensionMismatchError,
     InputError,
+    Randomized,
     SupportPattern,
     Tolerances,
+    Verdict,
 )
 from .efficiency import EfficiencyAnalyzer
 from .scalarize import WeightVector
@@ -89,10 +91,8 @@ def check_full(analyzer: EfficiencyAnalyzer) -> tuple[bool, WeightVector | None]
     under which every column ties.  A certificate that fails the check
     raises ``NumericalBreakdownError``, as in ``decide``.
     """
-    result = analyzer.t0()
-    if not result.certified:
-        return False, None
-    return True, analyzer._proved(result).certificate
+    report = analyzer._report(Randomized())
+    return report.verdict is Verdict.EFFICIENT, report.certificate
 
 
 def enumerate_vertices(analyzer: EfficiencyAnalyzer) -> frozenset[int]:

@@ -121,18 +121,11 @@ def feasibility_violation(lp: StandardLp, point: np.ndarray) -> float:
     """Largest constraint or sign violation of ``point``; row violations are
     scaled by 1 + |rhs| so the measure is meaningful across magnitudes."""
     x = np.asarray(point, dtype=float)
-    worst = 0.0
-    if lp.num_rows:
-        activity = lp.a @ x
-        for i, rel in enumerate(lp.relations):
-            resid = activity[i] - lp.rhs[i]
-            if rel is Relation.LE:
-                gap = max(resid, 0.0)
-            elif rel is Relation.GE:
-                gap = max(-resid, 0.0)
-            else:
-                gap = abs(resid)
-            worst = max(worst, gap / (1.0 + abs(lp.rhs[i])))
+    resid = lp.a @ x - lp.rhs
+    # Per relation code: excess for <=, distance for =, shortfall for >=.
+    gaps = np.choose(lp.codes, (resid, np.abs(resid), -resid))
+    # fmax skips a NaN gap, as a row-by-row max does, so it hides no other row.
+    worst = max(0.0, float(np.fmax.reduce(gaps / (1.0 + np.abs(lp.rhs)), initial=0.0)))
     return float(max(worst, np.max(-x, initial=0.0)))
 
 

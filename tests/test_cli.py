@@ -15,7 +15,7 @@ import pytest
 from conftest import EDGE_ONLY_ROWS, ALL_EFFICIENT_ROWS
 
 import paretosimplex
-from paretosimplex import Verdict, cli
+from paretosimplex import Verdict, cli, oracle
 
 
 def run(capsys, *argv):
@@ -159,7 +159,7 @@ def test_enumerate_oracle_builds_its_points_through_the_class_name(capsys, edge_
 
 
 def test_enumerate_oracle_disagreement_exits_4(capsys, edge_json, monkeypatch):
-    real_verdict = cli.dominance_lp_verdict
+    real_verdict = oracle.dominance_lp_verdict
 
     def flipped_on_vertex_3(matrix, point, tol):
         verdict = real_verdict(matrix, point, tol)
@@ -167,7 +167,7 @@ def test_enumerate_oracle_disagreement_exits_4(capsys, edge_json, monkeypatch):
             return verdict
         return Verdict.EFFICIENT if verdict is Verdict.DOMINATED else Verdict.DOMINATED
 
-    monkeypatch.setattr(cli, "dominance_lp_verdict", flipped_on_vertex_3)
+    monkeypatch.setattr(oracle, "dominance_lp_verdict", flipped_on_vertex_3)
     code, out, err = run(capsys, "enumerate", edge_json, "--oracle", "--json")
     assert code == 4
     payload = json.loads(out)
@@ -333,12 +333,18 @@ BAD_THIRD_IDS = [
 ]
 
 
-@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+# Both commands read their literals through one reader; the test ids of
+# the ``test`` cases carry no command name.
+@pytest.mark.parametrize(
+    ("command", "mode"),
+    [("test", ()), ("test", ("--json",)), ("oracle", ()), ("oracle", ("--json",))],
+    ids=["text", "json", "oracle-text", "oracle-json"],
+)
 @pytest.mark.parametrize(("bad", "code", "message"), BAD_THIRD_POINTS, ids=BAD_THIRD_IDS)
-def test_test_reports_the_points_before_a_bad_one(capsys, edge_json, mode, bad, code, message):
-    _, before, _ = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0")
+def test_test_reports_the_points_before_a_bad_one(capsys, edge_json, command, mode, bad, code, message):
+    _, before, _ = run(capsys, command, edge_json, *mode, "1,0,0", "0.5,0.5,0")
     for tail in (("0,1,0",), ("0,1,0", "oops")):
-        got = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0", *bad, *tail)
+        got = run(capsys, command, edge_json, *mode, "1,0,0", "0.5,0.5,0", *bad, *tail)
         assert got == (code, before, message)
 
 
@@ -516,7 +522,7 @@ def test_readme_library_usage_shows_what_it_returns():
         comment = after.split("#", 1)[1].strip()
         assert comment.startswith(repr(value)), (ast.unparse(statement), comment)
         shown += 1
-    assert shown == 6
+    assert shown == 7
 
 
 # Matrix files for the error table, read from the working directory so

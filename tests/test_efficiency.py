@@ -151,7 +151,7 @@ def test_decide_dominated_face_point(edge_matrix):
     assert report.verdict is Verdict.DOMINATED
     # dominated means even the weak-gap closure test failed
     assert report.test is Kind.CLOSURE
-    assert _report_payload(report)["value"] == 0.0
+    assert _report_payload(report, 3)["value"] == 0.0
     assert report.point_class == PartiallyRandomized(SupportPattern((1, 3)))
     assert report.certificate is None and report.face is None
 
@@ -172,7 +172,7 @@ def test_decide_randomized_point_is_dominated_when_not_full(edge_matrix):
     report = EfficiencyAnalyzer(edge_matrix).decide(SimplexPoint([0.2, 0.3, 0.5]))
     assert report.verdict is Verdict.DOMINATED
     assert report.test is Kind.T0
-    assert _report_payload(report)["value"] == 0.0
+    assert _report_payload(report, 3)["value"] == 0.0
 
 
 def test_decide_on_full_instance_short_circuits(full_matrix):
@@ -191,7 +191,7 @@ def test_boundary_of_duplicated_face_is_efficient():
         report = analyzer.decide(vertex(j, 5))
         assert report.verdict is Verdict.EFFICIENT
         assert report.test is Kind.CLOSURE
-        assert _report_payload(report)["value"] == 1.0
+        assert _report_payload(report, 5)["value"] == 1.0
         assert report.face == OpenFace(SupportPattern((2, 3)))
         # the certificate ties the enclosing face, not the vertex alone
         assert verify_certificate(matrix, report.certificate, PartiallyRandomized(SupportPattern((2, 3))))
@@ -532,8 +532,6 @@ def _outcomes(reports):
 
 
 def _assert_same_report(got, expected):
-    # Bitwise, so that -0.0 against 0.0 shows.
-    assert got.point.coords.tobytes() == expected.point.coords.tobytes()
     assert got.point_class == expected.point_class
     assert got.verdict is expected.verdict
     assert got.test is expected.test
@@ -554,8 +552,10 @@ def test_decide_many_matches_decide_on_each_row(case):
     )
     got, got_error = _outcomes(EfficiencyAnalyzer(matrix, tol).decide_many(rows))
     assert len(got) == len(expected)
+    shared = {}
     for report, reference in zip(got, expected):
         _assert_same_report(report, reference)
+        assert shared.setdefault((report.point_class, report.clamped), report) is report
     assert got_error == expected_error
 
     checked, error = check_points(rows, tol)
@@ -569,6 +569,38 @@ def test_decide_many_matches_decide_on_each_row(case):
         assert checked[index].tobytes() == point.coords.tobytes()
     else:
         assert len(checked) == len(rows) and error is None
+
+
+def test_rows_of_one_key_share_one_report(edge_matrix):
+    # Keys: {1, 2} unclamped and with column 3 clamped, {1, 3}, vertex 1
+    # and the randomized class.
+    rows = np.array(
+        [
+            [0.55, 0.45, 0.0],
+            [0.3, 0.0, 0.7],
+            [0.6, 0.4 - 5e-10, 5e-10],
+            [0.2, 0.8, 0.0],
+            [1.0, 0.0, 0.0],
+            [0.2, 0.3, 0.5],
+            [0.3, 0.7 - 5e-10, 5e-10],
+            [0.6, 0.0, 0.4],
+            [0.1, 0.1, 0.8],
+        ]
+    )
+    analyzer = EfficiencyAnalyzer(edge_matrix)
+    reports = list(analyzer.decide_many(rows))
+    keys = [(r.point_class, r.clamped) for r in reports]
+    assert len(set(keys)) == 5
+    for key, report in zip(keys, reports):
+        assert all(other is report for k, other in zip(keys, reports) if k == key)
+    again = list(analyzer.decide_many(rows[::-1]))[::-1]
+    for row, report, later in zip(rows, reports, again):
+        decided = analyzer.decide(SimplexPoint(row))
+        assert decided == report and decided is report and later is report
+    # A clamped key copies its class's report and changes only clamped.
+    assert reports[2].clamped == (3,) and reports[0].clamped == ()
+    assert reports[2].certificate is reports[0].certificate
+    assert reports[2].face == reports[0].face and reports[2].test is reports[0].test
 
 
 def test_breakdown_errors_name_the_program(edge_matrix, monkeypatch):

@@ -151,6 +151,44 @@ def test_statuses_and_values_match_reference_solver():
     assert all(seen[status] >= 10 for status in LpStatus), seen
 
 
+def _row_loop_violation(lp: StandardLp, point: np.ndarray) -> float:
+    """The violation measure row by row, as a reference."""
+    worst = 0.0
+    activity = lp.a @ point
+    for i, rel in enumerate(lp.relations):
+        resid = activity[i] - lp.rhs[i]
+        if rel is Relation.LE:
+            gap = max(resid, 0.0)
+        elif rel is Relation.GE:
+            gap = max(-resid, 0.0)
+        else:
+            gap = abs(resid)
+        worst = max(worst, gap / (1.0 + abs(lp.rhs[i])))
+    return float(max(worst, np.max(-point, initial=0.0)))
+
+
+def test_feasibility_violation_equals_the_row_loop_bit_for_bit():
+    rng = np.random.default_rng(4711)
+    for _ in range(400):
+        lp = _random_lp(rng)
+        points = [rng.normal(size=lp.num_vars), np.abs(rng.normal(size=lp.num_vars)) * 1e-9]
+        points.append(np.where(rng.random(lp.num_vars) < 0.5, -0.0, points[1]))
+        # A NaN or infinite component; 0 * inf gives a NaN row gap too.
+        for bad in (np.nan, np.inf):
+            point = points[0].copy()
+            point[rng.integers(lp.num_vars)] = bad
+            points.append(point)
+        got = solve(lp)
+        if got.status is LpStatus.FEASIBLE:
+            points.append(got.point)
+        for point in points:
+            with np.errstate(invalid="ignore"):
+                value = feasibility_violation(lp, point)
+                expected = _row_loop_violation(lp, point)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
+
 def test_solves_are_deterministic():
     rng = np.random.default_rng(777)
     for _ in range(25):
