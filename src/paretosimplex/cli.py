@@ -6,12 +6,17 @@ the format is sniffed from the file extension and can be forced with
 --format.  Points and weights on the command line are comma-separated
 numbers.  All indices printed or read are 1-based.
 
-``test`` and ``oracle`` report their points in order, up to the first bad
-one, and then fail with the error that point raises on its own.  ``test``
-and ``plot3`` decide their points through ``EfficiencyAnalyzer.decide_many``,
-which yields one shared report per (class, clamped indices) key; ``test``
-renders each report once, and only the text ``point:`` line shows the
-point's own clamped coordinates.
+``test`` and ``oracle`` take their point literals out of argv themselves
+(``_split_points``), and argparse reads only the options, the matrix path
+and one stand-in point.  So ``--`` is optional: an argument that starts
+with ``-`` and a digit, or ``-.`` and a digit, is never an option.  Both report their
+points in order, up to the first bad one, with one write, and then fail
+with the error that point raises on its own.  ``test`` groups its rows by
+(class, clamped indices) key in one pass (``point_groups``), decides the
+first row of each group through ``EfficiencyAnalyzer.decide_many``, and
+renders each report once; only the text ``point:`` line shows the point's
+own clamped coordinates.  ``plot3`` decides its grid through
+``decide_many`` too.
 
 Exit codes: 0 success, 2 malformed input, 3 dimension mismatch, 4 solver
 failure or a disagreement under enumerate --oracle, 5 enumeration would
@@ -30,6 +35,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -47,6 +53,7 @@ from .core import (
     Tolerances,
     Verdict,
     check_points,
+    point_groups,
 )
 from .efficiency import EfficiencyAnalyzer, EfficiencyReport
 from .enumeration import (
@@ -228,6 +235,12 @@ def _report_text(report: EfficiencyReport, n: int, as_json: bool) -> str:
     return "\n".join(lines)
 
 
+def _write(blocks: list[str], separator: str = "\n") -> None:
+    """Write the blocks, each ending its line, with one write to stdout."""
+    if blocks:
+        sys.stdout.write(separator.join(blocks) + "\n")
+
+
 def _point_rows(
     literals: list[str], n: int, tol: Tolerances
 ) -> tuple[np.ndarray, InputError | None]:
@@ -267,18 +280,21 @@ def _point_rows(
 
 def cmd_test(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
     coords, error = _point_rows(args.points, matrix.n, tol)
-    # Rows with one class and clamped indices share one report, and its
-    # JSON line or text block after "point:" is rendered once.
-    rendered: dict[int, str] = {}
-    for index, report in enumerate(EfficiencyAnalyzer(matrix, tol).decide_many(coords)):
-        text = rendered.get(id(report))
-        if text is None:
-            text = rendered[id(report)] = _report_text(report, matrix.n, args.json)
-        if not args.json:
-            if index:
-                print()
-            print(f"point: {_items(coords[index])}")
-        print(text)
+    first, groups = point_groups(coords, tol)
+    # Rows of one group share one report, and its JSON line or text block
+    # after "point:" is rendered once, on the group's first row.
+    texts: list[str] = []
+    try:
+        for report in EfficiencyAnalyzer(matrix, tol).decide_many(coords[first]):
+            texts.append(_report_text(report, matrix.n, args.json))
+    finally:
+        # Every row before the first one whose group failed to decide.
+        shown = groups if len(texts) == first.size else groups[: first[len(texts)]]
+        if args.json:
+            _write([texts[group] for group in shown.tolist()])
+        else:
+            rows = zip(coords.tolist(), shown.tolist())
+            _write([f"point: {_items(row)}\n{texts[group]}" for row, group in rows], "\n\n")
     if error is not None:
         raise error
     return EXIT_OK
@@ -402,15 +418,16 @@ def cmd_plot3(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances)
 
 def cmd_oracle(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
     coords, error = _point_rows(args.points, matrix.n, tol)
-    for index, row in enumerate(coords):
-        verdict = oracle.dominance_lp_verdict(matrix, SimplexPoint(row, tol), tol)
-        if args.json:
-            print(_json_text({"point": row.tolist(), "verdict": verdict.value}))
-        else:
-            if index:
-                print()
-            print(f"point: {_items(row)}")
-            print(f"verdict: {verdict.value}")
+    lines: list[str] = []
+    try:
+        for row in coords:
+            verdict = oracle.dominance_lp_verdict(matrix, SimplexPoint(row, tol), tol)
+            if args.json:
+                lines.append(_json_text({"point": row.tolist(), "verdict": verdict.value}))
+            else:
+                lines.append(f"point: {_items(row)}\nverdict: {verdict.value}")
+    finally:
+        _write(lines, "\n" if args.json else "\n\n")
     if error is not None:
         raise error
     return EXIT_OK
@@ -471,12 +488,94 @@ def build_parser() -> argparse.ArgumentParser:
 # parse_args returns a fresh Namespace and no action has a mutable default.
 _parser = functools.cache(build_parser)
 
+# The options of every subcommand, and those that take the next argument as
+# their value, as build_parser declares them.
+_OPTIONS = ("-h", "--help", "--tol-x", "--tol-d", "--tol-lp", "--json", "--format")
+_VALUED = ("--tol-x", "--tol-d", "--tol-lp", "--format")
+# An argument that starts like a negative number, such as -1e-10,0.5,0.5.
+_NUMBER = re.compile(r"-\.?\d")
+# What argparse reads as the points of test and oracle: one positional argument.
+_STAND_IN = "0"
+
+
+def _positional(arg: str) -> bool:
+    """Whether argparse reads ``arg`` as a positional argument of a
+    subcommand rather than as an option name, known, abbreviated or unknown.
+    One exception: an argument that starts like a negative number, such as
+    ``-1e-10,0.5,0.5``, is positional here, where argparse may take it for
+    an option."""
+    if not arg.startswith("-") or arg == "-" or _NUMBER.match(arg):
+        return True
+    if arg.startswith("--"):
+        # A full or abbreviated long option, with or without "=value".
+        name = arg.split("=", 1)[0]
+        if any(option.startswith(name) for option in _OPTIONS):
+            return False
+    elif arg[:2] in _OPTIONS:
+        return False
+    return " " in arg
+
+
+def _takes_value(arg: str) -> bool:
+    """Whether argparse gives the option ``arg`` the next argument as its
+    value: ``arg`` names a valued option in full or by a unique prefix,
+    without ``=value``."""
+    if "=" in arg:
+        return False
+    names = [option for option in _OPTIONS if option.startswith(arg)]
+    return arg in _VALUED or (len(names) == 1 and names[0] in _VALUED)
+
+
+def _split_points(argv: list[str]) -> tuple[list[str], list[str] | None]:
+    """Take the point literals of ``test`` and ``oracle`` out of ``argv``.
+
+    The literals are the first run of positional arguments after the matrix
+    path, up to the next option; every argument after the first ``--`` is
+    positional, and that ``--`` is no literal.  Returns argv with one
+    stand-in point in place of the run, so that argparse reads every other
+    argument as before but no literal, and the literals.  With no run, or
+    for another command, returns argv unchanged and None.
+    """
+    if argv[:1] not in (["test"], ["oracle"]):
+        return argv, None
+    dashes = matrix = False
+    start = 1
+    while start < len(argv):
+        arg = argv[start]
+        if arg == "--" and not dashes:
+            dashes = True
+        elif dashes or _positional(arg):
+            if matrix:
+                break
+            matrix = True
+        elif _takes_value(arg):
+            start += 1
+        start += 1
+    if start >= len(argv):
+        return argv, None
+    before = dashes
+    end = len(argv)
+    for index, arg in enumerate(argv[start:], start):
+        if arg[:1] == "-" and not dashes:
+            if arg == "--":
+                dashes = True
+            elif not _positional(arg):
+                end = index
+                break
+    literals = argv[start:end]
+    if dashes and not before:
+        literals.remove("--")
+    return [*argv[:start], _STAND_IN, *argv[end:]], literals
+
 
 def main(argv: list[str] | None = None) -> int:
+    argv, literals = _split_points(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
+    if literals is not None:
+        args.points = literals
     try:
         tol = Tolerances(x_zero=args.tol_x, tie=args.tol_d, lp=args.tol_lp)
         return args.func(args, load_matrix(args.matrix, args.format), tol)

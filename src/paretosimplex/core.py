@@ -7,8 +7,9 @@ randomized points have strictly positive mass everywhere, and partially
 randomized points sit strictly between those extremes.
 
 A batch of points, the rows of an (N, n) array, is checked by
-``check_points`` under the same rules as ``SimplexPoint`` and classified by
-``classify_points``, which runs ``classify`` once per distinct support.
+``check_points`` under the same rules as ``SimplexPoint`` and grouped by
+``point_groups`` into rows of one class and clamped indices, so that a
+caller classifies each group once, on one row, with ``row_key``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ __all__ = [
     "check_points",
     "clamped_indices",
     "classify",
-    "classify_points",
+    "point_groups",
+    "row_key",
     "vertex",
 ]
 
@@ -330,31 +332,37 @@ def _one_based(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(j) + 1 for j in np.flatnonzero(mask))
 
 
-def classify_points(
+def point_groups(
     coords: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Iterator[tuple[PointClass, tuple[int, ...]]]:
-    """Class and clamped indices of each row that ``check_points`` returned,
-    lazily and in row order, as ``classify`` and ``clamped_indices`` give
-    them for the row's point.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows that ``check_points`` returned by class and clamped
+    indices, in one pass over the array.
 
-    Rows are grouped by their support mask (coords > x_zero), and each
-    distinct mask is classified once, on its first row, so an error it
-    raises comes after every earlier row.  The rows passed
-    ``check_points`` already, so neither the point rules nor the sum are
-    checked again.  Rows with one mask share one class object.
-    Clamped indices are searched for only in rows that have a component in
-    (0, x_zero].
+    Returns the first row of each group, in row order, and each row's
+    group number, so that group g begins at row ``first[g]``: rows of one
+    group share their support mask (coords > x_zero) and their clamped
+    mask.  ``row_key`` gives a group's class and clamped indices from any
+    of its rows.
     """
-    support = np.ascontiguousarray(coords > tol.x_zero)
-    masks = support.view(np.dtype((np.void, support.shape[1]))).ravel().tolist()
-    small = _clamped_mask(coords, tol)
-    clamped = {int(i): _one_based(small[i]) for i in np.flatnonzero(small.any(axis=1))}
-    classes: dict[bytes, PointClass] = {}
-    for i, mask in enumerate(masks):
-        point_class = classes.get(mask)
-        if point_class is None:
-            point_class = classes[mask] = _classify(coords[i], tol)
-        yield point_class, clamped.get(i, ())
+    # Per component: 2 on the support, 1 when clamped, 0 otherwise.
+    codes = 2 * (coords > tol.x_zero) + _clamped_mask(coords, tol)
+    codes = np.ascontiguousarray(codes, dtype=np.uint8)
+    rows = codes.view(np.dtype((np.void, codes.shape[1]))).ravel()
+    _, first, groups = np.unique(rows, return_index=True, return_inverse=True)
+    # np.unique numbers the groups in sorted order; renumber them by first row.
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return first[order], number[groups]
+
+
+def row_key(
+    row: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[PointClass, tuple[int, ...]]:
+    """Class and clamped indices of one row that ``check_points`` returned,
+    as ``classify`` and ``clamped_indices`` give them for its point; the sum
+    is not checked again."""
+    return _classify(row, tol), _one_based(_clamped_mask(row, tol))
 
 
 def vertex(j: int, n: int) -> SimplexPoint:

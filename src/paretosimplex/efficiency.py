@@ -85,7 +85,8 @@ from .core import (
     check_points,
     clamped_indices,
     classify,
-    classify_points,
+    point_groups,
+    row_key,
 )
 from .lp import LpSolution, LpStatus, NumericalBreakdownError, Relation, StandardLp, solve
 from .scalarize import (
@@ -269,6 +270,8 @@ class EfficiencyAnalyzer:
     def __init__(self, matrix: CriteriaMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
         self.matrix = matrix
         self.tol = tol
+        # The key of T0, the program on every column.
+        self._full = SupportPattern.trusted(tuple(range(1, matrix.n + 1)))
         self._lock = threading.Lock()
         self._programs: dict[tuple[TestKind, SupportPattern], TestResult] = {}
         self._reports: dict[tuple[PointClass, tuple[int, ...]], EfficiencyReport] = {}
@@ -305,8 +308,7 @@ class EfficiencyAnalyzer:
         return f"{kind.value} program on support {{{support}}} of the {self.matrix.k}x{self.matrix.n} matrix"
 
     def t0(self) -> TestResult:
-        full = SupportPattern.trusted(tuple(range(1, self.matrix.n + 1)))
-        return self._solve(TestKind.T0, full, lambda: build_t0(self.matrix))
+        return self._solve(TestKind.T0, self._full, lambda: build_t0(self.matrix))
 
     def t1(self, support: SupportPattern) -> TestResult:
         return self._solve(TestKind.T1, support, lambda: build_t1(self.matrix, support))
@@ -343,10 +345,11 @@ class EfficiencyAnalyzer:
 
         Each report is the one ``decide(SimplexPoint(row))`` returns, and
         rows with one class and clamped indices yield the same object.  The
-        rows are checked and classified together, and each such key is
-        looked up once per call.  An invalid row raises the error
-        ``SimplexPoint`` raises for it, and a failing decision its own
-        error, each after every earlier row has been yielded.
+        rows are checked and grouped together (``point_groups``), and each
+        group is classified and looked up once per call, on its first row.
+        An invalid row raises the error ``SimplexPoint`` raises for it, and
+        a failing decision its own error, each after every earlier row has
+        been yielded.
         """
         rows = np.asarray(points, dtype=float)
         if rows.ndim == 2 and rows.shape[1] != self.matrix.n:
@@ -354,12 +357,13 @@ class EfficiencyAnalyzer:
                 f"point has {rows.shape[1]} components, matrix has {self.matrix.n} columns"
             )
         coords, error = check_points(rows, self.tol)
-        reports: dict[tuple[PointClass, tuple[int, ...]], EfficiencyReport] = {}
-        for key in classify_points(coords, self.tol):
-            report = reports.get(key)
-            if report is None:
-                report = reports[key] = self._report(*key)
-            yield report
+        _, groups = point_groups(coords, self.tol)
+        # Groups are numbered by first row, so a group is new on its first row.
+        reports: list[EfficiencyReport] = []
+        for index, group in enumerate(groups.tolist()):
+            if group == len(reports):
+                reports.append(self._report(*row_key(coords[index], self.tol)))
+            yield reports[group]
         if error is not None:
             raise error
 

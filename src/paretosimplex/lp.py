@@ -119,8 +119,11 @@ class LpSolution:
 
 def feasibility_violation(lp: StandardLp, point: np.ndarray) -> float:
     """Largest constraint or sign violation of ``point``; row violations are
-    scaled by 1 + |rhs| so the measure is meaningful across magnitudes."""
+    scaled by 1 + |rhs| so the measure is meaningful across magnitudes.  A
+    point with a NaN or infinite component violates by ``inf``."""
     x = np.asarray(point, dtype=float)
+    if not np.isfinite(x).all():
+        return float("inf")
     resid = lp.a @ x - lp.rhs
     # Per relation code: excess for <=, distance for =, shortfall for >=.
     gaps = np.choose(lp.codes, (resid, np.abs(resid), -resid))

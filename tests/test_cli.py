@@ -1,5 +1,6 @@
 """End-to-end command line behaviour, run in-process through main()."""
 
+import argparse
 import ast
 import json
 import os
@@ -499,7 +500,7 @@ def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypat
             line + "\n" for line in shown
         ), command
         ran += 1
-    assert ran == 9
+    assert ran == 10
 
 
 def test_readme_library_usage_shows_what_it_returns():
@@ -585,11 +586,96 @@ def test_error_table(capsys, error_table_dir, command, code, out, err):
         ("test edge.json 1,0,0 --max-support 2", "paretosimplex: error: unrecognized arguments: --max-support 2"),
         ("oracle edge.json 1,0,0 --allow-large-n", "paretosimplex: error: unrecognized arguments: --allow-large-n"),
         ("test", "paretosimplex test: error: the following arguments are required: matrix, point"),
+        ("test edge.json -1e-10,0.5,0.5 --max-support 2", "paretosimplex: error: unrecognized arguments: --max-support 2"),
+        ("oracle edge.json 1,0,0 -.5,1,0.5 --json 0,1,0", "paretosimplex: error: unrecognized arguments: 0,1,0"),
+        ("test edge.json", "paretosimplex test: error: the following arguments are required: point"),
+        ("test edge.json --", "paretosimplex test: error: the following arguments are required: point"),
     ],
 )
 def test_usage_errors_name_the_argument(capsys, error_table_dir, command, last_line):
     code, out, err = run(capsys, *shlex.split(command))
     assert (code, out, err.splitlines()[-1:]) == (2, "", [last_line])
+
+
+@pytest.mark.parametrize(
+    ("command", "mode"),
+    [("test", ()), ("test", ("--json",)), ("oracle", ()), ("oracle", ("--json",))],
+    ids=["test-text", "test-json", "oracle-text", "oracle-json"],
+)
+def test_a_negative_first_component_needs_no_dashes(capsys, edge_json, command, mode):
+    # The literal is read as a point, first or after a good one, as it is
+    # after "--", and its component in [-x_zero, 0) is clamped.
+    first = run(capsys, command, edge_json, *mode, "--", "-1e-10,0.5,0.5")
+    assert first == (0, run(capsys, command, edge_json, *mode, "0,0.5,0.5")[1], "")
+    assert run(capsys, command, edge_json, *mode, "-1e-10,0.5,0.5") == first
+    second = run(capsys, command, edge_json, *mode, "--", "1,0,0", "-1e-10,0.5,0.5")
+    assert second[0] == 0 and second[1].endswith(first[1])
+    assert run(capsys, command, edge_json, *mode, "1,0,0", "-1e-10,0.5,0.5") == second
+    assert run(capsys, command, edge_json, *mode, "1,0,0", "--", "-1e-10,0.5,0.5") == second
+    # Options after the points are still options.
+    assert run(capsys, command, edge_json, "1,0,0", "-1e-10,0.5,0.5", *mode) == second
+    assert run(capsys, command, edge_json, "-.5e-9,0.5,0.5", *mode, "--tol-x", "1e-9") == first
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+def test_test_renders_each_key_once(capsys, edge_json, monkeypatch, mode):
+    rng = np.random.default_rng(17)
+    pool = ["1,0,0", "0,0,1", "0.25,0.75,0", "0.2,0.3,0.5", "0.5,0.5,1e-10", "0.5,0.5,-1e-10"]
+    literals = [pool[i] for i in rng.integers(len(pool), size=300)]
+    calls = []
+    real = cli._report_text
+    monkeypatch.setattr(cli, "_report_text", lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run(capsys, "test", edge_json, *mode, *literals)
+    assert code == 0
+    # "0.5,0.5,-1e-10" clamps to the key of "0.25,0.75,0"; "0.5,0.5,1e-10" has its own.
+    assert len(calls) == 5
+    blocks = out.split("\n\n") if not mode else out.splitlines()
+    assert len(blocks) == 300
+
+
+def test_the_argv_reader_knows_the_options_of_test_and_oracle():
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name in ("test", "oracle"):
+        options = [a for a in subparsers.choices[name]._actions if a.option_strings]
+        assert sorted(s for a in options for s in a.option_strings) == sorted(cli._OPTIONS)
+        assert sorted(s for a in options if a.nargs is None for s in a.option_strings) == sorted(cli._VALUED)
+
+
+def _parsed(capsys, argv):
+    """What argparse makes of argv: the namespace, or the exit code and output."""
+    try:
+        args = cli._parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+    return vars(args)
+
+
+def test_the_argv_reader_gives_argparse_the_same_reading(capsys, monkeypatch):
+    """Without an argument that starts like a negative number but is none,
+    such as -1e-10,0.5,0.5, and with at most one "--", reading the literals
+    outside argparse changes nothing: the namespace, or the usage error, is
+    the one argparse gives for the whole argv."""
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = np.random.default_rng(2031)
+    words = [
+        "--json", "--tol-x", "--tol-d", "--tol-lp", "--format", "-h", "--js", "--form", "--tol", "--f",
+        "--json=1", "--tol-x=1e-3", "--format=csv", "--max-support", "-x", "--tol-x=1 2", "--form=a b", "--xyz=1 2",
+        "-1", "-0.5", "json", "1e-3", "--", "edge.json", "m.csv", "1,0,0", "0.5,oops", "oops", "",
+        "-", " 0.5,0.5,0", "-1 2", "-h 1", "-inf,0,0", "nan,1,0",
+    ]
+    checked = 0
+    for _ in range(3000):
+        argv = [str(rng.choice(["test", "oracle"]))] + [str(w) for w in rng.choice(words, rng.integers(0, 8))]
+        if argv.count("--") > 1:
+            continue
+        kept, literals = cli._split_points(argv)
+        expected = _parsed(capsys, argv)
+        got = _parsed(capsys, kept)
+        if literals is not None and isinstance(got, dict):
+            got["points"] = literals
+        assert got == expected, argv
+        checked += 1
+    assert checked > 2500
 
 
 def test_main_carries_no_state_between_calls(capsys, error_table_dir, monkeypatch):

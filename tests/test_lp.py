@@ -153,6 +153,8 @@ def test_statuses_and_values_match_reference_solver():
 
 def _row_loop_violation(lp: StandardLp, point: np.ndarray) -> float:
     """The violation measure row by row, as a reference."""
+    if not np.isfinite(point).all():
+        return float("inf")
     worst = 0.0
     activity = lp.a @ point
     for i, rel in enumerate(lp.relations):
@@ -187,6 +189,22 @@ def test_feasibility_violation_equals_the_row_loop_bit_for_bit():
                 expected = _row_loop_violation(lp, point)
             assert type(value) is float
             assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize(
+    ("a", "relations", "rhs", "point"),
+    [
+        ([[1, 1]], [Relation.EQ], [1], [np.nan, 0.5]),
+        ([[1, 0], [0, 1]], [Relation.EQ, Relation.EQ], [1, 0], [np.nan, -5]),
+        ([[1, 0]], [Relation.EQ], [1], [1, np.inf]),
+    ],
+    ids=["nan-component", "nan-beside-a-negative-component", "inf-in-a-zero-column"],
+)
+def test_a_point_with_a_non_finite_component_violates_by_inf(a, relations, rhs, point):
+    # Each of these read 0.0, so solve's re-check would have passed them.
+    lp = StandardLp(a, relations, rhs)
+    assert feasibility_violation(lp, np.array(point, dtype=float)) == np.inf
+    assert _row_loop_violation(lp, np.array(point, dtype=float)) == np.inf
 
 
 def test_solves_are_deterministic():
