@@ -12,11 +12,11 @@ and one stand-in point.  So ``--`` is optional: an argument that starts
 with ``-`` and a digit, or ``-.`` and a digit, is never an option.  Both report their
 points in order, up to the first bad one, with one write, and then fail
 with the error that point raises on its own.  ``test`` groups its rows by
-(class, clamped indices) key in one pass (``point_groups``), decides the
-first row of each group through ``EfficiencyAnalyzer.decide_many``, and
+(class, clamped indices) key in one pass (``point_groups``), looks up the
+report of each group's first row with ``EfficiencyAnalyzer.report``, and
 renders each report once; only the text ``point:`` line shows the point's
 own clamped coordinates.  ``plot3`` decides its grid through
-``decide_many`` too.
+``decide_many``.
 
 Exit codes: 0 success, 2 malformed input, 3 dimension mismatch, 4 solver
 failure or a disagreement under enumerate --oracle, 5 enumeration would
@@ -54,6 +54,7 @@ from .core import (
     Verdict,
     check_points,
     point_groups,
+    row_key,
 )
 from .efficiency import EfficiencyAnalyzer, EfficiencyReport
 from .enumeration import (
@@ -283,10 +284,11 @@ def cmd_test(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) 
     first, groups = point_groups(coords, tol)
     # Rows of one group share one report, and its JSON line or text block
     # after "point:" is rendered once, on the group's first row.
+    analyzer = EfficiencyAnalyzer(matrix, tol)
     texts: list[str] = []
     try:
-        for report in EfficiencyAnalyzer(matrix, tol).decide_many(coords[first]):
-            texts.append(_report_text(report, matrix.n, args.json))
+        for row in coords[first]:
+            texts.append(_report_text(analyzer.report(*row_key(row, tol)), matrix.n, args.json))
     finally:
         # Every row before the first one whose group failed to decide.
         shown = groups if len(texts) == first.size else groups[: first[len(texts)]]
@@ -568,8 +570,20 @@ def _split_points(argv: list[str]) -> tuple[list[str], list[str] | None]:
     return [*argv[:start], _STAND_IN, *argv[end:]], literals
 
 
+def _join_weights(argv: list[str]) -> list[str]:
+    """Join ``scalarize``'s ``--weights``, or a prefix of it, and a next
+    argument that starts like a negative number into ``--weights=<literal>``."""
+    for index, arg in enumerate(argv[1:-1] if argv[:1] == ["scalarize"] else [], 1):
+        if arg == "--":
+            break
+        if len(arg) > 2 and "--weights".startswith(arg) and _NUMBER.match(argv[index + 1]):
+            return [*argv[:index], f"--weights={argv[index + 1]}", *argv[index + 2 :]]
+    return argv
+
+
 def main(argv: list[str] | None = None) -> int:
     argv, literals = _split_points(sys.argv[1:] if argv is None else list(argv))
+    argv = _join_weights(argv)
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

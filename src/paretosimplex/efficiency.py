@@ -35,10 +35,11 @@ positive weighting with positive gaps into one with w >= 1 and gaps >= 1,
 so feasibility is exactly the certificate's existence (Isermann's
 weight-space test).  A feasible program certifies efficiency, with
 weights (1 + u) / min(1 + u); an infeasible one proves that no weighting
-exists.  Because the programs depend only on the support, each program is
-solved once per analyzer, and the report it leads to (verdict, test,
-verified certificate and face) is kept per point class, so a batch of
-points costs one decision per distinct support.
+exists.  Because the programs depend only on the support, the analyzer
+keeps one report (verdict, test, verified certificate and face) per point
+class, so a batch of points costs one decision per distinct support.  T0
+is decided once, as the randomized class's report, which every other
+class reads first: all-tying weights make every point efficient.
 
 Efficient supports are closed under subsets: weights that keep a support
 at the maximum keep each of its subsets there.  So a support that contains
@@ -57,8 +58,9 @@ without building or solving a program.  Only certificates that pass the
 closure re-verification on the original matrix are kept, and a kept face
 counts a column as tied only within the solver tolerance, so each such
 verdict rests on weights that satisfy the support's own closure program
-to the solver's accuracy.  Kept faces persist for the analyzer's
-lifetime; ``decide`` neither reads nor adds them.
+to the solver's accuracy, and no weight exceeds 1e6 times the smallest.
+Kept faces persist for the analyzer's lifetime; ``decide`` neither reads
+nor adds them.
 """
 
 from __future__ import annotations
@@ -226,12 +228,6 @@ def _check_support(matrix: CriteriaMatrix, support: SupportPattern, smallest: in
         raise DimensionMismatchError("support index exceeds the number of columns")
 
 
-def _expected_support(matrix: CriteriaMatrix, point_class: PointClass) -> SupportPattern:
-    if isinstance(point_class, Randomized):
-        return SupportPattern(range(1, matrix.n + 1))
-    return point_class.support
-
-
 def verify_certificate(
     matrix: CriteriaMatrix,
     weights: WeightVector,
@@ -246,81 +242,58 @@ def verify_certificate(
     if not weights.strictly_positive:
         return False
     tied = argmax_set(weighted_objective(matrix, weights), tol)
-    return tied == _expected_support(matrix, point_class)
+    if isinstance(point_class, Randomized):
+        return len(tied) == matrix.n
+    return tied == point_class.support
 
 
 class EfficiencyAnalyzer:
-    """Decision procedure for one criteria matrix with cached certificates.
+    """Decision procedure for one criteria matrix with one report per key.
 
-    Verdicts depend only on a point's support, so each certificate program
-    is solved at most once per analyzer, and each point class is decided
-    once: its verdict, test, certificate and face are extracted and
-    re-verified on first use and kept.  A support containing one that its
-    closure program found dominated is decided dominated without a program,
-    and ``efficient`` decides a support inside a kept face efficient without
-    one (see the module docstring).  ``decide`` and ``decide_many`` return
-    the same report object for every point with one class and clamped
-    indices.  The caches are keyed on supports or classes and guarded by a
-    lock; instances are safe to share across threads.  The
-    analyzer is the one object that pairs a matrix with tolerances:
-    ``check_full``, ``enumerate_vertices`` and ``enumerate_faces`` take one,
-    so whatever they solve stays cached on it.
+    Verdicts depend only on a point's support, so each point class is
+    decided once, on first use, and its report kept: ``report`` is the one
+    lookup, by class and clamped indices, that ``decide``, ``decide_many``
+    and ``check_full`` read, and it returns one object per key.  Programs
+    are not kept; ``t0``, ``t1``, ``t2`` and ``closure`` solve theirs on
+    each call, and T0 is asked once, for the randomized report.  A support
+    containing one that its closure program found dominated is decided
+    dominated without a program, and ``efficient`` decides a support inside
+    a kept face efficient without one (see the module docstring).  These
+    memos are guarded by a lock; instances are safe to share across
+    threads.  The analyzer is the one object that pairs a matrix with
+    tolerances: ``check_full``, ``enumerate_vertices`` and
+    ``enumerate_faces`` take one, so whatever they decide stays on it.
     """
 
     def __init__(self, matrix: CriteriaMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
         self.matrix = matrix
         self.tol = tol
-        # The key of T0, the program on every column.
-        self._full = SupportPattern.trusted(tuple(range(1, matrix.n + 1)))
         self._lock = threading.Lock()
-        self._programs: dict[tuple[TestKind, SupportPattern], TestResult] = {}
         self._reports: dict[tuple[PointClass, tuple[int, ...]], EfficiencyReport] = {}
         # Bit masks (bit j for column j) of the supports decided dominated
         # by their own closure program, and of the faces ``efficient`` keeps.
         self._dominated: list[int] = []
         self._kept: list[int] = []
 
-    def _cached(self, cache: dict, key, compute):
-        """cache[key], computed outside the lock on a miss; when two threads
-        miss at once, the first result stored wins."""
-        with self._lock:
-            hit = cache.get(key)
-        if hit is not None:
-            return hit
-        value = compute()
-        with self._lock:
-            return cache.setdefault(key, value)
-
-    def _solve(self, kind: TestKind, key: SupportPattern, build) -> TestResult:
-        return self._cached(self._programs, (kind, key), lambda: self._run(kind, key, build))
-
-    def _run(self, kind: TestKind, key: SupportPattern, build) -> TestResult:
-        program = build()
+    def _run(self, program: TestProgram) -> TestResult:
         try:
             solution = solve(program.lp, self.tol)
         except NumericalBreakdownError as exc:
-            raise NumericalBreakdownError(f"{self._program_name(kind, key)}: {exc}") from exc
+            name = f"{program.kind.value} program on support {{{', '.join(map(str, program.target))}}}"
+            raise NumericalBreakdownError(f"{name} of the {self.matrix.k}x{self.matrix.n} matrix: {exc}") from exc
         return TestResult(program, solution)
 
-    def _program_name(self, kind: TestKind, key: SupportPattern) -> str:
-        """Names a program in breakdown errors: kind, support, matrix shape."""
-        support = ", ".join(map(str, key))
-        return f"{kind.value} program on support {{{support}}} of the {self.matrix.k}x{self.matrix.n} matrix"
-
     def t0(self) -> TestResult:
-        return self._solve(TestKind.T0, self._full, lambda: build_t0(self.matrix))
+        return self._run(build_t0(self.matrix))
 
     def t1(self, support: SupportPattern) -> TestResult:
-        return self._solve(TestKind.T1, support, lambda: build_t1(self.matrix, support))
+        return self._run(build_t1(self.matrix, support))
 
     def t2(self, j: int) -> TestResult:
-        key = SupportPattern((j,))
-        return self._solve(TestKind.T2, key, lambda: build_t2(self.matrix, j))
+        return self._run(build_t2(self.matrix, j))
 
     def closure(self, support: SupportPattern) -> TestResult:
-        return self._solve(
-            TestKind.CLOSURE, support, lambda: build_closure(self.matrix, support)
-        )
+        return self._run(build_closure(self.matrix, support))
 
     def certificate_from(self, result: TestResult) -> WeightVector:
         """Extract the weights 1 + u from a feasible certificate program,
@@ -329,15 +302,16 @@ class EfficiencyAnalyzer:
         return WeightVector(weights / weights.min())
 
     def decide(self, x: SimplexPoint) -> EfficiencyReport:
-        """Classify ``x`` and decide efficiency: T0, then the closure
-        program on the support unless it contains a support already found
-        dominated, then T1 or T2 only to name the exact face.  Returns the
-        analyzer's one report for the point's class and clamped indices."""
+        """Classify ``x`` and decide efficiency: the randomized report
+        (T0, decided once), then the closure program on the support unless
+        it contains a support already found dominated, then T1 or T2 only
+        to name the exact face.  Returns ``report`` for the point's class
+        and clamped indices."""
         if x.n != self.matrix.n:
             raise DimensionMismatchError(
                 f"point has {x.n} components, matrix has {self.matrix.n} columns"
             )
-        return self._report(classify(x, self.tol), clamped_indices(x, self.tol))
+        return self.report(classify(x, self.tol), clamped_indices(x, self.tol))
 
     def decide_many(self, points) -> Iterator[EfficiencyReport]:
         """Decide each row of an (N, n) array, yielding one report per row,
@@ -362,30 +336,40 @@ class EfficiencyAnalyzer:
         reports: list[EfficiencyReport] = []
         for index, group in enumerate(groups.tolist()):
             if group == len(reports):
-                reports.append(self._report(*row_key(coords[index], self.tol)))
+                reports.append(self.report(*row_key(coords[index], self.tol)))
             yield reports[group]
         if error is not None:
             raise error
 
-    def _report(self, point_class: PointClass, clamped: tuple[int, ...] = ()) -> EfficiencyReport:
-        """The report kept for this key.  Each class is decided once, on
-        the key without clamped indices; the other keys copy that report."""
-
-        def compute() -> EfficiencyReport:
+    def report(self, point_class: PointClass, clamped: tuple[int, ...] = ()) -> EfficiencyReport:
+        """The one report for this key.  Each class is decided once, on the
+        key without clamped indices, and the other keys copy that report.  A
+        class that no point of n components has raises.  A miss is computed
+        outside the lock, and the first report stored wins."""
+        key = (point_class, clamped)
+        with self._lock:
+            found = self._reports.get(key)
+        if found is None:
             if clamped:
-                return replace(self._report(point_class), clamped=clamped)
-            return self._decide_class(point_class)
-
-        return self._cached(self._reports, (point_class, clamped), compute)
+                found = replace(self.report(point_class), clamped=clamped)
+            else:
+                found = self._decide_class(point_class)
+            with self._lock:
+                found = self._reports.setdefault(key, found)
+        return found
 
     def _decide_class(self, point_class: PointClass) -> EfficiencyReport:
-        t0 = self.t0()
-        if t0.certified:
-            return self._proved(point_class, t0)
         if isinstance(point_class, Randomized):
+            t0 = self.t0()
+            if t0.certified:
+                return self._proved(point_class, t0)
             # No all-tying weights exist, so no randomized point is efficient.
             return EfficiencyReport(point_class, Verdict.DOMINATED, TestKind.T0, None, None)
         support = point_class.support
+        _check_support(self.matrix, support, 1)
+        full = self.report(Randomized())
+        if full.verdict is Verdict.EFFICIENT:
+            return replace(full, point_class=point_class)
         closure = self._closure_route(support)
         if closure is None or not closure.certified:
             return EfficiencyReport(point_class, Verdict.DOMINATED, TestKind.CLOSURE, None, None)
@@ -399,11 +383,11 @@ class EfficiencyAnalyzer:
 
     def efficient(self, support: SupportPattern) -> bool:
         """Whether ``support``, short of the full one, is efficient: true
-        inside a kept face, otherwise as ``_closure_route`` decides.  A feasible
-        program's argmax face, tied within ``tol.lp``, is kept once its
-        certificate passes ``verified`` (see the module docstring).  A
-        support that is not a closure program's raises as ``build_closure``
-        does, whatever the caches hold."""
+        inside a kept face, otherwise as ``_closure_route`` decides.  A
+        feasible program's argmax face, tied within ``tol.lp``, is kept once
+        its certificate passes ``verified`` with no weight above 1e6 (see the
+        module docstring).  A support that is not a closure program's raises
+        as ``build_closure`` does, whatever the analyzer holds."""
         _check_support(self.matrix, support, 1)
         mask = _mask(support)
         with self._lock:
@@ -413,7 +397,8 @@ class EfficiencyAnalyzer:
         if result is None or not result.certified:
             return False
         verified = self.verified(result, replace(self.tol, tie=self.tol.lp))
-        if verified is not None:
+        # Larger weights may tie columns that trail by less than rounding.
+        if verified is not None and verified[0].weights.max() <= 1e6:
             with self._lock:
                 self._kept.append(_mask(verified[1]))
         return True

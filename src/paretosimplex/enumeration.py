@@ -91,7 +91,7 @@ def check_full(analyzer: EfficiencyAnalyzer) -> tuple[bool, WeightVector | None]
     under which every column ties.  A certificate that fails the check
     raises ``NumericalBreakdownError``, as in ``decide``.
     """
-    report = analyzer._report(Randomized())
+    report = analyzer.report(Randomized())
     return report.verdict is Verdict.EFFICIENT, report.certificate
 
 
@@ -159,7 +159,7 @@ def enumerate_faces(
     sizes = _scan_sizes(n, max_support)
     exhaustive = sizes.stop > n - 1
     vertices = enumerate_vertices(analyzer)
-    if analyzer.t0().certified:
+    if check_full(analyzer)[0]:
         faces = frozenset(map(SupportPattern.trusted, _listed_supports(n, max_support)))
         return EfficientStructure(True, vertices, faces, exhaustive)
     level = [(j,) for j in sorted(vertices)]

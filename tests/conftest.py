@@ -53,6 +53,30 @@ def barycenter(n: int, support) -> np.ndarray:
     return coords
 
 
+def near_tie_corpus(seed: int = 8, count: int = 600):
+    """Yield (index, entries, scale) for integer matrices in which one
+    column sits 10^U[-10, -6] below another column, below the column with
+    the largest sum, or below the midpoint of two columns, in turn; the
+    entries are then scaled by 1, 1e-2 or 1e-6, in turn by threes."""
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        k, n = int(rng.integers(2, 6)), int(rng.integers(3, 8))
+        entries = rng.integers(-9, 10, size=(k, n)).astype(float)
+        eps = 10.0 ** rng.uniform(-10, -6)
+        target = int(rng.integers(n))
+        mode = index % 3
+        if mode == 0:
+            source = entries[:, int(rng.integers(n))]
+        elif mode == 1:
+            source = entries[:, int(entries.sum(axis=0).argmax())]
+        else:
+            a, b = rng.choice(n, 2, replace=False)
+            source = (entries[:, a] + entries[:, b]) / 2
+        entries[:, target] = source - eps
+        scale = (1.0, 1e-2, 1e-6)[(index // 3) % 3]
+        yield index, entries * scale, scale
+
+
 def _margin_form(matrix: CriteriaMatrix, kind: TestKind, support):
     """The margin-maximizing form of one certificate program, the reference
     formulation for the feasibility programs the package solves.

@@ -197,6 +197,25 @@ def test_scalarize_command(capsys, full_json, edge_json):
     assert "solution set: vertex {1}" in out
 
 
+@pytest.mark.parametrize(
+    ("weights", "fmt", "expected"),
+    [
+        (["--weights", "-1,2,1"], "--json", '{"coeffs": [3, -9, 5.5], "dmax": 5.5, "argmax": [3], '
+         '"solution_set": {"kind": "vertex", "support": [3]}}\n'),
+        (["--weights", "-1,2,1"], None, "coeffs: 3, -9, 5.5\ndmax: 5.5\nargmax: 3\nsolution set: vertex {3}\n"),
+        (["--we", "-1,2,1"], "--json", '{"coeffs": [3, -9, 5.5], "dmax": 5.5, "argmax": [3], '
+         '"solution_set": {"kind": "vertex", "support": [3]}}\n'),
+        (["--w", "-.5,1,0.5"], None, "coeffs: 1.5, -4.5, 2.75\ndmax: 2.75\nargmax: 3\nsolution set: vertex {3}\n"),
+    ],
+    ids=["json", "text", "json-prefix", "text-prefix"],
+)
+def test_scalarize_takes_a_negative_first_weight_without_equals(capsys, edge_json, weights, fmt, expected):
+    argv = ["scalarize", edge_json, *weights, *([fmt] if fmt else [])]
+    assert run(capsys, *argv) == (0, expected, "")
+    joined = ["scalarize", edge_json, f"--weights={weights[1]}", *([fmt] if fmt else [])]
+    assert run(capsys, *joined) == (0, expected, "")
+
+
 def test_bicheck_command(capsys, tmp_path):
     path = write_csv_matrix(tmp_path, [[3, 2, 1], [1, 2, 3]])
     code, out, _ = run(capsys, "bicheck", path, "--json")

@@ -39,7 +39,9 @@ from paretosimplex import (
     build_t0,
     build_t1,
     build_t2,
+    check_full,
     check_points,
+    enumerate_faces,
     solution_set,
     solve,
     verify_certificate,
@@ -233,6 +235,21 @@ def test_decide_dimension_mismatch(edge_matrix):
         EfficiencyAnalyzer(edge_matrix).decide(SimplexPoint([0.5, 0.5]))
 
 
+def test_report_rejects_a_class_the_matrix_has_no_point_of(edge_matrix, full_matrix):
+    # On the full matrix every class copies the randomized report, so the
+    # class is checked before that copy is made.
+    for matrix in (edge_matrix, full_matrix):
+        analyzer = EfficiencyAnalyzer(matrix)
+        with pytest.raises(DimensionMismatchError):
+            analyzer.report(Deterministic(4))
+        with pytest.raises(DimensionMismatchError):
+            analyzer.report(PartiallyRandomized(SupportPattern((1, 4))), (2,))
+        with pytest.raises(InputError):
+            analyzer.report(PartiallyRandomized(SupportPattern((1, 2, 3))))
+        point = SimplexPoint([0.5, 0.5, 1e-10])
+        assert analyzer.report(PartiallyRandomized(SupportPattern((1, 2))), (3,)) is analyzer.decide(point)
+
+
 def test_zero_one_law_sample():
     # Every kind, closure included, agrees with its margin-form reference,
     # whose optimum is 0 or 1.
@@ -308,6 +325,41 @@ def test_each_program_solved_once(edge_matrix, monkeypatch):
     assert len(calls) == 4
 
 
+def test_t0_is_solved_once_per_analyzer(edge_matrix, full_matrix, monkeypatch):
+    # T0 is decided once, as the randomized report; check_full, the face
+    # scan and every other class read that report, in whichever order.
+    built = []
+    real_build = efficiency_module.build_t0
+
+    def counting_build(matrix):
+        built.append(matrix)
+        return real_build(matrix)
+
+    monkeypatch.setattr(efficiency_module, "build_t0", counting_build)
+    rng = np.random.default_rng(2121)
+    matrices = [edge_matrix, full_matrix, CriteriaMatrix(DUPLICATE_COLUMN_ROWS)]
+    matrices += [random_matrix(rng, n=int(rng.integers(2, 6))) for _ in range(30)]
+    full = 0
+    for trial, matrix in enumerate(matrices):
+        n = matrix.n
+        analyzer = EfficiencyAnalyzer(matrix)
+        built.clear()
+        points = [
+            SimplexPoint(barycenter(n, combo))
+            for size in range(1, n + 1)
+            for combo in itertools.combinations(range(1, n + 1), size)
+        ]
+        if trial % 2:
+            points.reverse()
+            enumerate_faces(analyzer)
+        for point in points:
+            analyzer.decide(point)
+        full += check_full(analyzer)[0]
+        enumerate_faces(analyzer)
+        assert len(built) == 1
+    assert full >= 1
+
+
 def _strict_first(analyzer, support):
     """Reference decision in the strict-first order: the exact-face program
     (T1 or T2), then the closure program only when that fails.  Returns the
@@ -351,7 +403,8 @@ def test_closure_first_keeps_the_strict_first_answers(monkeypatch):
             entries[:, c] = (entries[:, a] + entries[:, b]) / 2
         matrix = CriteriaMatrix(entries)
         analyzer, reference = EfficiencyAnalyzer(matrix), EfficiencyAnalyzer(matrix)
-        analyzer.t0()
+        # T0 is solved once, for the randomized report, before costs are counted.
+        analyzer.decide(SimplexPoint(barycenter(n, range(1, n + 1))))
         dominated = []
         for size in range(1, n):
             for combo in itertools.combinations(range(1, n + 1), size):
