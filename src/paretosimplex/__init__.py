@@ -25,6 +25,7 @@ from .core import (
     clamped_indices,
     classify,
     point_groups,
+    support_class,
     vertex,
 )
 from .efficiency import (
@@ -61,11 +62,7 @@ from .lp import (
 )
 from .oracle import build_dominance_lp, dominance_lp_verdict
 from .scalarize import (
-    FullSimplex,
     ObjectiveVector,
-    OpenFace,
-    SolutionSetDescriptor,
-    UniqueVertex,
     WeightVector,
     argmax_set,
     solution_set,
@@ -84,7 +81,6 @@ __all__ = [
     "EfficiencyReport",
     "EfficientStructure",
     "EnumerationCapError",
-    "FullSimplex",
     "InputError",
     "InvalidPointError",
     "LpError",
@@ -92,20 +88,17 @@ __all__ = [
     "LpStatus",
     "NumericalBreakdownError",
     "ObjectiveVector",
-    "OpenFace",
     "PartiallyRandomized",
     "PointClass",
     "Randomized",
     "Relation",
     "SimplexPoint",
-    "SolutionSetDescriptor",
     "StandardLp",
     "SupportPattern",
     "TestKind",
     "TestProgram",
     "TestResult",
     "Tolerances",
-    "UniqueVertex",
     "Verdict",
     "WeightVector",
     "argmax_set",
@@ -127,6 +120,7 @@ __all__ = [
     "point_groups",
     "solution_set",
     "solve",
+    "support_class",
     "verify_certificate",
     "vertex",
     "weighted_objective",

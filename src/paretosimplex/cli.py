@@ -47,6 +47,7 @@ from .core import (
     DimensionMismatchError,
     InputError,
     PartiallyRandomized,
+    PointClass,
     Randomized,
     SimplexPoint,
     SupportPattern,
@@ -55,6 +56,7 @@ from .core import (
     check_points,
     point_groups,
     row_key,
+    support_class,
 )
 from .efficiency import EfficiencyAnalyzer, EfficiencyReport
 from .enumeration import (
@@ -67,14 +69,7 @@ from .enumeration import (
 )
 from . import oracle
 from .lp import LpError
-from .scalarize import (
-    FullSimplex,
-    UniqueVertex,
-    WeightVector,
-    argmax_descriptor,
-    argmax_set,
-    weighted_objective,
-)
+from .scalarize import WeightVector, argmax_set, weighted_objective
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -175,35 +170,29 @@ def load_matrix(path: str, fmt: str | None) -> CriteriaMatrix:
     return matrix
 
 
-def _class_name(report: EfficiencyReport) -> str:
-    if isinstance(report.point_class, Deterministic):
-        return "deterministic"
-    if isinstance(report.point_class, PartiallyRandomized):
-        return "partial"
-    return "randomized"
+# The printed names of a point class, and of the face its points fill.
+_CLASS_NAMES = {Deterministic: "deterministic", PartiallyRandomized: "partial", Randomized: "randomized"}
+_FACE_KINDS = {Deterministic: "vertex", PartiallyRandomized: "open-face", Randomized: "all"}
 
 
-def _support_list(report: EfficiencyReport, n: int) -> list[int]:
-    if isinstance(report.point_class, Randomized):
+def _support_list(point_class: PointClass, n: int) -> list[int]:
+    """The 1-based support of the class's points out of n columns."""
+    if isinstance(point_class, Randomized):
         return list(range(1, n + 1))
-    return list(report.point_class.support)
+    return list(point_class.support)
 
 
-def _face_payload(face, n: int) -> dict | None:
+def _face_payload(face: PointClass | None, n: int) -> dict | None:
     if face is None:
         return None
-    if isinstance(face, FullSimplex):
-        return {"kind": "all", "support": list(range(1, n + 1))}
-    if isinstance(face, UniqueVertex):
-        return {"kind": "vertex", "support": [face.index]}
-    return {"kind": "open-face", "support": list(face.support)}
+    return {"kind": _FACE_KINDS[type(face)], "support": _support_list(face, n)}
 
 
 def _report_payload(report: EfficiencyReport, n: int) -> dict:
     """The JSON document of a report on a point with n components."""
     return {
-        "class": _class_name(report),
-        "support": _support_list(report, n),
+        "class": _CLASS_NAMES[type(report.point_class)],
+        "support": _support_list(report.point_class, n),
         "verdict": report.verdict.value,
         "test": report.test.value,
         "value": 1.0 if report.verdict is Verdict.EFFICIENT else 0.0,
@@ -367,7 +356,7 @@ def cmd_scalarize(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
     weights = WeightVector(_numbers(args.weights, "weights"))
     objective = weighted_objective(matrix, weights)
     tied = argmax_set(objective, tol)
-    desc_payload = _face_payload(argmax_descriptor(tied, matrix.n), matrix.n)
+    desc_payload = _face_payload(support_class(tied, matrix.n), matrix.n)
     payload = {
         "coeffs": [float(c) for c in objective.coeffs],
         "dmax": objective.dmax,

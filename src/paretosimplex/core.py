@@ -4,7 +4,10 @@ The feasible set is the standard probability simplex: vectors with
 nonnegative components summing to one.  Points are classified by support
 size: deterministic points put all mass on a single column (a vertex),
 randomized points have strictly positive mass everywhere, and partially
-randomized points sit strictly between those extremes.
+randomized points sit strictly between those extremes.  The points of one
+class on one support fill one face of the simplex (a vertex, an open face,
+or the interior), so a class names that face too; ``support_class`` maps a
+support to its class.
 
 A batch of points, the rows of an (N, n) array, is checked by
 ``check_points`` under the same rules as ``SimplexPoint`` and grouped by
@@ -39,6 +42,7 @@ __all__ = [
     "classify",
     "point_groups",
     "row_key",
+    "support_class",
     "vertex",
 ]
 
@@ -308,11 +312,20 @@ def _classify(coords: np.ndarray, tol: Tolerances) -> PointClass:
     positive = np.flatnonzero(coords > tol.x_zero)
     if positive.size == 0:
         raise InvalidPointError("every component is within the zero threshold")
-    if positive.size == 1:
-        return Deterministic(int(positive[0]) + 1)
-    if positive.size == coords.size:
+    return support_class(SupportPattern.trusted(tuple((positive + 1).tolist())), coords.size)
+
+
+def support_class(support: SupportPattern, n: int) -> PointClass:
+    """The class of the points of the n-column simplex whose support is
+    ``support``, which is also the face those points fill: the whole
+    simplex when the support has every column, a vertex when it has one,
+    and otherwise the open face on the support."""
+    size = len(support.indices)
+    if size == n:
         return Randomized()
-    return PartiallyRandomized(SupportPattern.trusted(tuple((positive + 1).tolist())))
+    if size == 1:
+        return Deterministic(support.indices[0])
+    return PartiallyRandomized(support)
 
 
 def clamped_indices(x: SimplexPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[int, ...]:

@@ -89,15 +89,10 @@ from .core import (
     classify,
     point_groups,
     row_key,
+    support_class,
 )
 from .lp import LpSolution, LpStatus, NumericalBreakdownError, Relation, StandardLp, solve
-from .scalarize import (
-    SolutionSetDescriptor,
-    WeightVector,
-    argmax_descriptor,
-    argmax_set,
-    weighted_objective,
-)
+from .scalarize import WeightVector, argmax_set, weighted_objective
 
 __all__ = [
     "EfficiencyAnalyzer",
@@ -154,18 +149,20 @@ class EfficiencyReport:
     its class and clamped indices: every point with both alike gets the
     same report, and the analyzer keeps one report per such key.
 
-    face describes the region the decisive certificate proves efficient
-    alongside the point (whole simplex, one vertex, or an open face); it
-    is absent for dominated points.  clamped lists 1-based components
-    whose positive mass fell within the zero threshold and was excluded
-    from the support.
+    face is the region the decisive certificate proves efficient
+    alongside the point: its weights' argmax face, as the class of the
+    points that fill it (``Randomized()`` for the whole simplex,
+    ``Deterministic(j)`` for a vertex, ``PartiallyRandomized(S)`` for an
+    open face).  It is absent for dominated points.  clamped lists
+    1-based components whose positive mass fell within the zero threshold
+    and was excluded from the support.
     """
 
     point_class: PointClass
     verdict: Verdict
     test: TestKind
     certificate: WeightVector | None
-    face: SolutionSetDescriptor | None
+    face: PointClass | None
     clamped: tuple[int, ...] = ()
 
 
@@ -274,6 +271,8 @@ class EfficiencyAnalyzer:
         # by their own closure program, and of the faces ``efficient`` keeps.
         self._dominated: list[int] = []
         self._kept: list[int] = []
+        # Kept faces count a column as tied only within the solver tolerance.
+        self._kept_tol = replace(tol, tie=tol.lp)
 
     def _run(self, program: TestProgram) -> TestResult:
         try:
@@ -375,7 +374,7 @@ class EfficiencyAnalyzer:
             return EfficiencyReport(point_class, Verdict.DOMINATED, TestKind.CLOSURE, None, None)
         report = self._proved(point_class, closure)
         exact = TestKind.T2 if len(support) == 1 else TestKind.T1
-        if report.face == argmax_descriptor(support, self.matrix.n):
+        if report.face == point_class:
             # The weak gaps came out strict, so these weights name the exact face.
             return replace(report, test=exact)
         strict = self.t2(support.indices[0]) if exact is TestKind.T2 else self.t1(support)
@@ -396,7 +395,7 @@ class EfficiencyAnalyzer:
         result = self._closure_route(support)
         if result is None or not result.certified:
             return False
-        verified = self.verified(result, replace(self.tol, tie=self.tol.lp))
+        verified = self.verified(result, self._kept_tol)
         # Larger weights may tie columns that trail by less than rounding.
         if verified is not None and verified[0].weights.max() <= 1e6:
             with self._lock:
@@ -436,8 +435,8 @@ class EfficiencyAnalyzer:
 
     def _proved(self, point_class: PointClass, result: TestResult) -> EfficiencyReport:
         """The report a feasible program proves for ``point_class``, once its
-        certificate passes ``verified``.  The face is the weights' argmax
-        pattern."""
+        certificate passes ``verified``.  The face is the class of the
+        weights' argmax pattern."""
         verified = self.verified(result)
         if verified is None:
             target = result.program.target
@@ -450,7 +449,7 @@ class EfficiencyAnalyzer:
             Verdict.EFFICIENT,
             result.program.kind,
             certificate,
-            argmax_descriptor(tied, self.matrix.n),
+            support_class(tied, self.matrix.n),
         )
 
 

@@ -4,13 +4,13 @@ Collapsing the criteria rows with a weight vector gives one linear
 objective over the simplex.  Its maximizer set is determined entirely by
 which columns attain the top coefficient: all of the simplex when every
 column ties, a single vertex when exactly one does, and otherwise the
-closed face spanned by the tied columns, whose relative interior is the
-open face reported here.
+closed face spanned by the tied columns.  ``solution_set`` reports it as
+the class of the points in its relative interior (``core.support_class``
+of the tied columns): ``Randomized()``, ``Deterministic(j)`` or
+``PartiallyRandomized(S)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,18 +19,15 @@ from .core import (
     CriteriaMatrix,
     DimensionMismatchError,
     InputError,
+    PointClass,
     SupportPattern,
     Tolerances,
+    support_class,
 )
 
 __all__ = [
-    "FullSimplex",
     "ObjectiveVector",
-    "OpenFace",
-    "SolutionSetDescriptor",
-    "UniqueVertex",
     "WeightVector",
-    "argmax_descriptor",
     "argmax_set",
     "solution_set",
     "weighted_objective",
@@ -92,33 +89,6 @@ class ObjectiveVector:
         return f"ObjectiveVector([{inner}])"
 
 
-@dataclass(frozen=True)
-class FullSimplex:
-    """Every feasible point maximizes the objective."""
-
-
-@dataclass(frozen=True)
-class UniqueVertex:
-    """Exactly one vertex maximizes; its 1-based column index."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class OpenFace:
-    """The maximizers form the closed face on this support; its relative
-    interior is the open face of points weighting all these columns."""
-
-    support: SupportPattern
-
-    def __post_init__(self) -> None:
-        if len(self.support) < 2:
-            raise InputError("an open face spans at least two columns")
-
-
-SolutionSetDescriptor = FullSimplex | UniqueVertex | OpenFace
-
-
 def weighted_objective(matrix: CriteriaMatrix, weights: WeightVector) -> ObjectiveVector:
     """Collapse the criteria rows into one objective: coefficients
     weights . matrix, one per column."""
@@ -136,20 +106,11 @@ def argmax_set(objective: ObjectiveVector, tol: Tolerances = DEFAULT_TOLERANCES)
     return SupportPattern(int(j) + 1 for j in tied)
 
 
-def argmax_descriptor(tied: SupportPattern, n: int) -> SolutionSetDescriptor:
-    """Maximizer set over the n-column simplex of an objective whose tied
-    columns are ``tied``."""
-    if len(tied) == n:
-        return FullSimplex()
-    if len(tied) == 1:
-        return UniqueVertex(tied.indices[0])
-    return OpenFace(tied)
-
-
 def solution_set(
     matrix: CriteriaMatrix,
     weights: WeightVector,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> SolutionSetDescriptor:
-    """Describe the maximizer set of the collapsed objective over the simplex."""
-    return argmax_descriptor(argmax_set(weighted_objective(matrix, weights), tol), matrix.n)
+) -> PointClass:
+    """The maximizer set of the collapsed objective over the simplex, as
+    the class of the points in its relative interior."""
+    return support_class(argmax_set(weighted_objective(matrix, weights), tol), matrix.n)

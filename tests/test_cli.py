@@ -216,6 +216,13 @@ def test_scalarize_takes_a_negative_first_weight_without_equals(capsys, edge_jso
     assert run(capsys, *joined) == (0, expected, "")
 
 
+def test_weights_after_dashes_stay_as_given():
+    # argparse reads every argument after "--" as positional, so no
+    # "--weights" there is joined with the literal after it.
+    argv = ["scalarize", "edge.json", "--weights", "1,1,1", "--", "--weights", "-1,2,1"]
+    assert cli._join_weights(argv) == argv
+
+
 def test_bicheck_command(capsys, tmp_path):
     path = write_csv_matrix(tmp_path, [[3, 2, 1], [1, 2, 3]])
     code, out, _ = run(capsys, "bicheck", path, "--json")
@@ -519,7 +526,7 @@ def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypat
             line + "\n" for line in shown
         ), command
         ran += 1
-    assert ran == 10
+    assert ran == 11
 
 
 def test_readme_library_usage_shows_what_it_returns():
@@ -609,6 +616,8 @@ def test_error_table(capsys, error_table_dir, command, code, out, err):
         ("oracle edge.json 1,0,0 -.5,1,0.5 --json 0,1,0", "paretosimplex: error: unrecognized arguments: 0,1,0"),
         ("test edge.json", "paretosimplex test: error: the following arguments are required: point"),
         ("test edge.json --", "paretosimplex test: error: the following arguments are required: point"),
+        # After "--", "--weights" is a positional argument, not the option.
+        ("scalarize edge.json -- --weights -1,2,1", "paretosimplex scalarize: error: the following arguments are required: --weights"),
     ],
 )
 def test_usage_errors_name_the_argument(capsys, error_table_dir, command, last_line):

@@ -14,8 +14,10 @@ from paretosimplex import (
     SimplexPoint,
     SupportPattern,
     Tolerances,
+    check_points,
     clamped_indices,
     classify,
+    support_class,
     vertex,
 )
 
@@ -125,6 +127,19 @@ def test_point_validation():
         SimplexPoint([0.9, 0.2])
     with pytest.raises(InvalidPointError):
         SimplexPoint([0.5, np.nan])
+
+
+def test_check_points_takes_only_the_rows_of_a_two_dimensional_array():
+    for points in ([0.5, 0.5], np.zeros((2, 0))):
+        with pytest.raises(InvalidPointError, match="points must be the rows of a 2-dimensional array"):
+            check_points(points)
+
+
+def test_support_class_is_the_class_of_the_points_on_the_support():
+    assert support_class(SupportPattern((2,)), 3) == Deterministic(2)
+    assert support_class(SupportPattern((1, 3)), 3) == PartiallyRandomized(SupportPattern((1, 3)))
+    assert support_class(SupportPattern((1, 2, 3)), 3) == Randomized()
+    assert support_class(SupportPattern((1, 2)), 2) == Randomized()
 
 
 def test_point_coords_read_only():

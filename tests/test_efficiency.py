@@ -18,12 +18,11 @@ from paretosimplex import (
     Deterministic,
     DimensionMismatchError,
     EfficiencyAnalyzer,
-    FullSimplex,
     InputError,
+    InvalidPointError,
     LpError,
     LpStatus,
     NumericalBreakdownError,
-    OpenFace,
     PartiallyRandomized,
     Randomized,
     Relation,
@@ -31,7 +30,6 @@ from paretosimplex import (
     SupportPattern,
     TestKind as Kind,
     Tolerances,
-    UniqueVertex,
     Verdict,
     WeightVector,
     argmax_set,
@@ -142,7 +140,7 @@ def test_decide_open_face_point(edge_matrix):
     report = EfficiencyAnalyzer(edge_matrix).decide(SimplexPoint([0.55, 0.45, 0.0]))
     assert report.verdict is Verdict.EFFICIENT
     assert report.test is Kind.T1
-    assert report.face == OpenFace(SupportPattern((1, 2)))
+    assert report.face == PartiallyRandomized(SupportPattern((1, 2)))
     assert report.certificate is not None
     assert float(report.certificate.weights.min()) == 1.0
     assert verify_certificate(edge_matrix, report.certificate, report.point_class)
@@ -164,7 +162,7 @@ def test_decide_vertices(edge_matrix):
         assert report.verdict is expected
         if expected is Verdict.EFFICIENT:
             assert report.test is Kind.T2
-            assert report.face == UniqueVertex(j)
+            assert report.face == Deterministic(j)
             assert verify_certificate(edge_matrix, report.certificate, Deterministic(j))
         else:
             assert report.test is Kind.CLOSURE
@@ -182,7 +180,7 @@ def test_decide_on_full_instance_short_circuits(full_matrix):
         report = EfficiencyAnalyzer(full_matrix).decide(point)
         assert report.verdict is Verdict.EFFICIENT
         assert report.test is Kind.T0
-        assert report.face == FullSimplex()
+        assert report.face == Randomized()
         assert verify_certificate(full_matrix, report.certificate, Randomized())
 
 
@@ -194,7 +192,7 @@ def test_boundary_of_duplicated_face_is_efficient():
         assert report.verdict is Verdict.EFFICIENT
         assert report.test is Kind.CLOSURE
         assert _report_payload(report, 5)["value"] == 1.0
-        assert report.face == OpenFace(SupportPattern((2, 3)))
+        assert report.face == PartiallyRandomized(SupportPattern((2, 3)))
         # the certificate ties the enclosing face, not the vertex alone
         assert verify_certificate(matrix, report.certificate, PartiallyRandomized(SupportPattern((2, 3))))
         assert not verify_certificate(matrix, report.certificate, Deterministic(j))
@@ -211,7 +209,7 @@ def test_column_inside_tied_hull_is_efficient():
     report = EfficiencyAnalyzer(matrix).decide(vertex(3, 4))
     assert report.verdict is Verdict.EFFICIENT
     assert report.test is Kind.CLOSURE
-    assert report.face == OpenFace(SupportPattern((1, 2, 3)))
+    assert report.face == PartiallyRandomized(SupportPattern((1, 2, 3)))
 
 
 def test_verify_certificate_fixture_values(edge_matrix):
@@ -366,11 +364,11 @@ def _strict_first(analyzer, support):
     verdict, the test kind and the face."""
     pattern = SupportPattern(support)
     if analyzer.t0().certified:
-        return Verdict.EFFICIENT, Kind.T0, FullSimplex()
+        return Verdict.EFFICIENT, Kind.T0, Randomized()
     if len(support) == 1:
-        strict, face = analyzer.t2(support[0]), UniqueVertex(support[0])
+        strict, face = analyzer.t2(support[0]), Deterministic(support[0])
     else:
-        strict, face = analyzer.t1(pattern), OpenFace(pattern)
+        strict, face = analyzer.t1(pattern), PartiallyRandomized(pattern)
     if strict.certified:
         return Verdict.EFFICIENT, strict.program.kind, face
     closure = analyzer.closure(pattern)
@@ -622,6 +620,21 @@ def test_decide_many_matches_decide_on_each_row(case):
         assert checked[index].tobytes() == point.coords.tobytes()
     else:
         assert len(checked) == len(rows) and error is None
+
+
+def test_decide_many_refuses_rows_of_another_length_before_any_report(edge_matrix):
+    # All-positive rows of four components would pass the point rules.
+    reports = EfficiencyAnalyzer(edge_matrix).decide_many(np.full((2, 4), 0.25))
+    with pytest.raises(DimensionMismatchError, match="point has 4 components, matrix has 3 columns"):
+        next(reports)
+
+
+def test_decide_refuses_a_point_off_the_simplex_at_the_analyzers_tolerance(edge_matrix):
+    # The point was checked at a wider zero threshold: its sum is within
+    # 3 * 1e-6 of one, but not within 3 * 1e-9.
+    x = SimplexPoint([0.5 + 1e-6, 0.5, 0.0], Tolerances(x_zero=1e-6))
+    with pytest.raises(InvalidPointError, match="point does not lie on the simplex at this tolerance"):
+        EfficiencyAnalyzer(edge_matrix).decide(x)
 
 
 def test_rows_of_one_key_share_one_report(edge_matrix):

@@ -598,3 +598,84 @@ def test_structure_and_verdicts_follow_column_permutations_and_row_shifts(relati
                     failures.append((entries.tolist(), combo, after.value))
     assert not failures, f"{len(failures)} failures, first: {failures[:2]}"
     assert checked > 5000
+
+
+def duplicated_column(rng, entries):
+    """The entries with a copy of a random column appended, and the map
+    from each new 1-based column to the old column it equals."""
+    n = entries.shape[1]
+    source = int(rng.integers(n))
+    image = {j: j for j in range(1, n + 1)}
+    image[n + 1] = source + 1
+    return np.column_stack([entries, entries[:, source]]), image
+
+
+def dominated_column(rng, entries):
+    """The entries with a column appended that a random column dominates:
+    no better under any criterion and worse under at least one.  The map
+    sends each old column to itself and has no entry for the new one."""
+    k, n = entries.shape
+    loss = rng.integers(0, 4, size=k)
+    loss[rng.integers(k)] = rng.integers(1, 4)
+    source = int(rng.integers(n))
+    return np.column_stack([entries, entries[:, source] - loss]), {j: j for j in range(1, n + 1)}
+
+
+def efficient_supports(structure, n):
+    """The efficient supports of an exhaustive structure on n columns, the
+    full support included when the structure is full."""
+    supports = {(j,) for j in structure.vertices} | {face.indices for face in structure.faces}
+    return supports | {tuple(range(1, n + 1))} if structure.full else supports
+
+
+@pytest.mark.parametrize("relation", [duplicated_column, dominated_column], ids=["duplicate", "dominated"])
+def test_structure_and_verdicts_follow_duplicated_and_dominated_columns(relation):
+    # A point of the grown matrix scores as the point of the original that
+    # moves each new column's mass onto the column it copies; so its support
+    # is efficient exactly when that image is.  A dominated column has no
+    # image: mass on it can move to the column that dominates it, at a gain,
+    # and the original points lose no efficiency, since the new column
+    # offers nothing the old one does not.
+    rng = np.random.default_rng(2031)
+    failures = []
+    checked = 0
+    for _ in range(100):
+        # The grown matrices have 4 to 8 columns.
+        k, n = int(rng.integers(2, 7)), int(rng.integers(3, 8))
+        entries = rng.integers(-9, 10, size=(k, n)).astype(float)
+        grown_entries, image = relation(rng, entries)
+        plain = EfficiencyAnalyzer(CriteriaMatrix(entries))
+        grown = EfficiencyAnalyzer(CriteriaMatrix(grown_entries))
+
+        def old_support(support):
+            """The support of the original point a grown point scores as,
+            or None when the grown point has mass on a dominated column."""
+            if any(j not in image for j in support):
+                return None
+            return tuple(sorted({image[j] for j in support}))
+
+        try:
+            before = efficient_supports(enumerate_faces(plain), n)
+            after = efficient_supports(enumerate_faces(grown), n + 1)
+        except LpError as exc:
+            failures.append((entries.tolist(), repr(exc)))
+            continue
+        supports = [
+            combo for size in range(1, n + 2) for combo in itertools.combinations(range(1, n + 2), size)
+        ]
+        expected = {combo for combo in supports if old_support(combo) in before}
+        if after != expected:
+            failures.append((entries.tolist(), "structure"))
+        for combo in supports:
+            old = old_support(combo)
+            want = (
+                Verdict.DOMINATED
+                if old is None
+                else plain.decide(SimplexPoint(barycenter(n, old))).verdict
+            )
+            got = grown.decide(SimplexPoint(barycenter(n + 1, combo))).verdict
+            checked += 1
+            if got is not want:
+                failures.append((entries.tolist(), combo, got.value))
+    assert not failures, f"{len(failures)} failures, first: {failures[:2]}"
+    assert checked > 8000

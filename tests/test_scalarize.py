@@ -5,13 +5,13 @@ import pytest
 
 from paretosimplex import (
     CriteriaMatrix,
+    Deterministic,
     DimensionMismatchError,
-    FullSimplex,
     ObjectiveVector,
-    OpenFace,
+    PartiallyRandomized,
+    Randomized,
     SupportPattern,
     Tolerances,
-    UniqueVertex,
     WeightVector,
     argmax_set,
     solution_set,
@@ -24,20 +24,20 @@ def test_collapse_known_values(edge_matrix):
     assert got.coeffs.tolist() == [3.0, 0.0, -3.5]
     assert got.dmax == 3.0
     assert argmax_set(got) == SupportPattern((1,))
-    assert solution_set(edge_matrix, WeightVector([1.0, 1.0, 1.0])) == UniqueVertex(1)
+    assert solution_set(edge_matrix, WeightVector([1.0, 1.0, 1.0])) == Deterministic(1)
 
 
 def test_collapse_all_tie(full_matrix):
     got = weighted_objective(full_matrix, WeightVector([1.0, 2.0, 1.0]))
     assert got.coeffs.tolist() == [2.0, 2.0, 2.0]
     assert argmax_set(got) == SupportPattern((1, 2, 3))
-    assert solution_set(full_matrix, WeightVector([1.0, 2.0, 1.0])) == FullSimplex()
+    assert solution_set(full_matrix, WeightVector([1.0, 2.0, 1.0])) == Randomized()
 
 
 def test_open_face_descriptor():
     matrix = CriteriaMatrix([[7.0, 7.0, 0.0], [7.0, 7.0, 0.0]])
     got = solution_set(matrix, WeightVector([0.5, 0.5]))
-    assert got == OpenFace(SupportPattern((1, 2)))
+    assert got == PartiallyRandomized(SupportPattern((1, 2)))
 
 
 def test_tie_threshold_boundary():
@@ -86,7 +86,7 @@ def test_unique_vertex_means_strict_dominance_of_other_vertices():
         coeffs = rng.permutation(np.arange(n, dtype=float) * rng.integers(1, 4))
         matrix = CriteriaMatrix(np.vstack([coeffs, coeffs]))
         descriptor = solution_set(matrix, WeightVector([0.5, 0.5]))
-        if not isinstance(descriptor, UniqueVertex):
+        if not isinstance(descriptor, Deterministic):
             continue
         objective = weighted_objective(matrix, WeightVector([0.5, 0.5]))
         gap = objective.dmax - np.partition(objective.coeffs, -2)[-2]
