@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    DEFAULT_TOLERANCES,
     CriteriaMatrix,
     Deterministic,
     DimensionMismatchError,
@@ -424,14 +425,24 @@ def cmd_oracle(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances
     return EXIT_OK
 
 
+# The options every subcommand takes, with their add_argument keywords, and
+# the argv reader's lists of options and of those that take the next
+# argument as their value: all but the flags.
+_COMMON = (
+    ("--tol-x", dict(type=float, default=DEFAULT_TOLERANCES.x_zero, help="zero threshold for point components")),
+    ("--tol-d", dict(type=float, default=DEFAULT_TOLERANCES.tie, help="tie threshold for objective coefficients")),
+    ("--tol-lp", dict(type=float, default=DEFAULT_TOLERANCES.lp, help="simplex pivot tolerance")),
+    ("--json", dict(action="store_true", help="emit JSON instead of text")),
+    ("--format", dict(choices=("json", "csv"), help="matrix file format (default: sniff extension)")),
+)
+_OPTIONS = ("-h", "--help", *(name for name, _ in _COMMON))
+_VALUED = tuple(name for name, keywords in _COMMON if "action" not in keywords)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # Every subcommand takes the tolerances, --json and --format.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-x", type=float, default=1e-9, help="zero threshold for point components")
-    common.add_argument("--tol-d", type=float, default=1e-7, help="tie threshold for objective coefficients")
-    common.add_argument("--tol-lp", type=float, default=1e-9, help="simplex pivot tolerance")
-    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--format", choices=("json", "csv"), default=None, help="matrix file format (default: sniff extension)")
+    for name, keywords in _COMMON:
+        common.add_argument(name, **keywords)
 
     parser = argparse.ArgumentParser(
         prog="paretosimplex",
@@ -479,10 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
 # parse_args returns a fresh Namespace and no action has a mutable default.
 _parser = functools.cache(build_parser)
 
-# The options of every subcommand, and those that take the next argument as
-# their value, as build_parser declares them.
-_OPTIONS = ("-h", "--help", "--tol-x", "--tol-d", "--tol-lp", "--json", "--format")
-_VALUED = ("--tol-x", "--tol-d", "--tol-lp", "--format")
 # An argument that starts like a negative number, such as -1e-10,0.5,0.5.
 _NUMBER = re.compile(r"-\.?\d")
 # What argparse reads as the points of test and oracle: one positional argument.

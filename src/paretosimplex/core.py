@@ -41,7 +41,6 @@ __all__ = [
     "clamped_indices",
     "classify",
     "point_groups",
-    "row_key",
     "support_class",
     "vertex",
 ]

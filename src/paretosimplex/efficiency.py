@@ -33,13 +33,16 @@ w = 1 + u: ties are equalities, strict gaps are "at least 1" and weak gaps
 "at least 0".  Scaling w by a large enough factor turns any strictly
 positive weighting with positive gaps into one with w >= 1 and gaps >= 1,
 so feasibility is exactly the certificate's existence (Isermann's
-weight-space test).  A feasible program certifies efficiency, with
-weights (1 + u) / min(1 + u); an infeasible one proves that no weighting
-exists.  Because the programs depend only on the support, the analyzer
-keeps one report (verdict, test, verified certificate and face) per point
-class, so a batch of points costs one decision per distinct support.  T0
-is decided once, as the randomized class's report, which every other
-class reads first: all-tying weights make every point efficient.
+weight-space test).  T1 and T2 also bound the weight mass, sum(u) <= 1e6;
+they run only after a feasible closure program, so the bound changes no
+verdict.  A feasible program certifies efficiency, with weights
+(1 + u) / min(1 + u); an infeasible one proves that no weighting exists,
+within the bound for T1 and T2.  Because the programs depend only on
+the support, the analyzer keeps one report (verdict, test, verified
+certificate and face) per point class, so a batch of points costs one
+decision per distinct support.  T0 is decided once, as the randomized
+class's report, which every other class reads first: all-tying weights
+make every point efficient.
 
 Efficient supports are closed under subsets: weights that keep a support
 at the maximum keep each of its subsets there.  So a support that contains
@@ -166,11 +169,17 @@ class EfficiencyReport:
     clamped: tuple[int, ...] = ()
 
 
+#: U of the T1 and T2 row sum(u) / U <= 1, and the largest weight a kept face's certificate may have.
+_WEIGHT_BOUND = 1e6
+
+
 def _build(matrix: CriteriaMatrix, support: SupportPattern, kind: TestKind) -> TestProgram:
     """Feasibility program over u >= 0 with weights w = 1 + u: the support
     columns tie, and every other column trails the first support column
     by at least 1 (T1, T2) or at least 0 (closure).  T0 passes the full
-    support, so it has ties only."""
+    support, so it has ties only.  T1 and T2 end with the row
+    sum(u) / _WEIGHT_BOUND <= 1: phase one's threshold grows with the
+    largest right-hand side, and 1 keeps it where it was."""
     entries = matrix.entries
     inside = [j - 1 for j in support.indices]
     outside = [j for j in range(matrix.n) if j + 1 not in support]
@@ -179,11 +188,14 @@ def _build(matrix: CriteriaMatrix, support: SupportPattern, kind: TestKind) -> T
     rows += [entries[:, inside[0]] - entries[:, j] for j in outside]
     a = np.array(rows)
     gap = 0.0 if kind is TestKind.CLOSURE else 1.0
-    bound = np.array([0.0] * ties + [gap] * len(outside))
-    relations = [Relation.EQ] * ties + [Relation.GE] * len(outside)
     # Each row d bounds d . w = d . u + sum(d).
-    lp = StandardLp(a, relations, bound - a.sum(axis=1))
-    return TestProgram(kind=kind, target=support, lp=lp)
+    rhs = [0.0] * ties + [gap] * len(outside) - a.sum(axis=1)
+    relations = [Relation.EQ] * ties + [Relation.GE] * len(outside)
+    if kind in (TestKind.T1, TestKind.T2):
+        a = np.vstack([a, np.full(matrix.k, 1.0 / _WEIGHT_BOUND)])
+        rhs = np.append(rhs, 1.0)
+        relations.append(Relation.LE)
+    return TestProgram(kind=kind, target=support, lp=StandardLp(a, relations, rhs))
 
 
 def build_t0(matrix: CriteriaMatrix) -> TestProgram:
@@ -397,7 +409,7 @@ class EfficiencyAnalyzer:
             return False
         verified = self.verified(result, self._kept_tol)
         # Larger weights may tie columns that trail by less than rounding.
-        if verified is not None and verified[0].weights.max() <= 1e6:
+        if verified is not None and verified[0].weights.max() <= _WEIGHT_BOUND:
             with self._lock:
                 self._kept.append(_mask(verified[1]))
         return True

@@ -16,7 +16,7 @@ import pytest
 from conftest import EDGE_ONLY_ROWS, ALL_EFFICIENT_ROWS
 
 import paretosimplex
-from paretosimplex import Verdict, cli, oracle
+from paretosimplex import DEFAULT_TOLERANCES, Tolerances, Verdict, cli, oracle
 
 
 def run(capsys, *argv):
@@ -667,6 +667,11 @@ def test_the_argv_reader_knows_the_options_of_test_and_oracle():
         options = [a for a in subparsers.choices[name]._actions if a.option_strings]
         assert sorted(s for a in options for s in a.option_strings) == sorted(cli._OPTIONS)
         assert sorted(s for a in options if a.nargs is None for s in a.option_strings) == sorted(cli._VALUED)
+
+
+def test_the_tolerance_options_default_to_the_library_tolerances():
+    args = cli.build_parser().parse_args(["test", "m.json", "1,0"])
+    assert Tolerances(x_zero=args.tol_x, tie=args.tol_d, lp=args.tol_lp) == DEFAULT_TOLERANCES
 
 
 def _parsed(capsys, argv):

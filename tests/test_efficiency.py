@@ -54,19 +54,22 @@ DUPLICATE_COLUMN_ROWS = [[-2.0, 6.0, 6.0, 5.0, -9.0], [1.0, 4.0, 4.0, 1.0, 1.0]]
 
 def _assert_layout(program, matrix, support, gap):
     """The program is over k weight offsets u >= 0: |S| - 1 tie rows, then one row per other column, in column order, whose
-    lead over that column must reach ``gap`` under w = 1 + u."""
+    lead over that column must reach ``gap`` under w = 1 + u.  T1 and T2 end with the row sum(u) / 1e6 <= 1."""
     entries = matrix.entries
     inside = [j - 1 for j in support]
     outside = [j for j in range(matrix.n) if j + 1 not in support]
     ties = len(inside) - 1
+    capped = int(program.kind in (Kind.T1, Kind.T2))
     lp = program.lp
     assert lp.num_vars == matrix.k
-    assert lp.num_rows == ties + len(outside)
-    assert lp.relations == (Relation.EQ,) * ties + (Relation.GE,) * len(outside)
+    assert lp.num_rows == ties + len(outside) + capped
+    assert lp.relations == (Relation.EQ,) * ties + (Relation.GE,) * len(outside) + (Relation.LE,) * capped
     rows = [entries[:, a] - entries[:, b] for a, b in itertools.pairwise(inside)]
     rows += [entries[:, inside[0]] - entries[:, j] for j in outside]
+    rows += [np.full(matrix.k, 1e-6)] * capped
     assert np.array_equal(lp.a, np.array(rows))
-    assert np.array_equal(lp.rhs, [0.0] * ties + [gap] * len(outside) - lp.a.sum(axis=1))
+    gaps = [0.0] * ties + [gap] * len(outside) - lp.a[: len(rows) - capped].sum(axis=1)
+    assert np.array_equal(lp.rhs, [*gaps, *[1.0] * capped])
 
 
 def test_t0_program_shape(edge_matrix):
@@ -84,7 +87,7 @@ def test_t1_program_shape(edge_matrix):
     assert program.kind is Kind.T1
     assert program.target == support
     _assert_layout(program, edge_matrix, support, 1.0)
-    assert program.lp.rhs.tolist() == [-3.0, 1.0 - 6.5]
+    assert program.lp.rhs.tolist() == [-3.0, 1.0 - 6.5, 1.0]
 
 
 def test_t2_program_shape(edge_matrix):
@@ -92,7 +95,7 @@ def test_t2_program_shape(edge_matrix):
     assert program.kind is Kind.T2
     assert program.target == SupportPattern((2,))
     _assert_layout(program, edge_matrix, (2,), 1.0)
-    assert program.lp.rhs.tolist() == [1.0 + 3.0, 1.0 - 3.5]
+    assert program.lp.rhs.tolist() == [1.0 + 3.0, 1.0 - 3.5, 1.0]
 
 
 def test_closure_program_shape(edge_matrix):
@@ -732,11 +735,12 @@ def test_verdicts_do_not_depend_on_units(mode, exponent):
     assert not failures, f"{len(failures)} failures, first: {failures[:2]}"
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalBreakdownError, reason="absolute tie tolerance, ROADMAP item 3")
 def test_small_units_keep_certificate_gaps_above_the_tie_tolerance():
-    # At 1e-6 units the certificate for {1, 2, 4, 6} leads columns 3 and 5
-    # by 3e-8 after normalization to min weight 1, below the absolute
-    # argmax tie tolerance of 1e-7, so re-verification rejects it.
+    # At 1e-6 units an unbounded T1 certificate for {1, 2, 4, 6} led columns
+    # 3 and 5 by 3e-8 after normalization to min weight 1, below the
+    # absolute argmax tie tolerance of 1e-7, so re-verification rejected it
+    # and decide raised.  T1's bound on the weight mass (ROADMAP item 3
+    # step 0) leaves that program infeasible, and the closure report stands.
     rows = [
         [6.0, 5.0, 8.0, 3.0, -5.0, -5.0],
         [3.0, -2.0, 5.0, 2.0, -9.0, 8.0],
