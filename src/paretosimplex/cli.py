@@ -18,9 +18,14 @@ renders each report once; only the text ``point:`` line shows the point's
 own clamped coordinates.  ``plot3`` decides its grid through
 ``decide_many``.
 
-Exit codes: 0 success, 2 malformed input, 3 dimension mismatch, 4 solver
-failure or a disagreement under enumerate --oracle, 5 enumeration would
-list more supports than the bound allows.
+Every command writes stdout once.  ``test`` and ``oracle`` join their
+blocks themselves; the other five pass ``_emit`` a payload and a function
+returning their text lines, which is called only without --json.
+
+Exit codes, which ``main`` reads from one table, ``_EXIT_CODES``: 0
+success, 2 malformed input, 3 dimension mismatch, 4 solver failure or a
+disagreement under enumerate --oracle, 5 enumeration would list more
+supports than the bound allows.
 
 Numbers are printed with 17 significant digits so every value round-trips
 exactly; for fixed input and options the output is byte-identical across
@@ -51,13 +56,11 @@ from .core import (
     PointClass,
     Randomized,
     SimplexPoint,
-    SupportPattern,
     Tolerances,
     Verdict,
     check_points,
     point_groups,
     row_key,
-    support_class,
 )
 from .efficiency import EfficiencyAnalyzer, EfficiencyReport
 from .enumeration import (
@@ -70,13 +73,22 @@ from .enumeration import (
 )
 from . import oracle
 from .lp import LpError
-from .scalarize import WeightVector, argmax_set, weighted_objective
+from .scalarize import WeightVector, solution_set, weighted_objective
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_SOLVER = 4
 EXIT_SIZE_CAP = 5
+
+# The exit code of each error a command may raise, the first matching class
+# winning: a dimension mismatch is also an input error.
+_EXIT_CODES = {
+    DimensionMismatchError: EXIT_DIMENSION,
+    InputError: EXIT_PARSE,
+    EnumerationCapError: EXIT_SIZE_CAP,
+    LpError: EXIT_SOLVER,
+}
 
 #: Schema of the JSON documents printed by the ``test`` command (one per point).
 REPORT_SCHEMA = {
@@ -292,18 +304,19 @@ def cmd_test(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) 
     return EXIT_OK
 
 
+def _emit(args: argparse.Namespace, payload: dict, text) -> None:
+    """Write a command's one document: its JSON line under ``--json``, else
+    the lines ``text()`` returns, which are built only then."""
+    _write([_json_text(payload)] if args.json else text())
+
+
 def cmd_check_full(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
     full, certificate = check_full(EfficiencyAnalyzer(matrix, tol))
-    payload = {
-        "full": full,
-        "certificate": None if certificate is None else [float(w) for w in certificate.weights],
-    }
-    if args.json:
-        print(_json_text(payload))
-    else:
-        print(f"full: {'yes' if full else 'no'}")
-        if certificate is not None:
-            print(f"certificate: {_items(certificate.weights)}")
+    weights = None if certificate is None else [float(w) for w in certificate.weights]
+    _emit(args, {"full": full, "certificate": weights}, lambda: [
+        f"full: {'yes' if full else 'no'}",
+        *([] if weights is None else [f"certificate: {_items(weights)}"]),
+    ])
     return EXIT_OK
 
 
@@ -313,7 +326,7 @@ def cmd_enumerate(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
         supports = [(j,) for j in range(1, matrix.n + 1)] + _listed_supports(matrix.n, args.max_support)
     structure = enumerate_faces(EfficiencyAnalyzer(matrix, tol), args.max_support)
     vertices = sorted(structure.vertices)
-    faces = sorted(structure.faces, key=lambda p: (len(p), p.indices))
+    faces = sorted((face.indices for face in structure.faces), key=lambda face: (len(face), face))
     payload = {
         "full": structure.full,
         "vertices": vertices,
@@ -321,68 +334,55 @@ def cmd_enumerate(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
         "exhaustive": structure.exhaustive,
         "warning": None,  # always null; kept so that readers of the document find the key
     }
-    agreement = None
+    agreement = []
     if args.oracle:
-        agreement = []
+        efficient = {(j,) for j in vertices}.union(faces)
         for combo in supports:
             coords = np.zeros(matrix.n)
             coords[[j - 1 for j in combo]] = 1.0 / len(combo)
             verdict = oracle.dominance_lp_verdict(matrix, SimplexPoint(coords, tol), tol)
-            if len(combo) == 1:
-                efficient = combo[0] in structure.vertices
-            else:
-                efficient = SupportPattern(combo) in structure.faces
-            agreement.append(
-                {"support": list(combo), "agrees": efficient == (verdict is Verdict.EFFICIENT)}
-            )
+            agrees = (combo in efficient) == (verdict is Verdict.EFFICIENT)
+            agreement.append({"support": list(combo), "agrees": agrees})
         payload["oracle"] = agreement
-    disagreements = sum(not entry["agrees"] for entry in agreement or ())
+    disagreements = sum(not entry["agrees"] for entry in agreement)
     if disagreements:
         print(f"error: {disagreements} supports disagree with the dominance oracle", file=sys.stderr)
-    status = EXIT_SOLVER if disagreements else EXIT_OK
-    if args.json:
-        print(_json_text(payload))
-        return status
-    print(f"full: {'yes' if structure.full else 'no'}")
-    print(f"efficient vertices: {_items(vertices) or '(none)'}")
-    print(f"efficient faces: {'; '.join(_items(face, braces=True) for face in faces) or '(none)'}")
-    print(f"exhaustive: {'yes' if structure.exhaustive else 'no'}")
-    if agreement is not None:
-        for entry in agreement:
-            print(f"oracle {_items(entry['support'], braces=True)}: {'agree' if entry['agrees'] else 'DISAGREE'}")
-    return status
+    _emit(args, payload, lambda: [
+        f"full: {'yes' if structure.full else 'no'}",
+        f"efficient vertices: {_items(vertices) or '(none)'}",
+        f"efficient faces: {'; '.join(_items(face, braces=True) for face in faces) or '(none)'}",
+        f"exhaustive: {'yes' if structure.exhaustive else 'no'}",
+        *(f"oracle {_items(entry['support'], braces=True)}: {'agree' if entry['agrees'] else 'DISAGREE'}"
+          for entry in agreement),
+    ])
+    return EXIT_SOLVER if disagreements else EXIT_OK
 
 
 def cmd_scalarize(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
     weights = WeightVector(_numbers(args.weights, "weights"))
     objective = weighted_objective(matrix, weights)
-    tied = argmax_set(objective, tol)
-    desc_payload = _face_payload(support_class(tied, matrix.n), matrix.n)
+    solutions = _face_payload(solution_set(matrix, weights, tol), matrix.n)
     payload = {
         "coeffs": [float(c) for c in objective.coeffs],
         "dmax": objective.dmax,
-        "argmax": list(tied),
-        "solution_set": desc_payload,
+        "argmax": solutions["support"],
+        "solution_set": solutions,
     }
-    if args.json:
-        print(_json_text(payload))
-    else:
-        print(f"coeffs: {_items(objective.coeffs)}")
-        print(f"dmax: {_json_text(objective.dmax)}")
-        print(f"argmax: {_items(tied)}")
-        print(f"solution set: {desc_payload['kind']} {_items(desc_payload['support'], braces=True)}")
+    _emit(args, payload, lambda: [
+        f"coeffs: {_items(payload['coeffs'])}",
+        f"dmax: {_json_text(payload['dmax'])}",
+        f"argmax: {_items(solutions['support'])}",
+        f"solution set: {solutions['kind']} {_items(solutions['support'], braces=True)}",
+    ])
     return EXIT_OK
 
 
 def cmd_bicheck(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
     full = bicriterion_full_check(matrix, tol)
-    ratios = bicriterion_ratios(matrix)
-    payload = {"full": full, "ratios": [float(r) for r in ratios]}
-    if args.json:
-        print(_json_text(payload))
-    else:
-        print(f"full: {'yes' if full else 'no'}")
-        print(f"ratios: {_items(ratios)}")
+    ratios = [float(r) for r in bicriterion_ratios(matrix)]
+    _emit(args, {"full": full, "ratios": ratios}, lambda: [
+        f"full: {'yes' if full else 'no'}", f"ratios: {_items(ratios)}"
+    ])
     return EXIT_OK
 
 
@@ -394,17 +394,10 @@ def cmd_plot3(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances)
     analyzer = EfficiencyAnalyzer(matrix, tol)
     d = args.density
     grid = [[a / d, b / d, (d - a - b) / d] for a in range(d + 1) for b in range(d - a + 1)]
-    rows = [(coords, report.verdict.value) for coords, report in zip(grid, analyzer.decide_many(grid))]
-    if args.json:
-        payload = {
-            "density": d,
-            "rows": [{"point": coords, "verdict": verdict} for coords, verdict in rows],
-        }
-        print(_json_text(payload))
-    else:
-        print("x1,x2,x3,verdict")
-        for coords, verdict in rows:
-            print(",".join(_json_text(c) for c in coords) + f",{verdict}")
+    rows = [{"point": c, "verdict": report.verdict.value} for c, report in zip(grid, analyzer.decide_many(grid))]
+    _emit(args, {"density": d, "rows": rows}, lambda: [
+        "x1,x2,x3,verdict", *(",".join(map(_json_text, row["point"])) + f",{row['verdict']}" for row in rows)
+    ])
     return EXIT_OK
 
 
@@ -589,18 +582,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         tol = Tolerances(x_zero=args.tol_x, tie=args.tol_d, lp=args.tol_lp)
         return args.func(args, load_matrix(args.matrix, args.format), tol)
-    except DimensionMismatchError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_CAP
-    except LpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 def entry() -> None:

@@ -77,6 +77,26 @@ def near_tie_corpus(seed: int = 8, count: int = 600):
         yield index, entries * scale, scale
 
 
+def dominance_gain(entries: np.ndarray, x: np.ndarray) -> float:
+    """Largest total gain over ``x``, on the row-normalized matrix, of a
+    point of the simplex that loses in no criterion, solved by SciPy's
+    HiGHS so that the reference shares no code with the package.  Each
+    row has its mean subtracted and is divided by its largest absolute
+    value, as in the benchmark's reference; a constant row becomes zero."""
+    shifted = entries - entries.mean(axis=1, keepdims=True)
+    scale = np.abs(shifted).max(axis=1, keepdims=True)
+    normalized = np.divide(shifted, scale, out=np.zeros_like(shifted), where=scale > 0)
+    k, n = normalized.shape
+    # Variables y (the point) and s (the gains): normalized y - s = normalized x, sum(y) = 1.
+    a_eq = np.block([[normalized, -np.eye(k)], [np.ones(n), np.zeros(k)]])
+    cost = np.concatenate([np.zeros(n), -np.ones(k)])
+    result = optimize.linprog(
+        cost, A_eq=a_eq, b_eq=np.append(normalized @ x, 1.0), bounds=(0, None), method="highs"
+    )
+    assert result.status == 0, result.message
+    return -result.fun
+
+
 def _margin_form(matrix: CriteriaMatrix, kind: TestKind, support):
     """The margin-maximizing form of one certificate program, the reference
     formulation for the feasibility programs the package solves.

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import io
 import json
 import os
 import shlex
@@ -439,6 +440,57 @@ def test_test_reports_the_points_before_a_solver_failure(capsys, edge_json, monk
     assert err == "error: closure program on support {3} of the 3x3 matrix: stub breakdown\n"
 
 
+# The commands that print one document, run on the error table's files.
+SINGLE_DOCUMENT_COMMANDS = [
+    ("check-full", "full.json"),
+    ("enumerate", "edge.json"),
+    ("enumerate", "edge.json", "--oracle"),
+    ("scalarize", "edge.json", "--weights", "1,1,1"),
+    ("bicheck", "full.json"),
+    ("plot3", "edge.json", "--density", "2"),
+]
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("argv", SINGLE_DOCUMENT_COMMANDS, ids=" ".join)
+def test_single_document_commands_write_stdout_once(capsys, error_table_dir, monkeypatch, argv, mode):
+    _, expected, _ = run(capsys, *argv, *mode)
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main([*argv, *mode]) == 0
+    assert (stdout.writes, stdout.getvalue()) == (1, expected)
+
+
+@pytest.mark.parametrize(
+    ("oracle_flag", "expected"),
+    [
+        ((), '{"full": false, "vertices": [1, 2], "faces": [[1, 2]], "exhaustive": true, "warning": null}\n'),
+        (("--oracle",), '{"full": false, "vertices": [1, 2], "faces": [[1, 2]], "exhaustive": true, "warning": null, '
+         '"oracle": [{"support": [1], "agrees": true}, {"support": [2], "agrees": true}, {"support": [3], "agrees": true}, '
+         '{"support": [1, 2], "agrees": true}, {"support": [1, 3], "agrees": true}, {"support": [2, 3], "agrees": true}]}\n'),
+    ],
+    ids=["plain", "oracle"],
+)
+def test_enumerate_json_renders_no_text(capsys, edge_json, monkeypatch, oracle_flag, expected):
+    def refuse(*_):
+        raise AssertionError("text rendered under --json")
+
+    monkeypatch.setattr(cli, "_items", refuse)
+    assert run(capsys, "enumerate", edge_json, *oracle_flag, "--json") == (0, expected, "")
+    with pytest.raises(AssertionError, match="text rendered"):
+        cli.main(["enumerate", edge_json, *oracle_flag])
+
+
 def test_usage_errors_exit_2(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()
@@ -553,9 +605,11 @@ def test_readme_library_usage_shows_what_it_returns():
 
 
 # Matrix files for the error table, read from the working directory so
-# that the messages name them by these relative paths.
+# that the messages name them by these relative paths; full.json is
+# README.md's.
 ERROR_TABLE_FILES = {
     "edge.json": json.dumps({"k": 3, "n": 3, "C": EDGE_ONLY_ROWS}),
+    "full.json": json.dumps({"k": 2, "n": 3, "C": [[3, 2, 1], [1, 2, 3]]}),
     "two.csv": "1,2\n2,1\n",
     "flat.csv": "1,1,2\n0,1,2\n",
     "bad.json": "{not json",
