@@ -155,32 +155,26 @@ def _numbers(text: str, what: str) -> list[float]:
 
 
 def load_matrix(path: str, fmt: str | None) -> CriteriaMatrix:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
     if fmt is None:
         fmt = "json" if path.lower().endswith(".json") else "csv"
-    doc = {}
-    if fmt == "json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(doc, dict) or "C" not in doc:
-            raise InputError(f"{path}: expected an object with a 'C' field")
     try:
-        if fmt == "json":
-            rows = doc["C"]
-        else:
-            rows = [[float(cell) for cell in record] for record in csv.reader(io.StringIO(text)) if record]
-        matrix = CriteriaMatrix(rows)
+        text = Path(path).read_text()
+        if fmt == "csv":
+            return CriteriaMatrix([[float(cell) for cell in record] for record in csv.reader(io.StringIO(text)) if record])
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or "C" not in doc:
+            raise InputError("expected an object with a 'C' field")
+        matrix = CriteriaMatrix(doc["C"])
+        for name, expected in (("k", matrix.k), ("n", matrix.n)):
+            if name in doc and doc[name] != expected:
+                raise InputError(f"field {name}={doc[name]} disagrees with C ({expected})")
+        return matrix
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from None
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
-    for name, expected in (("k", matrix.k), ("n", matrix.n)):
-        if name in doc and doc[name] != expected:
-            raise InputError(f"{path}: field {name}={doc[name]} disagrees with C ({expected})")
-    return matrix
 
 
 # The printed names of a point class, and of the face its points fill.
@@ -260,25 +254,19 @@ def _point_rows(
             pass
         else:
             return check_points(flat.reshape(len(literals), n), tol)
-    rows: list[list[float]] = []
-    bad: list[float] | InputError | None = None
+    rows: list[np.ndarray] = []
+    error = None
     for literal in literals:
         try:
-            values = _numbers(literal, "point")
+            point, error = check_points([_numbers(literal, "point")], tol)
         except InputError as exc:
-            bad = exc
+            error = exc
+        if error is None and point.shape[1] != n:
+            error = DimensionMismatchError(f"point has {point.shape[1]} components, matrix has {n} columns")
+        if error is not None:
             break
-        if len(values) != n:
-            bad = values
-            break
-        rows.append(values)
-    coords, error = check_points(np.reshape(rows, (len(rows), n)), tol)
-    if isinstance(bad, list) and error is None:
-        # Its point rules come before its length, as for this literal alone.
-        bad = check_points([bad], tol)[1] or DimensionMismatchError(
-            f"point has {len(bad)} components, matrix has {n} columns"
-        )
-    return coords, error or bad
+        rows.append(point[0])
+    return np.reshape(rows, (len(rows), n)), error
 
 
 def cmd_test(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
@@ -360,11 +348,11 @@ def cmd_enumerate(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
 
 def cmd_scalarize(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
     weights = WeightVector(_numbers(args.weights, "weights"))
-    objective = weighted_objective(matrix, weights)
+    coeffs = weighted_objective(matrix, weights)
     solutions = _face_payload(solution_set(matrix, weights, tol), matrix.n)
     payload = {
-        "coeffs": [float(c) for c in objective.coeffs],
-        "dmax": objective.dmax,
+        "coeffs": [float(c) for c in coeffs],
+        "dmax": float(coeffs.max()),
         "argmax": solutions["support"],
         "solution_set": solutions,
     }

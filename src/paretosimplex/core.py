@@ -86,11 +86,17 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def _frozen_array(values, ndim: int) -> np.ndarray:
+def float_array(values) -> np.ndarray:
+    """A new float array of ``values``; what NumPy cannot read as one, such
+    as ragged rows or text, raises ``InputError`` with NumPy's message."""
     try:
-        arr = np.array(values, dtype=float)
-    except TypeError as exc:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
         raise InputError(str(exc)) from None
+
+
+def _frozen_array(values, ndim: int) -> np.ndarray:
+    arr = float_array(values)
     if arr.ndim != ndim:
         raise InputError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -154,7 +160,7 @@ class SimplexPoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
-        arr = np.array(coords, dtype=float)
+        arr = float_array(coords)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidPointError("a point must be a nonempty one-dimensional vector")
         checked, error = check_points(arr[np.newaxis], tol)
@@ -185,7 +191,7 @@ def check_points(
     read-only rows before the first invalid row, and the error for that
     row, or None when every row is a point.
     """
-    rows = np.asarray(points, dtype=float)
+    rows = float_array(points)
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise InvalidPointError(
             f"points must be the rows of a 2-dimensional array, got shape {rows.shape}"
@@ -212,6 +218,15 @@ def check_points(
     return clamped[:first], error
 
 
+def _integer(value) -> int | None:
+    """``value`` as an int when it equals one, else None."""
+    try:
+        j = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return j if j == value else None
+
+
 @dataclass(frozen=True)
 class SupportPattern:
     """Sorted, duplicate-free 1-based column indices."""
@@ -221,8 +236,8 @@ class SupportPattern:
     def __post_init__(self) -> None:
         cleaned = []
         for i in self.indices:
-            j = int(i)
-            if j != i:
+            j = _integer(i)
+            if j is None:
                 raise InputError(f"support index {i!r} is not an integer")
             cleaned.append(j)
         if not cleaned:
@@ -261,9 +276,10 @@ class Deterministic:
     index: int
 
     def __post_init__(self) -> None:
-        if int(self.index) != self.index or self.index < 1:
+        index = _integer(self.index)
+        if index is None or index < 1:
             raise InputError("vertex index must be a positive integer")
-        object.__setattr__(self, "index", int(self.index))
+        object.__setattr__(self, "index", index)
 
     @property
     def support(self) -> SupportPattern:

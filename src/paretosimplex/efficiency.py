@@ -90,6 +90,7 @@ from .core import (
     check_points,
     clamped_indices,
     classify,
+    float_array,
     point_groups,
     row_key,
     support_class,
@@ -244,16 +245,10 @@ def verify_certificate(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> bool:
     """Check a claimed efficiency certificate: the weights must be strictly
-    positive and their collapsed objective must tie exactly the support of
-    the given class (all columns for randomized points)."""
-    if weights.k != matrix.k:
-        raise DimensionMismatchError(f"{weights.k} weights for {matrix.k} criteria")
-    if not weights.strictly_positive:
-        return False
-    tied = argmax_set(weighted_objective(matrix, weights), tol)
-    if isinstance(point_class, Randomized):
-        return len(tied) == matrix.n
-    return tied == point_class.support
+    positive, and the class of their argmax face (``support_class`` of the
+    columns they tie) must be ``point_class``."""
+    coeffs = weighted_objective(matrix, weights)
+    return weights.strictly_positive and support_class(argmax_set(coeffs, tol), matrix.n) == point_class
 
 
 class EfficiencyAnalyzer:
@@ -286,12 +281,17 @@ class EfficiencyAnalyzer:
         # Kept faces count a column as tied only within the solver tolerance.
         self._kept_tol = replace(tol, tie=tol.lp)
 
+    def _breakdown(self, program: TestProgram, cause: object) -> NumericalBreakdownError:
+        """A breakdown error naming the program's kind and support and the matrix's shape."""
+        support = "{" + ", ".join(map(str, program.target)) + "}"
+        k, n = self.matrix.k, self.matrix.n
+        return NumericalBreakdownError(f"{program.kind.value} program on support {support} of the {k}x{n} matrix: {cause}")
+
     def _run(self, program: TestProgram) -> TestResult:
         try:
             solution = solve(program.lp, self.tol)
         except NumericalBreakdownError as exc:
-            name = f"{program.kind.value} program on support {{{', '.join(map(str, program.target))}}}"
-            raise NumericalBreakdownError(f"{name} of the {self.matrix.k}x{self.matrix.n} matrix: {exc}") from exc
+            raise self._breakdown(program, exc) from exc
         return TestResult(program, solution)
 
     def t0(self) -> TestResult:
@@ -332,11 +332,12 @@ class EfficiencyAnalyzer:
         rows with one class and clamped indices yield the same object.  The
         rows are checked and grouped together (``point_groups``), and each
         group is classified and looked up once per call, on its first row.
-        An invalid row raises the error ``SimplexPoint`` raises for it, and
-        a failing decision its own error, each after every earlier row has
-        been yielded.
+        Input that NumPy cannot read as an array, such as ragged rows,
+        raises ``InputError`` before the first row.  An invalid row raises
+        the error ``SimplexPoint`` raises for it, and a failing decision its
+        own error, each after every earlier row has been yielded.
         """
-        rows = np.asarray(points, dtype=float)
+        rows = float_array(points)
         if rows.ndim == 2 and rows.shape[1] != self.matrix.n:
             raise DimensionMismatchError(
                 f"point has {rows.shape[1]} components, matrix has {self.matrix.n} columns"
@@ -355,13 +356,18 @@ class EfficiencyAnalyzer:
     def report(self, point_class: PointClass, clamped: tuple[int, ...] = ()) -> EfficiencyReport:
         """The one report for this key.  Each class is decided once, on the
         key without clamped indices, and the other keys copy that report.  A
-        class that no point of n components has raises.  A miss is computed
-        outside the lock, and the first report stored wins."""
+        key that no point of n components has raises: clamped indices must be
+        increasing columns outside the support.  A miss is computed outside
+        the lock, and the first report stored wins."""
         key = (point_class, clamped)
         with self._lock:
             found = self._reports.get(key)
         if found is None:
             if clamped:
+                columns = range(1, self.matrix.n + 1)
+                support = columns if isinstance(point_class, Randomized) else point_class.support
+                if list(clamped) != [j for j in columns if j in clamped and j not in support]:
+                    raise InputError(f"clamped indices {clamped} are not increasing columns outside the support")
                 found = replace(self.report(point_class), clamped=clamped)
             else:
                 found = self._decide_class(point_class)
@@ -451,10 +457,9 @@ class EfficiencyAnalyzer:
         weights' argmax pattern."""
         verified = self.verified(result)
         if verified is None:
-            target = result.program.target
             exact = result.program.kind is not TestKind.CLOSURE
-            claim = f"tie exactly {target}" if exact else f"keep {target} at the maximum"
-            raise NumericalBreakdownError(f"extracted certificate does not {claim}")
+            claim = "tie exactly that support" if exact else "keep that support at the maximum"
+            raise self._breakdown(result.program, f"extracted certificate does not {claim}")
         certificate, tied = verified
         return EfficiencyReport(
             point_class,

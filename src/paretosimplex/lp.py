@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, DimensionMismatchError, InputError, Tolerances
+from .core import DEFAULT_TOLERANCES, DimensionMismatchError, InputError, Tolerances, float_array
 
 __all__ = [
     "LpError",
@@ -77,12 +77,12 @@ class StandardLp:
     __slots__ = ("a", "relations", "rhs", "codes")
 
     def __init__(self, a, relations: Sequence[Relation], rhs) -> None:
-        self.a = np.array(a, dtype=float)
+        self.a = float_array(a)
         if self.a.ndim != 2 or self.a.shape[1] == 0:
             raise InputError("matrix must be 2-dimensional with at least one column")
         r = self.a.shape[0]
         self.relations = tuple(relations)
-        self.rhs = np.array(rhs, dtype=float).reshape(-1)
+        self.rhs = float_array(rhs).reshape(-1)
         if len(self.relations) != r or self.rhs.size != r:
             raise DimensionMismatchError("rows, relations, and rhs must align")
         try:
@@ -121,7 +121,7 @@ def feasibility_violation(lp: StandardLp, point: np.ndarray) -> float:
     """Largest constraint or sign violation of ``point``; row violations are
     scaled by 1 + |rhs| so the measure is meaningful across magnitudes.  A
     point with a NaN or infinite component violates by ``inf``."""
-    x = np.asarray(point, dtype=float)
+    x = float_array(point)
     if not np.isfinite(x).all():
         return float("inf")
     resid = lp.a @ x - lp.rhs

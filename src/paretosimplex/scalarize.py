@@ -1,13 +1,14 @@
 """Weighted-sum objectives and the structure of their maximizer sets.
 
 Collapsing the criteria rows with a weight vector gives one linear
-objective over the simplex.  Its maximizer set is determined entirely by
-which columns attain the top coefficient: all of the simplex when every
-column ties, a single vertex when exactly one does, and otherwise the
-closed face spanned by the tied columns.  ``solution_set`` reports it as
-the class of the points in its relative interior (``core.support_class``
-of the tied columns): ``Randomized()``, ``Deterministic(j)`` or
-``PartiallyRandomized(S)``.
+objective over the simplex; ``weighted_objective`` returns its column
+coefficients as a read-only array.  Its maximizer set is determined
+entirely by the columns that attain the top coefficient, ``argmax_set``
+of the coefficients: all of the simplex when every column ties, a single
+vertex when exactly one does, and otherwise the closed face spanned by
+the tied columns.  ``solution_set`` reports it as the class of the points
+in its relative interior (``core.support_class`` of the tied columns):
+``Randomized()``, ``Deterministic(j)`` or ``PartiallyRandomized(S)``.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from .core import (
     PointClass,
     SupportPattern,
     Tolerances,
+    float_array,
     support_class,
 )
 
 __all__ = [
-    "ObjectiveVector",
     "WeightVector",
     "argmax_set",
     "solution_set",
@@ -40,7 +41,7 @@ class WeightVector:
     __slots__ = ("weights",)
 
     def __init__(self, weights) -> None:
-        arr = np.array(weights, dtype=float)
+        arr = float_array(weights)
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("weights must form a nonempty vector")
         if not np.isfinite(arr).all():
@@ -65,45 +66,26 @@ class WeightVector:
         return f"WeightVector([{inner}])"
 
 
-class ObjectiveVector:
-    """Column coefficients of a collapsed objective and their maximum."""
-
-    __slots__ = ("coeffs", "dmax")
-
-    def __init__(self, coeffs) -> None:
-        arr = np.array(coeffs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise InputError("coefficients must form a nonempty vector")
-        if not np.isfinite(arr).all():
-            raise InputError("coefficients must be finite")
-        arr.setflags(write=False)
-        self.coeffs = arr
-        self.dmax = float(arr.max())
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.size
-
-    def __repr__(self) -> str:
-        inner = ", ".join(format(c, "g") for c in self.coeffs)
-        return f"ObjectiveVector([{inner}])"
-
-
-def weighted_objective(matrix: CriteriaMatrix, weights: WeightVector) -> ObjectiveVector:
-    """Collapse the criteria rows into one objective: coefficients
-    weights . matrix, one per column."""
+def weighted_objective(matrix: CriteriaMatrix, weights: WeightVector) -> np.ndarray:
+    """Collapse the criteria rows into one objective: the read-only
+    coefficients weights . matrix, one per column."""
     if weights.k != matrix.k:
-        raise DimensionMismatchError(
-            f"{weights.k} weights for {matrix.k} criteria"
-        )
-    return ObjectiveVector(weights.weights @ matrix.entries)
+        raise DimensionMismatchError(f"{weights.k} weights for {matrix.k} criteria")
+    coeffs = weights.weights @ matrix.entries
+    coeffs.setflags(write=False)
+    return coeffs
 
 
-def argmax_set(objective: ObjectiveVector, tol: Tolerances = DEFAULT_TOLERANCES) -> SupportPattern:
-    """1-based indices of the columns tied with the maximum coefficient,
-    where tied means within ``tol.tie`` of it."""
-    tied = np.flatnonzero(objective.coeffs >= objective.dmax - tol.tie)
-    return SupportPattern(int(j) + 1 for j in tied)
+def argmax_set(coeffs, tol: Tolerances = DEFAULT_TOLERANCES) -> SupportPattern:
+    """1-based indices of the columns tied with the largest of the
+    coefficients ``coeffs``, where tied means within ``tol.tie`` of it."""
+    arr = float_array(coeffs)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InputError("coefficients must form a nonempty vector")
+    if not np.isfinite(arr).all():
+        raise InputError("coefficients must be finite")
+    tied = np.flatnonzero(arr >= arr.max() - tol.tie)
+    return SupportPattern.trusted(tuple((tied + 1).tolist()))
 
 
 def solution_set(

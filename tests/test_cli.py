@@ -660,6 +660,16 @@ def test_error_table(capsys, error_table_dir, command, code, out, err):
     assert run(capsys, *shlex.split(command)) == (code, out, err)
 
 
+def test_a_matrix_file_that_is_not_text_is_an_input_error(capsys, tmp_path, monkeypatch):
+    # Reading the file is inside load_matrix's one try, so a decoding
+    # error maps to exit 2 like any other unreadable matrix.
+    monkeypatch.chdir(tmp_path)
+    Path("bytes.json").write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "check-full", "bytes.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bytes.json: ") and "decode" in err
+
+
 @pytest.mark.parametrize(
     ("command", "last_line"),
     [

@@ -1,5 +1,7 @@
 """Point classification and domain type validation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,19 +9,28 @@ from paretosimplex import (
     DEFAULT_TOLERANCES,
     CriteriaMatrix,
     Deterministic,
+    EfficiencyAnalyzer,
     InputError,
     InvalidPointError,
     PartiallyRandomized,
     Randomized,
+    Relation,
     SimplexPoint,
+    StandardLp,
     SupportPattern,
     Tolerances,
+    WeightVector,
+    argmax_set,
     check_points,
     clamped_indices,
     classify,
+    feasibility_violation,
     support_class,
     vertex,
 )
+
+RAGGED = "setting an array element with a sequence"
+TEXT = "could not convert string to float: 'a'"
 
 
 def test_vertices_classify_deterministic():
@@ -189,3 +200,33 @@ def test_criteria_matrix_validation():
     assert (matrix.k, matrix.n) == (2, 2)
     with pytest.raises(ValueError):
         matrix.entries[0, 0] = 9.0
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda: CriteriaMatrix([[1, 2, 3], [3, 4]]), RAGGED),
+        (lambda: CriteriaMatrix([[1, "a"], [3, 4]]), TEXT),
+        (lambda: SimplexPoint(["a", 1]), TEXT),
+        (lambda: check_points([[1, 0], [1]]), RAGGED),
+        (lambda: next(EfficiencyAnalyzer(CriteriaMatrix([[1, 0], [0, 1]])).decide_many([[1, 0], [1]])), RAGGED),
+        (lambda: WeightVector(["a"]), TEXT),
+        (lambda: argmax_set(["a", 1.0]), TEXT),
+        (lambda: StandardLp([["a"]], [Relation.EQ], [1]), TEXT),
+        (lambda: feasibility_violation(StandardLp([[1]], [Relation.EQ], [1]), ["a"]), TEXT),
+        (lambda: SupportPattern(("a",)), "support index 'a' is not an integer"),
+        (lambda: SupportPattern((None,)), "support index None is not an integer"),
+        (lambda: SupportPattern((float("inf"),)), "support index inf is not an integer"),
+        (lambda: Deterministic("a"), "vertex index must be a positive integer"),
+        (lambda: Deterministic(None), "vertex index must be a positive integer"),
+    ],
+    ids=[
+        "matrix-ragged", "matrix-text", "point-text", "check_points-ragged", "decide_many-ragged",
+        "weights-text", "coefficients-text", "lp-text", "violation-text", "support-text", "support-none", "support-inf",
+        "vertex-text", "vertex-none",
+    ],
+)
+def test_numbers_the_library_cannot_read_raise_input_error(read, message):
+    # The message keeps NumPy's own text where NumPy read the numbers.
+    with pytest.raises(InputError, match=re.escape(message)):
+        read()

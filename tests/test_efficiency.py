@@ -223,6 +223,17 @@ def test_verify_certificate_fixture_values(edge_matrix):
     assert not verify_certificate(edge_matrix, WeightVector([1.0, 0.0, 1.0]), Deterministic(1))
 
 
+def test_verify_certificate_compares_face_classes(full_matrix):
+    # (1, 2, 1) ties every column: its face is the whole simplex, which no
+    # partially randomized class names, even one listing every column.
+    ties_all = WeightVector([1.0, 2.0, 1.0])
+    assert verify_certificate(full_matrix, ties_all, Randomized())
+    assert not verify_certificate(full_matrix, ties_all, PartiallyRandomized(SupportPattern((1, 2, 3))))
+    assert not verify_certificate(full_matrix, ties_all, PartiallyRandomized(SupportPattern((1, 2))))
+    with pytest.raises(DimensionMismatchError, match="^2 weights for 3 criteria$"):
+        verify_certificate(full_matrix, WeightVector([1.0, -1.0]), Randomized())
+
+
 def test_clamped_boundary_point_decided_by_clamped_support(edge_matrix):
     report = EfficiencyAnalyzer(edge_matrix).decide(SimplexPoint([0.5, 0.5 - 1e-12, 1e-12]))
     assert report.point_class == PartiallyRandomized(SupportPattern((1, 2)))
@@ -249,6 +260,26 @@ def test_report_rejects_a_class_the_matrix_has_no_point_of(edge_matrix, full_mat
             analyzer.report(PartiallyRandomized(SupportPattern((1, 2, 3))))
         point = SimplexPoint([0.5, 0.5, 1e-10])
         assert analyzer.report(PartiallyRandomized(SupportPattern((1, 2))), (3,)) is analyzer.decide(point)
+
+
+def test_report_rejects_clamped_indices_no_point_has(edge_matrix):
+    # Clamped indices are increasing columns of the matrix outside the
+    # support; no report is stored for a key that breaks this.
+    analyzer = EfficiencyAnalyzer(edge_matrix)
+    for point_class, clamped in [
+        (Deterministic(1), (9,)),
+        (Deterministic(1), (1,)),
+        (Deterministic(1), (3, 2)),
+        (Deterministic(1), (2, 2)),
+        (Deterministic(1), (0,)),
+        (PartiallyRandomized(SupportPattern((1, 2))), (2,)),
+        (Randomized(), (1,)),
+    ]:
+        with pytest.raises(InputError, match="clamped indices"):
+            analyzer.report(point_class, clamped)
+        assert (point_class, clamped) not in analyzer._reports
+    assert analyzer.report(Deterministic(1), (2, 3)).clamped == (2, 3)
+    assert analyzer.report(PartiallyRandomized(SupportPattern((1, 2))), (3,)).clamped == (3,)
 
 
 def test_zero_one_law_sample():
