@@ -25,7 +25,9 @@ returning their text lines, which is called only without --json.
 Exit codes, which ``main`` reads from one table, ``_EXIT_CODES``: 0
 success, 2 malformed input, 3 dimension mismatch, 4 solver failure or a
 disagreement under enumerate --oracle, 5 enumeration would list more
-supports than the bound allows.
+supports than the bound allows.  Any error but a usage error prints one
+``error:`` line to stderr.  NumPy's overflow and invalid-value warnings are silenced, since
+the finiteness checks already turn such values into errors.
 
 Numbers are printed with 17 significant digits so every value round-trips
 exactly; for fixed input and options the output is byte-identical across
@@ -569,7 +571,9 @@ def main(argv: list[str] | None = None) -> int:
         args.points = literals
     try:
         tol = Tolerances(x_zero=args.tol_x, tie=args.tol_d, lp=args.tol_lp)
-        return args.func(args, load_matrix(args.matrix, args.format), tol)
+        # The finiteness checks raise on what these warnings would report.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args, load_matrix(args.matrix, args.format), tol)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))

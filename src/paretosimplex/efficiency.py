@@ -72,7 +72,7 @@ import itertools
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -87,6 +87,7 @@ from .core import (
     SupportPattern,
     Tolerances,
     Verdict,
+    _integer,
     check_points,
     clamped_indices,
     classify,
@@ -95,7 +96,7 @@ from .core import (
     row_key,
     support_class,
 )
-from .lp import LpSolution, LpStatus, NumericalBreakdownError, Relation, StandardLp, solve
+from .lp import LpSolution, NumericalBreakdownError, Relation, StandardLp, solve
 from .scalarize import WeightVector, argmax_set, weighted_objective
 
 __all__ = [
@@ -140,7 +141,7 @@ class TestResult:
     @property
     def certified(self) -> bool:
         """Whether the program is feasible, so that weights exist."""
-        return self.solution.status is LpStatus.FEASIBLE
+        return self.solution.point is not None
 
     @property
     def value(self) -> float:
@@ -357,8 +358,14 @@ class EfficiencyAnalyzer:
         """The one report for this key.  Each class is decided once, on the
         key without clamped indices, and the other keys copy that report.  A
         key that no point of n components has raises: clamped indices must be
-        increasing columns outside the support.  A miss is computed outside
-        the lock, and the first report stored wins."""
+        increasing columns outside the support, read as ints, so that
+        anything but a sequence of integers raises too.  A miss is computed
+        outside the lock, and the first report stored wins."""
+        if not isinstance(clamped, tuple) or clamped:
+            indices = tuple(map(_integer, clamped if isinstance(clamped, Iterable) else [None]))
+            if None in indices:
+                raise InputError(f"clamped indices {clamped!r} are not a sequence of integers")
+            clamped = indices
         key = (point_class, clamped)
         with self._lock:
             found = self._reports.get(key)
@@ -388,7 +395,7 @@ class EfficiencyAnalyzer:
         if full.verdict is Verdict.EFFICIENT:
             return replace(full, point_class=point_class)
         closure = self._closure_route(support)
-        if closure is None or not closure.certified:
+        if closure is None:
             return EfficiencyReport(point_class, Verdict.DOMINATED, TestKind.CLOSURE, None, None)
         report = self._proved(point_class, closure)
         exact = TestKind.T2 if len(support) == 1 else TestKind.T1
@@ -411,7 +418,7 @@ class EfficiencyAnalyzer:
             if any(mask & face == mask for face in self._kept):
                 return True
         result = self._closure_route(support)
-        if result is None or not result.certified:
+        if result is None:
             return False
         verified = self.verified(result, self._kept_tol)
         # Larger weights may tie columns that trail by less than rounding.
@@ -421,18 +428,19 @@ class EfficiencyAnalyzer:
         return True
 
     def _closure_route(self, support: SupportPattern) -> TestResult | None:
-        """The closure program on ``support``, or None when the support
-        contains one found dominated, so that its program is infeasible too.
-        An infeasible program records its support as dominated."""
+        """The feasible closure program on ``support``, or None when the
+        support is dominated: it contains one found dominated, or its own
+        program is infeasible, which records it as dominated."""
         mask = _mask(support)
         with self._lock:
             if any(d & mask == d for d in self._dominated):
                 return None
         result = self.closure(support)
-        if not result.certified:
-            with self._lock:
-                self._dominated.append(mask)
-        return result
+        if result.certified:
+            return result
+        with self._lock:
+            self._dominated.append(mask)
+        return None
 
     def verified(
         self, result: TestResult, tol: Tolerances | None = None

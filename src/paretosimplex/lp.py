@@ -36,7 +36,6 @@ from .core import DEFAULT_TOLERANCES, DimensionMismatchError, InputError, Tolera
 __all__ = [
     "LpError",
     "LpSolution",
-    "LpStatus",
     "NumericalBreakdownError",
     "Relation",
     "StandardLp",
@@ -51,13 +50,8 @@ class Relation(Enum):
     GE = ">="
 
 
-class LpStatus(Enum):
-    FEASIBLE = "feasible"
-    INFEASIBLE = "infeasible"
-
-
 class LpError(RuntimeError):
-    """The solver could not certify either status."""
+    """The solver could neither return a point nor prove that none exists."""
 
 
 class NumericalBreakdownError(LpError):
@@ -110,9 +104,9 @@ class StandardLp:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Outcome of a solve; point is set only when status is FEASIBLE."""
+    """Outcome of a solve: a feasible point, or None when the system is
+    infeasible."""
 
-    status: LpStatus
     point: np.ndarray | None
     iterations: int
 
@@ -132,20 +126,18 @@ def feasibility_violation(lp: StandardLp, point: np.ndarray) -> float:
     return float(max(worst, np.max(-x, initial=0.0)))
 
 
-def _run_simplex(
-    tableau: np.ndarray,
-    basis: np.ndarray,
-    tol: Tolerances,
-    iteration_cap: int,
-) -> tuple[str, int]:
-    """Optimize in place; returns ("optimal" | "unbounded", pivot count).
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray, tol: Tolerances) -> int:
+    """Maximize phase one's objective in place; returns the pivot count.
 
     The last row of ``tableau`` is the maximized objective: its reduced
     costs, then minus its current value.  Each pivot divides the pivot row by the pivot
     and subtracts a multiple of it from every other row, the objective
-    included, in one update."""
-    rows = tableau.shape[0] - 1
-    stall_limit = 2 * (rows + tableau.shape[1] - 1)
+    included, in one update.  Raises NumericalBreakdownError past the
+    iteration cap, and on an improving column with no positive entry,
+    which phase one, bounded by zero, cannot have in exact arithmetic."""
+    rows, width = tableau.shape[0] - 1, tableau.shape[1]
+    stall_limit = 2 * (rows + width - 1)
+    iteration_cap = 10_000 + 100 * (rows + width)
     reduced = tableau[-1, :-1]
     levels = tableau[:-1, -1]
     pivots = 0
@@ -155,16 +147,18 @@ def _run_simplex(
         if bland:
             improving = (reduced > tol.lp).nonzero()[0]
             if improving.size == 0:
-                return "optimal", pivots
+                return pivots
             col = int(improving[0])
         else:
             col = int(reduced.argmax())
             if reduced[col] <= tol.lp:
-                return "optimal", pivots
+                return pivots
         column = tableau[:-1, col]
         candidates = (column > tol.lp).nonzero()[0]
         if candidates.size == 0:
-            return "unbounded", pivots
+            raise NumericalBreakdownError(
+                f"phase one reported an unbounded auxiliary program after {pivots} pivots"
+            )
         ratios = np.maximum(levels[candidates], 0.0) / column[candidates]
         best = float(ratios.min())
         tied = candidates[ratios <= best + tol.lp]
@@ -190,7 +184,7 @@ def _run_simplex(
 
 
 def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
-    """Decide whether ``lp`` is Feasible or Infeasible.
+    """Decide whether ``lp`` has a feasible point, and return one if so.
 
     Deterministic for fixed input and tolerances.  Raises
     NumericalBreakdownError rather than returning a point that fails the
@@ -199,10 +193,10 @@ def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
     n_struct, r = lp.num_vars, lp.num_rows
 
     # Sign-normalize rows, then append slack/surplus and artificial columns.
-    # A flipped inequality swaps codes 0 (<=) and 2 (>=).
+    # A flipped row's code c becomes 2 - c: <= and >= swap, and = stays.
     flip = lp.rhs < 0.0
     b = np.abs(lp.rhs)
-    rel_codes = np.where(flip & (lp.codes != 1), 2 - lp.codes, lp.codes)
+    rel_codes = np.where(flip, 2 - lp.codes, lp.codes)
 
     slack_rows = (rel_codes != 1).nonzero()[0]
     art_rows = (rel_codes != 0).nonzero()[0]
@@ -222,20 +216,14 @@ def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
     basis[art_rows] = art_cols
     basis[slack_rows[le]] = slack_cols[le]
 
-    iterations = 0
-    if n_art:
-        phase_cost = np.zeros(width)
-        phase_cost[n_struct + n_slack : -1] = -1.0
-        tableau[-1] = phase_cost - phase_cost[basis] @ tableau[:r]
-        iteration_cap = 10_000 + 100 * (r + width)
-        status, iterations = _run_simplex(tableau, basis, tol, iteration_cap)
-        if status != "optimal":
-            raise NumericalBreakdownError(
-                f"phase one reported an unbounded auxiliary program after {iterations} pivots"
-            )
-        feas_gap = 10.0 * tol.lp * (1.0 + float(b.max(initial=0.0)))
-        if tableau[-1, -1] > feas_gap:
-            return LpSolution(LpStatus.INFEASIBLE, None, iterations)
+    # Phase one maximizes minus the sum of the artificials; with none, its
+    # cost row is zero and it stops at once.
+    phase_cost = np.zeros(width)
+    phase_cost[n_struct + n_slack : -1] = -1.0
+    tableau[-1] = phase_cost - phase_cost[basis] @ tableau[:r]
+    iterations = _run_simplex(tableau, basis, tol)
+    if tableau[-1, -1] > 10.0 * tol.lp * (1.0 + float(b.max(initial=0.0))):
+        return LpSolution(None, iterations)
 
     # Artificials still basic sit at level zero and are not part of the point.
     point = np.zeros(n_struct)
@@ -246,4 +234,4 @@ def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
             f"phase-one point failed its feasibility re-check after {iterations} pivots"
         )
     point.setflags(write=False)
-    return LpSolution(LpStatus.FEASIBLE, point, iterations)
+    return LpSolution(point, iterations)

@@ -27,8 +27,9 @@ from .core import (
     SimplexPoint,
     Tolerances,
     Verdict,
+    _one_based,
 )
-from .lp import LpStatus, Relation, StandardLp, solve
+from .lp import NumericalBreakdownError, Relation, StandardLp, solve
 
 __all__ = ["build_dominance_lp", "dominance_lp_verdict"]
 
@@ -67,8 +68,13 @@ def dominance_lp_verdict(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Verdict:
     """Dominated when the dominance program is feasible, efficient when it
-    is infeasible."""
-    solution = solve(build_dominance_lp(matrix, x), tol)
-    if solution.status is LpStatus.FEASIBLE:
-        return Verdict.DOMINATED
-    return Verdict.EFFICIENT
+    is infeasible.  A breakdown names the program, the point's support
+    (its components above ``tol.x_zero``) and the matrix's shape."""
+    try:
+        solution = solve(build_dominance_lp(matrix, x), tol)
+    except NumericalBreakdownError as exc:
+        support = ", ".join(map(str, _one_based(x.coords > tol.x_zero)))
+        raise NumericalBreakdownError(
+            f"dominance program on support {{{support}}} of the {matrix.k}x{matrix.n} matrix: {exc}"
+        ) from exc
+    return Verdict.EFFICIENT if solution.point is None else Verdict.DOMINATED

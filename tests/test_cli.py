@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -619,6 +620,9 @@ ERROR_TABLE_FILES = {
     "cell.csv": "1,x\n2,3\n",
     "object.json": json.dumps({"C": [[{}, 1], [1, 2]]}),
     "wide.csv": ",".join(map(str, range(1, 18))) + "\n" + ",".join(map(str, range(17, 0, -1))) + "\n",
+    # Finite entries whose differences, spreads or sums overflow.
+    "huge.json": json.dumps({"C": [[1e308, -1e308, 0], [0, 1, 2]]}),
+    "hugesum.json": json.dumps({"C": [[1.5e308, 1.5e308, 0], [0, 1, 2]]}),
 }
 
 # (command line, exit code, stdout, stderr), each as printed before the
@@ -658,6 +662,29 @@ def error_table_dir(tmp_path, monkeypatch):
 @pytest.mark.parametrize(("command", "code", "out", "err"), ERROR_TABLE, ids=[c[0] for c in ERROR_TABLE])
 def test_error_table(capsys, error_table_dir, command, code, out, err):
     assert run(capsys, *shlex.split(command)) == (code, out, err)
+
+
+# Commands whose finite input overflows, with their exit code and stderr.
+OVERFLOW_COMMANDS = [
+    ("scalarize full.json --weights 1e308,1e308", 2, "error: coefficients must be finite\n"),
+    ("check-full huge.json", 2, "error: matrix entries must be finite\n"),
+    ("enumerate huge.json", 2, "error: matrix entries must be finite\n"),
+    ("enumerate huge.json --oracle", 2, "error: matrix entries must be finite\n"),
+    ("test huge.json 0.5,0.5,0", 2, "error: matrix entries must be finite\n"),
+    ("plot3 huge.json --density 1", 2, "error: matrix entries must be finite\n"),
+    ("oracle huge.json 0.5,0.5,0", 0, ""),
+    ("bicheck huge.json", 0, ""),
+    ("oracle hugesum.json 0.5,0.5,0", 2, "error: matrix entries must be finite\n"),
+]
+
+
+@pytest.mark.parametrize(("command", "code", "err"), OVERFLOW_COMMANDS, ids=[c[0] for c in OVERFLOW_COMMANDS])
+def test_overflow_on_finite_input_writes_no_numpy_warning(capsys, error_table_dir, command, code, err):
+    # Each of these once printed a RuntimeWarning with a source line to stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, _, stderr = run(capsys, *shlex.split(command))
+    assert (got, stderr) == (code, err)
 
 
 def test_a_matrix_file_that_is_not_text_is_an_input_error(capsys, tmp_path, monkeypatch):

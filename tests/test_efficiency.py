@@ -21,7 +21,6 @@ from paretosimplex import (
     InputError,
     InvalidPointError,
     LpError,
-    LpStatus,
     NumericalBreakdownError,
     PartiallyRandomized,
     Randomized,
@@ -282,6 +281,20 @@ def test_report_rejects_clamped_indices_no_point_has(edge_matrix):
     assert analyzer.report(PartiallyRandomized(SupportPattern((1, 2))), (3,)).clamped == (3,)
 
 
+def test_report_reads_clamped_indices_as_ints(edge_matrix):
+    # A list or a float index is read as the tuple of ints it equals, so
+    # it neither fails to hash nor stores a report keyed on floats.
+    analyzer = EfficiencyAnalyzer(edge_matrix)
+    stored = analyzer.report(Deterministic(1), [2.0])
+    assert stored.clamped == (2,) and type(stored.clamped[0]) is int
+    assert analyzer.report(Deterministic(1), (2,)) is stored
+    assert analyzer.report(Deterministic(1), np.array([2])) is stored
+    assert analyzer.report(Deterministic(1), []) is analyzer.report(Deterministic(1))
+    for clamped in ([2.5], (2, "3"), ("2",), 2, None, [[2]]):
+        with pytest.raises(InputError, match="^clamped indices .* are not a sequence of integers$"):
+            analyzer.report(Deterministic(1), clamped)
+
+
 def test_zero_one_law_sample():
     # Every kind, closure included, agrees with its margin-form reference,
     # whose optimum is 0 or 1.
@@ -507,7 +520,7 @@ def test_dominated_supersets_are_inferred(order, monkeypatch):
                 needed += 1
             report = analyzer.decide(SimplexPoint(barycenter(n, combo)))
             own = solve(real_build(matrix, SupportPattern(combo)).lp)
-            assert (report.verdict is Verdict.EFFICIENT) == (own.status is LpStatus.FEASIBLE)
+            assert (report.verdict is Verdict.EFFICIENT) == (own.point is not None)
             if report.verdict is Verdict.DOMINATED:
                 assert report.test is Kind.CLOSURE and report.certificate is None
                 dominated.append(combo)

@@ -1,4 +1,4 @@
-"""Simplex solver: statuses, invariants, and a reference cross-check."""
+"""Simplex solver: feasibility answers, invariants, and a reference cross-check."""
 
 from collections import Counter
 
@@ -8,9 +8,9 @@ from scipy import optimize
 
 import paretosimplex.lp as lp_module
 from paretosimplex import (
+    DEFAULT_TOLERANCES,
     CriteriaMatrix,
     InputError,
-    LpStatus,
     NumericalBreakdownError,
     Relation,
     SimplexPoint,
@@ -25,14 +25,12 @@ from paretosimplex import (
 def test_single_upper_bound_row():
     lp = StandardLp([[1.0]], [Relation.LE], [1.0])
     got = solve(lp)
-    assert got.status is LpStatus.FEASIBLE
     assert 0.0 <= got.point[0] <= 1.0
 
 
 def test_infeasible():
     lp = StandardLp([[1.0]], [Relation.LE], [-1.0])
     got = solve(lp)
-    assert got.status is LpStatus.INFEASIBLE
     assert got.point is None
 
 
@@ -43,7 +41,7 @@ def test_equality_rows():
         [1.0, 0.0],
     )
     got = solve(lp)
-    assert got.status is LpStatus.FEASIBLE
+    assert got.point is not None
     assert feasibility_violation(lp, got.point) <= 1e-12
     assert got.point.sum() == pytest.approx(1.0)
     assert got.point[0] >= got.point[1]
@@ -63,7 +61,7 @@ def test_degenerate_cycling_instance_terminates():
     ]
     lp = StandardLp(rows, [Relation.LE] * 3 + [Relation.GE], [0.0, 0.0, 1.0, 0.05])
     got = solve(lp)
-    assert got.status is LpStatus.FEASIBLE
+    assert got.point is not None
     assert feasibility_violation(lp, got.point) <= 1e-9
 
 
@@ -90,9 +88,10 @@ def test_breakdown_messages_name_the_pivot_count(monkeypatch):
     monkeypatch.setattr(lp_module, "feasibility_violation", lambda lp, point: 1.0)
     with pytest.raises(NumericalBreakdownError, match=f"re-check after {pivots} pivots$"):
         solve(lp)
-    monkeypatch.setattr(lp_module, "_run_simplex", lambda *args: ("unbounded", 3))
-    with pytest.raises(NumericalBreakdownError, match="auxiliary program after 3 pivots$"):
-        solve(lp)
+    # One row, and an improving column with no positive entry to pivot on.
+    tableau = np.array([[-1.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(NumericalBreakdownError, match="auxiliary program after 0 pivots$"):
+        lp_module._run_simplex(tableau, np.array([1]), DEFAULT_TOLERANCES)
 
 
 def _random_lp(rng: np.random.Generator) -> StandardLp:
@@ -140,15 +139,15 @@ def test_statuses_and_values_match_reference_solver():
         ref = _reference(lp)
         if ref.status == 4:
             continue
-        seen[got.status] += 1
-        if got.status is LpStatus.FEASIBLE:
+        seen[got.point is not None] += 1
+        if got.point is not None:
             assert ref.status == 0
             assert feasibility_violation(lp, got.point) <= 1e-9
             assert got.iterations >= 0
         else:
             assert ref.status == 2
-    # the corpus must exercise both statuses to mean anything
-    assert all(seen[status] >= 10 for status in LpStatus), seen
+    # the corpus must exercise both answers to mean anything
+    assert seen[True] >= 10 and seen[False] >= 10, seen
 
 
 def _row_loop_violation(lp: StandardLp, point: np.ndarray) -> float:
@@ -181,7 +180,7 @@ def test_feasibility_violation_equals_the_row_loop_bit_for_bit():
             point[rng.integers(lp.num_vars)] = bad
             points.append(point)
         got = solve(lp)
-        if got.status is LpStatus.FEASIBLE:
+        if got.point is not None:
             points.append(got.point)
         for point in points:
             with np.errstate(invalid="ignore"):
@@ -213,9 +212,10 @@ def test_solves_are_deterministic():
         lp = _random_lp(rng)
         first = solve(lp)
         second = solve(lp)
-        assert first.status is second.status
         assert first.iterations == second.iterations
-        if first.status is LpStatus.FEASIBLE:
+        if first.point is None:
+            assert second.point is None
+        else:
             assert np.array_equal(first.point, second.point)
 
 
@@ -238,7 +238,7 @@ def _pinned_corpus() -> list[StandardLp]:
     return programs
 
 
-# Status initial (F or I) and pivot count of each program of the corpus, in
+# Feasible or infeasible (F or I) and pivot count of each program of the corpus, in
 # order, as the pivot rule, tie-breaking and stall switch decide them.
 PINNED_SOLVES = """
     F0 I1 I0 F5 I1 I0 I0 F5 F0 I2 I2 F6 F0 I1 I1 F5 I0 I0 I1 I5 I0 I1 I0 I4
@@ -251,5 +251,5 @@ PINNED_SOLVES = """
 
 
 def test_pivot_paths_are_pinned():
-    got = [f"{s.status.value[0].upper()}{s.iterations}" for s in map(solve, _pinned_corpus())]
+    got = [f"{'I' if s.point is None else 'F'}{s.iterations}" for s in map(solve, _pinned_corpus())]
     assert got == PINNED_SOLVES

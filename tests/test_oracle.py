@@ -11,12 +11,13 @@ from paretosimplex import (
     CriteriaMatrix,
     DimensionMismatchError,
     EfficiencyAnalyzer,
-    LpStatus,
+    NumericalBreakdownError,
     Relation,
     SimplexPoint,
     Verdict,
     build_dominance_lp,
     dominance_lp_verdict,
+    oracle,
     solve,
     vertex,
 )
@@ -67,11 +68,23 @@ def test_dominated_points_have_positive_slack(edge_matrix):
     # The program of a dominated point is feasible, and y / t dominates it.
     x = vertex(3, 3)
     solution = solve(build_dominance_lp(edge_matrix, x))
-    assert solution.status is LpStatus.FEASIBLE
+    assert solution.point is not None
     y, t = solution.point[:-1], solution.point[-1]
     improvement = edge_matrix.entries @ (y / t - x.coords)
     assert improvement.min() >= -1e-12
     assert improvement.max() > 1e-7
+
+
+def test_breakdowns_name_the_dominance_program(edge_matrix, monkeypatch):
+    # The support is the components above x_zero, so the clamped first one is left out.
+    def solve(lp, tol):
+        raise NumericalBreakdownError("stub breakdown")
+
+    monkeypatch.setattr(oracle, "solve", solve)
+    with pytest.raises(NumericalBreakdownError) as info:
+        dominance_lp_verdict(edge_matrix, SimplexPoint([1e-10, 0.5, 0.5 - 1e-10]))
+    assert str(info.value) == "dominance program on support {2, 3} of the 3x3 matrix: stub breakdown"
+    assert str(info.value.__cause__) == "stub breakdown"
 
 
 def test_agreement_with_certificate_route():
