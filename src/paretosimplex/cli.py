@@ -12,11 +12,11 @@ and one stand-in point.  So ``--`` is optional: an argument that starts
 with ``-`` and a digit, or ``-.`` and a digit, is never an option.  Both report their
 points in order, up to the first bad one, with one write, and then fail
 with the error that point raises on its own.  ``test`` groups its rows by
-(class, clamped indices) key in one pass (``point_groups``), looks up the
-report of each group's first row with ``EfficiencyAnalyzer.report``, and
-renders each report once; only the text ``point:`` line shows the point's
-own clamped coordinates.  ``plot3`` decides its grid through
-``decide_many``.
+class and clamped indices in one pass (``point_groups``), looks up the
+report of each group's class with ``EfficiencyAnalyzer.report``, and
+renders each group once, with its clamped indices; only the text
+``point:`` line shows the point's own clamped coordinates.  ``plot3``
+decides its grid through ``decide_many``.
 
 Every command writes stdout once.  ``test`` and ``oracle`` join their
 blocks themselves; the other five pass ``_emit`` a payload and a function
@@ -60,6 +60,7 @@ from .core import (
     SimplexPoint,
     Tolerances,
     Verdict,
+    check_dimension,
     check_points,
     point_groups,
     row_key,
@@ -197,8 +198,9 @@ def _face_payload(face: PointClass | None, n: int) -> dict | None:
     return {"kind": _FACE_KINDS[type(face)], "support": _support_list(face, n)}
 
 
-def _report_payload(report: EfficiencyReport, n: int) -> dict:
-    """The JSON document of a report on a point with n components."""
+def _report_payload(report: EfficiencyReport, n: int, clamped: tuple[int, ...]) -> dict:
+    """The JSON document of a report on a point with n components and
+    these clamped indices."""
     return {
         "class": _CLASS_NAMES[type(report.point_class)],
         "support": _support_list(report.point_class, n),
@@ -207,15 +209,15 @@ def _report_payload(report: EfficiencyReport, n: int) -> dict:
         "value": 1.0 if report.verdict is Verdict.EFFICIENT else 0.0,
         "certificate": None if report.certificate is None else [float(w) for w in report.certificate.weights],
         "face": _face_payload(report.face, n),
-        "clamped": list(report.clamped),
+        "clamped": list(clamped),
     }
 
 
-def _report_text(report: EfficiencyReport, n: int, as_json: bool) -> str:
+def _report_text(report: EfficiencyReport, n: int, clamped: tuple[int, ...], as_json: bool) -> str:
     """The report's JSON line, or the lines of its text block after
     ``point:``.  Neither holds the point's coordinates, so either is the
-    same for every point with the report's class and clamped indices."""
-    payload = _report_payload(report, n)
+    same for every point with the report's class and these clamped indices."""
+    payload = _report_payload(report, n, clamped)
     if as_json:
         return _json_text(payload)
     lines = [
@@ -261,10 +263,10 @@ def _point_rows(
     for literal in literals:
         try:
             point, error = check_points([_numbers(literal, "point")], tol)
+            if error is None:
+                check_dimension(point.shape[1], n)
         except InputError as exc:
             error = exc
-        if error is None and point.shape[1] != n:
-            error = DimensionMismatchError(f"point has {point.shape[1]} components, matrix has {n} columns")
         if error is not None:
             break
         rows.append(point[0])
@@ -280,7 +282,8 @@ def cmd_test(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) 
     texts: list[str] = []
     try:
         for row in coords[first]:
-            texts.append(_report_text(analyzer.report(*row_key(row, tol)), matrix.n, args.json))
+            point_class, clamped = row_key(row, tol)
+            texts.append(_report_text(analyzer.report(point_class), matrix.n, clamped, args.json))
     finally:
         # Every row before the first one whose group failed to decide.
         shown = groups if len(texts) == first.size else groups[: first[len(texts)]]

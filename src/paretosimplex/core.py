@@ -218,6 +218,13 @@ def check_points(
     return clamped[:first], error
 
 
+def check_dimension(components: int, n: int) -> None:
+    """Raise ``DimensionMismatchError`` unless a point of ``components``
+    components fits a matrix of n columns."""
+    if components != n:
+        raise DimensionMismatchError(f"point has {components} components, matrix has {n} columns")
+
+
 def _integer(value) -> int | None:
     """``value`` as an int when it equals one, else None."""
     try:

@@ -72,7 +72,7 @@ import itertools
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -87,9 +87,9 @@ from .core import (
     SupportPattern,
     Tolerances,
     Verdict,
-    _integer,
+    check_dimension,
     check_points,
-    clamped_indices,
+    clamped_indices,  # not called here, but benchmark/spans.py traces this name
     classify,
     float_array,
     point_groups,
@@ -150,17 +150,16 @@ class TestResult:
 
 @dataclass(frozen=True)
 class EfficiencyReport:
-    """Outcome of deciding a point, which depends on the point only through
-    its class and clamped indices: every point with both alike gets the
-    same report, and the analyzer keeps one report per such key.
+    """The decision for a point class, which is the decision for each of its
+    points: the analyzer keeps one report per class.
 
     face is the region the decisive certificate proves efficient
     alongside the point: its weights' argmax face, as the class of the
     points that fill it (``Randomized()`` for the whole simplex,
     ``Deterministic(j)`` for a vertex, ``PartiallyRandomized(S)`` for an
-    open face).  It is absent for dominated points.  clamped lists
-    1-based components whose positive mass fell within the zero threshold
-    and was excluded from the support.
+    open face).  It is absent for dominated points.  The components a point
+    holds within the zero threshold are a property of the point alone
+    (``core.clamped_indices``), not of its report.
     """
 
     point_class: PointClass
@@ -168,7 +167,6 @@ class EfficiencyReport:
     test: TestKind
     certificate: WeightVector | None
     face: PointClass | None
-    clamped: tuple[int, ...] = ()
 
 
 #: U of the T1 and T2 row sum(u) / U <= 1, and the largest weight a kept face's certificate may have.
@@ -253,14 +251,14 @@ def verify_certificate(
 
 
 class EfficiencyAnalyzer:
-    """Decision procedure for one criteria matrix with one report per key.
+    """Decision procedure for one criteria matrix with one report per class.
 
     Verdicts depend only on a point's support, so each point class is
     decided once, on first use, and its report kept: ``report`` is the one
-    lookup, by class and clamped indices, that ``decide``, ``decide_many``
-    and ``check_full`` read, and it returns one object per key.  Programs
-    are not kept; ``t0``, ``t1``, ``t2`` and ``closure`` solve theirs on
-    each call, and T0 is asked once, for the randomized report.  A support
+    lookup, by class, that ``decide``, ``decide_many`` and ``check_full``
+    read, and it returns one object per class.  Programs are not kept;
+    ``t0``, ``t1``, ``t2`` and ``closure`` solve theirs on each call, and
+    T0 is asked once, for the randomized report.  A support
     containing one that its closure program found dominated is decided
     dominated without a program, and ``efficient`` decides a support inside
     a kept face efficient without one (see the module docstring).  These
@@ -274,7 +272,7 @@ class EfficiencyAnalyzer:
         self.matrix = matrix
         self.tol = tol
         self._lock = threading.Lock()
-        self._reports: dict[tuple[PointClass, tuple[int, ...]], EfficiencyReport] = {}
+        self._reports: dict[PointClass, EfficiencyReport] = {}
         # Bit masks (bit j for column j) of the supports decided dominated
         # by their own closure program, and of the faces ``efficient`` keeps.
         self._dominated: list[int] = []
@@ -317,69 +315,47 @@ class EfficiencyAnalyzer:
         """Classify ``x`` and decide efficiency: the randomized report
         (T0, decided once), then the closure program on the support unless
         it contains a support already found dominated, then T1 or T2 only
-        to name the exact face.  Returns ``report`` for the point's class
-        and clamped indices."""
-        if x.n != self.matrix.n:
-            raise DimensionMismatchError(
-                f"point has {x.n} components, matrix has {self.matrix.n} columns"
-            )
-        return self.report(classify(x, self.tol), clamped_indices(x, self.tol))
+        to name the exact face.  Returns ``report`` for the point's class."""
+        check_dimension(x.n, self.matrix.n)
+        return self.report(classify(x, self.tol))
 
     def decide_many(self, points) -> Iterator[EfficiencyReport]:
         """Decide each row of an (N, n) array, yielding one report per row,
         lazily and in row order.
 
-        Each report is the one ``decide(SimplexPoint(row))`` returns, and
-        rows with one class and clamped indices yield the same object.  The
-        rows are checked and grouped together (``point_groups``), and each
-        group is classified and looked up once per call, on its first row.
+        Each report is the one ``decide(SimplexPoint(row))`` returns, so
+        rows of one class yield the same object.  The rows are checked and
+        grouped together (``point_groups``), and each group is classified
+        and looked up once per call, on its first row.
         Input that NumPy cannot read as an array, such as ragged rows,
         raises ``InputError`` before the first row.  An invalid row raises
         the error ``SimplexPoint`` raises for it, and a failing decision its
         own error, each after every earlier row has been yielded.
         """
         rows = float_array(points)
-        if rows.ndim == 2 and rows.shape[1] != self.matrix.n:
-            raise DimensionMismatchError(
-                f"point has {rows.shape[1]} components, matrix has {self.matrix.n} columns"
-            )
+        if rows.ndim == 2:
+            check_dimension(rows.shape[1], self.matrix.n)
         coords, error = check_points(rows, self.tol)
         _, groups = point_groups(coords, self.tol)
         # Groups are numbered by first row, so a group is new on its first row.
         reports: list[EfficiencyReport] = []
         for index, group in enumerate(groups.tolist()):
             if group == len(reports):
-                reports.append(self.report(*row_key(coords[index], self.tol)))
+                reports.append(self.report(row_key(coords[index], self.tol)[0]))
             yield reports[group]
         if error is not None:
             raise error
 
-    def report(self, point_class: PointClass, clamped: tuple[int, ...] = ()) -> EfficiencyReport:
-        """The one report for this key.  Each class is decided once, on the
-        key without clamped indices, and the other keys copy that report.  A
-        key that no point of n components has raises: clamped indices must be
-        increasing columns outside the support, read as ints, so that
-        anything but a sequence of integers raises too.  A miss is computed
-        outside the lock, and the first report stored wins."""
-        if not isinstance(clamped, tuple) or clamped:
-            indices = tuple(map(_integer, clamped if isinstance(clamped, Iterable) else [None]))
-            if None in indices:
-                raise InputError(f"clamped indices {clamped!r} are not a sequence of integers")
-            clamped = indices
-        key = (point_class, clamped)
+    def report(self, point_class: PointClass) -> EfficiencyReport:
+        """The one report for ``point_class``, decided on first use.  A class
+        that no point of n components has raises.  A miss is computed outside
+        the lock, and the first report stored wins."""
         with self._lock:
-            found = self._reports.get(key)
+            found = self._reports.get(point_class)
         if found is None:
-            if clamped:
-                columns = range(1, self.matrix.n + 1)
-                support = columns if isinstance(point_class, Randomized) else point_class.support
-                if list(clamped) != [j for j in columns if j in clamped and j not in support]:
-                    raise InputError(f"clamped indices {clamped} are not increasing columns outside the support")
-                found = replace(self.report(point_class), clamped=clamped)
-            else:
-                found = self._decide_class(point_class)
+            found = self._decide_class(point_class)
             with self._lock:
-                found = self._reports.setdefault(key, found)
+                found = self._reports.setdefault(point_class, found)
         return found
 
     def _decide_class(self, point_class: PointClass) -> EfficiencyReport:

@@ -188,13 +188,19 @@ def bicriterion_ratios(matrix: CriteriaMatrix) -> np.ndarray:
     consecutive first-criterion entries must be distinct."""
     if matrix.k != 2:
         raise DimensionMismatchError("the ratio test applies to exactly two criteria")
-    first, second = matrix.entries[0], matrix.entries[1]
-    denominators = first[:-1] - first[1:]
-    if (denominators == 0.0).any():
+    entries = matrix.entries
+    with np.errstate(over="ignore"):
+        steps = entries[:, 1:] - entries[:, :-1]
+    # A step between finite entries overflows only when both are huge.  Such
+    # a pair's steps are taken again from halved entries, which halving keeps
+    # exact unless subnormal, so their ratio is the ratio of the steps.
+    over = ~np.isfinite(steps).all(axis=0)
+    steps[:, over] = entries[:, 1:][:, over] / 2 - entries[:, :-1][:, over] / 2
+    if (steps[0] == 0.0).any():
         raise InputError(
             "consecutive first-criterion entries must be distinct for the ratio test"
         )
-    return (second[1:] - second[:-1]) / denominators
+    return steps[1] / -steps[0]
 
 
 def bicriterion_full_check(

@@ -23,11 +23,11 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCES,
     CriteriaMatrix,
-    DimensionMismatchError,
     SimplexPoint,
     Tolerances,
     Verdict,
     _one_based,
+    check_dimension,
 )
 from .lp import NumericalBreakdownError, Relation, StandardLp, solve
 
@@ -43,10 +43,7 @@ def build_dominance_lp(matrix: CriteriaMatrix, x: SimplexPoint) -> StandardLp:
     feasible point dominating it: t = 0 would force y = 0, which breaks
     the last row.
     """
-    if x.n != matrix.n:
-        raise DimensionMismatchError(
-            f"point has {x.n} components, matrix has {matrix.n} columns"
-        )
+    check_dimension(x.n, matrix.n)
     k, n = matrix.k, matrix.n
     criteria = matrix.normalized
     rows = np.empty((k + 2, n + 1))

@@ -239,6 +239,16 @@ def test_bicheck_command(capsys, tmp_path):
     assert "full: no" in out
 
 
+def test_bicheck_ratios_of_steps_that_overflow(capsys, tmp_path):
+    # The first step of the first criterion, -2e308, overflows; the first
+    # ratio is 1 / 2e308, which once printed as 0.
+    path = write_csv_matrix(tmp_path, [[1e308, -1e308, 0], [0, 1, 2]])
+    code, out, _ = run(capsys, "bicheck", path, "--json")
+    assert code == 0
+    assert json.loads(out) == {"full": False, "ratios": [0.5 / 1e308, 1 / -1e308]}
+    assert 0.0 < json.loads(out)["ratios"][0]
+
+
 def test_bicheck_error_codes(capsys, edge_json, tmp_path):
     code, _, err = run(capsys, "bicheck", edge_json)
     assert code == 3
@@ -644,6 +654,7 @@ ERROR_TABLE = [
     ("plot3 edge.json --density 0", 2, "", "error: density must be at least 1\n"),
     ("scalarize edge.json --weights 1,1", 3, "", "error: 2 weights for 3 criteria\n"),
     ("scalarize edge.json --weights 1,x,1", 2, "", "error: malformed weights literal '1,x,1': could not convert string to float: 'x'\n"),
+    ("scalarize full.json --weights inf,1", 2, "", "error: weights must be finite\n"),
     ("oracle edge.json 0.5,0.5", 3, "", "error: point has 2 components, matrix has 3 columns\n"),
     ("oracle edge.json 0,0,1 0.5,oops,0.5", 2, "point: 0, 0, 1\nverdict: dominated\n", "error: malformed point literal '0.5,oops,0.5': could not convert string to float: 'oops'\n"),
     ("test edge.json 0.5,0.5", 3, "", "error: point has 2 components, matrix has 3 columns\n"),

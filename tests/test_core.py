@@ -219,11 +219,18 @@ def test_criteria_matrix_validation():
         (lambda: SupportPattern((float("inf"),)), "support index inf is not an integer"),
         (lambda: Deterministic("a"), "vertex index must be a positive integer"),
         (lambda: Deterministic(None), "vertex index must be a positive integer"),
+        (lambda: CriteriaMatrix([1, 2, 3]), "expected a 2-dimensional array, got shape (3,)"),
+        (lambda: WeightVector([]), "weights must form a nonempty vector"),
+        (lambda: WeightVector([1.0, np.inf]), "weights must be finite"),
+        (lambda: StandardLp([[1, 1]], [Relation.EQ, Relation.LE], [1]), "rows, relations, and rhs must align"),
+        (lambda: PartiallyRandomized(SupportPattern((1,))), "a partially randomized point has support size >= 2"),
+        (lambda: vertex(1, 0), "dimension must be positive"),
     ],
     ids=[
         "matrix-ragged", "matrix-text", "point-text", "check_points-ragged", "decide_many-ragged",
         "weights-text", "coefficients-text", "lp-text", "violation-text", "support-text", "support-none", "support-inf",
-        "vertex-text", "vertex-none",
+        "vertex-text", "vertex-none", "matrix-one-dimensional", "weights-empty", "weights-inf", "lp-misaligned",
+        "partial-one-column", "vertex-no-dimension",
     ],
 )
 def test_numbers_the_library_cannot_read_raise_input_error(read, message):

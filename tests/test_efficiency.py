@@ -38,6 +38,7 @@ from paretosimplex import (
     build_t2,
     check_full,
     check_points,
+    clamped_indices,
     enumerate_faces,
     solution_set,
     solve,
@@ -153,7 +154,7 @@ def test_decide_dominated_face_point(edge_matrix):
     assert report.verdict is Verdict.DOMINATED
     # dominated means even the weak-gap closure test failed
     assert report.test is Kind.CLOSURE
-    assert _report_payload(report, 3)["value"] == 0.0
+    assert _report_payload(report, 3, ())["value"] == 0.0
     assert report.point_class == PartiallyRandomized(SupportPattern((1, 3)))
     assert report.certificate is None and report.face is None
 
@@ -174,7 +175,7 @@ def test_decide_randomized_point_is_dominated_when_not_full(edge_matrix):
     report = EfficiencyAnalyzer(edge_matrix).decide(SimplexPoint([0.2, 0.3, 0.5]))
     assert report.verdict is Verdict.DOMINATED
     assert report.test is Kind.T0
-    assert _report_payload(report, 3)["value"] == 0.0
+    assert _report_payload(report, 3, ())["value"] == 0.0
 
 
 def test_decide_on_full_instance_short_circuits(full_matrix):
@@ -193,7 +194,7 @@ def test_boundary_of_duplicated_face_is_efficient():
         report = analyzer.decide(vertex(j, 5))
         assert report.verdict is Verdict.EFFICIENT
         assert report.test is Kind.CLOSURE
-        assert _report_payload(report, 5)["value"] == 1.0
+        assert _report_payload(report, 5, ())["value"] == 1.0
         assert report.face == PartiallyRandomized(SupportPattern((2, 3)))
         # the certificate ties the enclosing face, not the vertex alone
         assert verify_certificate(matrix, report.certificate, PartiallyRandomized(SupportPattern((2, 3))))
@@ -234,11 +235,25 @@ def test_verify_certificate_compares_face_classes(full_matrix):
 
 
 def test_clamped_boundary_point_decided_by_clamped_support(edge_matrix):
-    report = EfficiencyAnalyzer(edge_matrix).decide(SimplexPoint([0.5, 0.5 - 1e-12, 1e-12]))
+    point = SimplexPoint([0.5, 0.5 - 1e-12, 1e-12])
+    report = EfficiencyAnalyzer(edge_matrix).decide(point)
     assert report.point_class == PartiallyRandomized(SupportPattern((1, 2)))
-    assert report.clamped == (3,)
+    assert clamped_indices(point) == (3,)
     assert report.test is Kind.T1
     assert report.verdict is Verdict.EFFICIENT
+
+
+def test_points_of_one_class_share_one_report_whatever_they_clamp(edge_matrix):
+    # The report is the decision for the class; the clamped component is
+    # the point's own, read from the point.
+    analyzer = EfficiencyAnalyzer(edge_matrix)
+    clamped, plain = SimplexPoint([0.5, 0.5 - 1e-12, 1e-12]), SimplexPoint([0.5, 0.5, 0.0])
+    assert analyzer.decide(clamped) is analyzer.decide(plain)
+    assert (clamped_indices(clamped), clamped_indices(plain)) == ((3,), ())
+    reports = list(analyzer.decide_many([clamped.coords, plain.coords]))
+    assert reports[0] is reports[1] is analyzer.decide(plain)
+    # One entry per class decided: {1, 2}, and the randomized class it reads first.
+    assert set(analyzer._reports) == {PartiallyRandomized(SupportPattern((1, 2))), Randomized()}
 
 
 def test_decide_dimension_mismatch(edge_matrix):
@@ -254,45 +269,11 @@ def test_report_rejects_a_class_the_matrix_has_no_point_of(edge_matrix, full_mat
         with pytest.raises(DimensionMismatchError):
             analyzer.report(Deterministic(4))
         with pytest.raises(DimensionMismatchError):
-            analyzer.report(PartiallyRandomized(SupportPattern((1, 4))), (2,))
+            analyzer.report(PartiallyRandomized(SupportPattern((1, 4))))
         with pytest.raises(InputError):
             analyzer.report(PartiallyRandomized(SupportPattern((1, 2, 3))))
         point = SimplexPoint([0.5, 0.5, 1e-10])
-        assert analyzer.report(PartiallyRandomized(SupportPattern((1, 2))), (3,)) is analyzer.decide(point)
-
-
-def test_report_rejects_clamped_indices_no_point_has(edge_matrix):
-    # Clamped indices are increasing columns of the matrix outside the
-    # support; no report is stored for a key that breaks this.
-    analyzer = EfficiencyAnalyzer(edge_matrix)
-    for point_class, clamped in [
-        (Deterministic(1), (9,)),
-        (Deterministic(1), (1,)),
-        (Deterministic(1), (3, 2)),
-        (Deterministic(1), (2, 2)),
-        (Deterministic(1), (0,)),
-        (PartiallyRandomized(SupportPattern((1, 2))), (2,)),
-        (Randomized(), (1,)),
-    ]:
-        with pytest.raises(InputError, match="clamped indices"):
-            analyzer.report(point_class, clamped)
-        assert (point_class, clamped) not in analyzer._reports
-    assert analyzer.report(Deterministic(1), (2, 3)).clamped == (2, 3)
-    assert analyzer.report(PartiallyRandomized(SupportPattern((1, 2))), (3,)).clamped == (3,)
-
-
-def test_report_reads_clamped_indices_as_ints(edge_matrix):
-    # A list or a float index is read as the tuple of ints it equals, so
-    # it neither fails to hash nor stores a report keyed on floats.
-    analyzer = EfficiencyAnalyzer(edge_matrix)
-    stored = analyzer.report(Deterministic(1), [2.0])
-    assert stored.clamped == (2,) and type(stored.clamped[0]) is int
-    assert analyzer.report(Deterministic(1), (2,)) is stored
-    assert analyzer.report(Deterministic(1), np.array([2])) is stored
-    assert analyzer.report(Deterministic(1), []) is analyzer.report(Deterministic(1))
-    for clamped in ([2.5], (2, "3"), ("2",), 2, None, [[2]]):
-        with pytest.raises(InputError, match="^clamped indices .* are not a sequence of integers$"):
-            analyzer.report(Deterministic(1), clamped)
+        assert analyzer.report(PartiallyRandomized(SupportPattern((1, 2)))) is analyzer.decide(point)
 
 
 def test_zero_one_law_sample():
@@ -638,7 +619,6 @@ def _assert_same_report(got, expected):
     else:
         assert got.certificate.weights.tobytes() == expected.certificate.weights.tobytes()
     assert got.face == expected.face
-    assert got.clamped == expected.clamped
 
 
 @settings(max_examples=300, deadline=None)
@@ -653,7 +633,7 @@ def test_decide_many_matches_decide_on_each_row(case):
     shared = {}
     for report, reference in zip(got, expected):
         _assert_same_report(report, reference)
-        assert shared.setdefault((report.point_class, report.clamped), report) is report
+        assert shared.setdefault(report.point_class, report) is report
     assert got_error == expected_error
 
     checked, error = check_points(rows, tol)
@@ -685,8 +665,8 @@ def test_decide_refuses_a_point_off_the_simplex_at_the_analyzers_tolerance(edge_
 
 
 def test_rows_of_one_key_share_one_report(edge_matrix):
-    # Keys: {1, 2} unclamped and with column 3 clamped, {1, 3}, vertex 1
-    # and the randomized class.
+    # Classes: {1, 2} (unclamped and with column 3 clamped), {1, 3},
+    # vertex 1 and the randomized class.
     rows = np.array(
         [
             [0.55, 0.45, 0.0],
@@ -702,18 +682,16 @@ def test_rows_of_one_key_share_one_report(edge_matrix):
     )
     analyzer = EfficiencyAnalyzer(edge_matrix)
     reports = list(analyzer.decide_many(rows))
-    keys = [(r.point_class, r.clamped) for r in reports]
-    assert len(set(keys)) == 5
+    keys = [r.point_class for r in reports]
+    assert len(set(keys)) == 4
     for key, report in zip(keys, reports):
         assert all(other is report for k, other in zip(keys, reports) if k == key)
     again = list(analyzer.decide_many(rows[::-1]))[::-1]
     for row, report, later in zip(rows, reports, again):
         decided = analyzer.decide(SimplexPoint(row))
         assert decided == report and decided is report and later is report
-    # A clamped key copies its class's report and changes only clamped.
-    assert reports[2].clamped == (3,) and reports[0].clamped == ()
-    assert reports[2].certificate is reports[0].certificate
-    assert reports[2].face == reports[0].face and reports[2].test is reports[0].test
+    # A row with column 3 clamped gets the report of its class.
+    assert reports[2] is reports[0]
 
 
 def test_breakdown_errors_name_the_program(edge_matrix, monkeypatch):
