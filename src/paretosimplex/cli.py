@@ -2,9 +2,9 @@
 
 Matrix files are either a JSON object with fields k, n, and C (row-major
 list of criteria rows) or headerless CSV with one criteria row per line;
-the format is sniffed from the file extension and can be forced with
---format.  Points and weights on the command line are comma-separated
-numbers.  All indices printed or read are 1-based.
+``load_matrix`` tells them apart by the file's first non-blank character.
+Points and weights on the command line are comma-separated numbers.  All
+indices printed or read are 1-based.
 
 ``test`` and ``oracle`` take their point literals out of argv themselves
 (``_split_points``), and argparse reads only the options, the matrix path
@@ -157,12 +157,12 @@ def _numbers(text: str, what: str) -> list[float]:
         raise InputError(f"malformed {what} literal {text!r}: {exc}") from None
 
 
-def load_matrix(path: str, fmt: str | None) -> CriteriaMatrix:
-    if fmt is None:
-        fmt = "json" if path.lower().endswith(".json") else "csv"
+def load_matrix(path: str) -> CriteriaMatrix:
+    """Read the matrix file at ``path``: JSON if its first non-blank
+    character is ``{`` or ``[``, else CSV, since CSV rows are numbers."""
     try:
         text = Path(path).read_text()
-        if fmt == "csv":
+        if text.lstrip()[:1] not in ("{", "["):
             return CriteriaMatrix([[float(cell) for cell in record] for record in csv.reader(io.StringIO(text)) if record])
         doc = json.loads(text)
         if not isinstance(doc, dict) or "C" not in doc:
@@ -419,7 +419,6 @@ _COMMON = (
     ("--tol-d", dict(type=float, default=DEFAULT_TOLERANCES.tie, help="tie threshold for objective coefficients")),
     ("--tol-lp", dict(type=float, default=DEFAULT_TOLERANCES.lp, help="simplex pivot tolerance")),
     ("--json", dict(action="store_true", help="emit JSON instead of text")),
-    ("--format", dict(choices=("json", "csv"), help="matrix file format (default: sniff extension)")),
 )
 _OPTIONS = ("-h", "--help", *(name for name, _ in _COMMON))
 _VALUED = tuple(name for name, keywords in _COMMON if "action" not in keywords)
@@ -513,43 +512,35 @@ def _takes_value(arg: str) -> bool:
 def _split_points(argv: list[str]) -> tuple[list[str], list[str] | None]:
     """Take the point literals of ``test`` and ``oracle`` out of ``argv``.
 
-    The literals are the first run of positional arguments after the matrix
-    path, up to the next option; every argument after the first ``--`` is
-    positional, and that ``--`` is no literal.  Returns argv with one
-    stand-in point in place of the run, so that argparse reads every other
-    argument as before but no literal, and the literals.  With no run, or
-    for another command, returns argv unchanged and None.
+    One scan finds the positional arguments, skipping option values before
+    the first literal and stopping at the first option after it; every
+    argument after the first ``--`` is positional, and that ``--`` is none.
+    The first is the matrix path, the rest are the literals.  Returns argv
+    with one stand-in point in place of the literals' run, so that argparse
+    reads every other argument as before but no literal, and the literals.
+    With no literal, or for another command, returns argv unchanged and None.
     """
     if argv[:1] not in (["test"], ["oracle"]):
         return argv, None
-    dashes = matrix = False
-    start = 1
-    while start < len(argv):
-        arg = argv[start]
-        if arg == "--" and not dashes:
-            dashes = True
-        elif dashes or _positional(arg):
-            if matrix:
-                break
-            matrix = True
-        elif _takes_value(arg):
-            start += 1
-        start += 1
-    if start >= len(argv):
-        return argv, None
-    before = dashes
+    dashes = skip = False
+    positionals: list[int] = []
     end = len(argv)
-    for index, arg in enumerate(argv[start:], start):
-        if arg[:1] == "-" and not dashes:
-            if arg == "--":
-                dashes = True
-            elif not _positional(arg):
-                end = index
-                break
-    literals = argv[start:end]
-    if dashes and not before:
-        literals.remove("--")
-    return [*argv[:start], _STAND_IN, *argv[end:]], literals
+    for index, arg in enumerate(argv[1:], 1):
+        if skip:
+            skip = False
+        elif arg == "--" and not dashes:
+            dashes = True
+        # Testing the first character spares each literal a call.
+        elif arg[:1] != "-" or dashes or _positional(arg):
+            positionals.append(index)
+        elif len(positionals) > 1:
+            end = index
+            break
+        else:
+            skip = _takes_value(arg)
+    if len(positionals) < 2:
+        return argv, None
+    return [*argv[: positionals[1]], _STAND_IN, *argv[end:]], [argv[i] for i in positionals[1:]]
 
 
 def _join_weights(argv: list[str]) -> list[str]:
@@ -576,7 +567,7 @@ def main(argv: list[str] | None = None) -> int:
         tol = Tolerances(x_zero=args.tol_x, tie=args.tol_d, lp=args.tol_lp)
         # The finiteness checks raise on what these warnings would report.
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args, load_matrix(args.matrix, args.format), tol)
+            return args.func(args, load_matrix(args.matrix), tol)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))

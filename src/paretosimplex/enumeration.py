@@ -185,7 +185,8 @@ def enumerate_faces(
 def bicriterion_ratios(matrix: CriteriaMatrix) -> np.ndarray:
     """Trade-off ratios (c2[j+1] - c2[j]) / (c1[j] - c1[j+1]) of a
     two-criteria matrix, one per pair of consecutive columns.  The
-    consecutive first-criterion entries must be distinct."""
+    consecutive first-criterion entries must be distinct, and a ratio past
+    the float range raises InputError."""
     if matrix.k != 2:
         raise DimensionMismatchError("the ratio test applies to exactly two criteria")
     entries = matrix.entries
@@ -200,7 +201,13 @@ def bicriterion_ratios(matrix: CriteriaMatrix) -> np.ndarray:
         raise InputError(
             "consecutive first-criterion entries must be distinct for the ratio test"
         )
-    return steps[1] / -steps[0]
+    with np.errstate(over="ignore"):
+        ratios = steps[1] / -steps[0]
+    past = np.flatnonzero(~np.isfinite(ratios))
+    if past.size:
+        j = past[0] + 1
+        raise InputError(f"the trade-off ratio of columns {j} and {j + 1} exceeds the float range")
+    return ratios
 
 
 def bicriterion_full_check(

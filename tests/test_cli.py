@@ -109,6 +109,8 @@ def test_json_floats_round_trip(capsys, edge_json):
     report = json.loads(out)
     # .17g output parses back to the exact double that was printed
     assert report["value"] == json.loads(cli._json_text(report["value"]))
+    with pytest.raises(TypeError, match="cannot serialize <class 'set'>"):
+        cli._json_text({1.0})
 
 
 def test_check_full_command(capsys, full_json, edge_json):
@@ -300,19 +302,20 @@ def test_oracle_command(capsys, edge_json):
     assert "verdict: dominated" in out
 
 
-def test_csv_sniff_and_format_override(capsys, tmp_path):
-    csv_path = write_csv_matrix(tmp_path, EDGE_ONLY_ROWS)
-    code, out, _ = run(capsys, "check-full", csv_path)
-    assert code == 0
-    assert "full: no" in out
+def test_the_matrix_format_comes_from_the_content(capsys, tmp_path):
+    # A file is JSON when its first non-blank character is "{" or "[",
+    # whatever its name, and CSV otherwise.
+    csv_path = Path(write_csv_matrix(tmp_path, EDGE_ONLY_ROWS))
+    json_in_txt = tmp_path / "matrix.txt"
+    json_in_txt.write_text("\n " + json.dumps({"C": EDGE_ONLY_ROWS}))
+    csv_in_json = tmp_path / "rows.json"
+    csv_in_json.write_text(csv_path.read_text())
+    for path in (csv_path, json_in_txt, csv_in_json):
+        assert run(capsys, "check-full", str(path)) == (0, "full: no\n", ""), path
 
-    odd_path = tmp_path / "matrix.txt"
-    odd_path.write_text(json.dumps({"C": EDGE_ONLY_ROWS}))
-    code, _, _ = run(capsys, "check-full", str(odd_path))
-    assert code == 2
-    code, out, _ = run(capsys, "check-full", str(odd_path), "--format", "json")
-    assert code == 0
-    assert "full: no" in out
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps(EDGE_ONLY_ROWS))
+    assert run(capsys, "check-full", str(array)) == (2, "", f"error: {array}: expected an object with a 'C' field\n")
 
 
 def test_matrix_file_errors(capsys, tmp_path, edge_json):
@@ -633,6 +636,10 @@ ERROR_TABLE_FILES = {
     # Finite entries whose differences, spreads or sums overflow.
     "huge.json": json.dumps({"C": [[1e308, -1e308, 0], [0, 1, 2]]}),
     "hugesum.json": json.dumps({"C": [[1.5e308, 1.5e308, 0], [0, 1, 2]]}),
+    "over.csv": "1,0\n-1e308,1e308\n",
+    # JSON files that hold no object, read as CSV.
+    "empty.json": "",
+    "scalar.json": "5",
 }
 
 # (command line, exit code, stdout, stderr), each as printed before the
@@ -646,6 +653,8 @@ ERROR_TABLE = [
     ("check-full wrong.json", 2, "", "error: wrong.json: field n=4 disagrees with C (3)\n"),
     ("check-full ragged.json", 2, "", "error: ragged.json: setting an array element with a sequence. The requested array has an inhomogeneous shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part.\n"),
     ("check-full rows.json", 2, "", "error: rows.json: expected an object with a 'C' field\n"),
+    ("check-full empty.json", 2, "", "error: empty.json: expected a 2-dimensional array, got shape (0,)\n"),
+    ("check-full scalar.json", 2, "", "error: scalar.json: need at least two criteria and two columns, got 1x1\n"),
     ("check-full cell.csv", 2, "", "error: cell.csv: could not convert string to float: 'x'\n"),
     ("check-full object.json", 2, "", "error: object.json: float() argument must be a string or a real number, not 'dict'\n"),
     ("bicheck edge.json", 3, "", "error: the ratio test applies to exactly two criteria\n"),
@@ -685,6 +694,7 @@ OVERFLOW_COMMANDS = [
     ("plot3 huge.json --density 1", 2, "error: matrix entries must be finite\n"),
     ("oracle huge.json 0.5,0.5,0", 0, ""),
     ("bicheck huge.json", 0, ""),
+    ("bicheck over.csv", 2, "error: the trade-off ratio of columns 1 and 2 exceeds the float range\n"),
     ("oracle hugesum.json 0.5,0.5,0", 2, "error: matrix entries must be finite\n"),
 ]
 
@@ -718,6 +728,7 @@ def test_a_matrix_file_that_is_not_text_is_an_input_error(capsys, tmp_path, monk
         ("oracle edge.json 1,0,0 -.5,1,0.5 --json 0,1,0", "paretosimplex: error: unrecognized arguments: 0,1,0"),
         ("test edge.json", "paretosimplex test: error: the following arguments are required: point"),
         ("test edge.json --", "paretosimplex test: error: the following arguments are required: point"),
+        ("check-full edge.json --format json", "paretosimplex: error: unrecognized arguments: --format json"),
         # After "--", "--weights" is a positional argument, not the option.
         ("scalarize edge.json -- --weights -1,2,1", "paretosimplex scalarize: error: the following arguments are required: --weights"),
     ],

@@ -157,6 +157,7 @@ def test_point_coords_read_only():
     x = SimplexPoint([0.5, 0.5])
     with pytest.raises(ValueError):
         x.coords[0] = 0.9
+    assert (len(x), repr(x)) == (2, "SimplexPoint([0.5, 0.5])")
 
 
 def test_support_pattern_normalizes_and_validates():
@@ -197,7 +198,7 @@ def test_criteria_matrix_validation():
     with pytest.raises(InputError):
         CriteriaMatrix([[1.0, np.nan], [0.0, 1.0]])
     matrix = CriteriaMatrix([[1.0, 2.0], [3.0, 4.0]])
-    assert (matrix.k, matrix.n) == (2, 2)
+    assert (matrix.k, matrix.n, repr(matrix)) == (2, 2, "CriteriaMatrix(k=2, n=2)")
     with pytest.raises(ValueError):
         matrix.entries[0, 0] = 9.0
 

@@ -28,6 +28,7 @@ from paretosimplex import (
     Verdict,
     WeightVector,
     bicriterion_full_check,
+    bicriterion_ratios,
     check_full,
     dominance_lp_verdict,
     enumerate_faces,
@@ -226,6 +227,11 @@ def test_ratio_shortcut_fixture_values():
         bicriterion_full_check(CriteriaMatrix([[1.0, 1.0, 2.0], [0.0, 1.0, 2.0]]))
     with pytest.raises(DimensionMismatchError):
         bicriterion_full_check(CriteriaMatrix([[1.0, 2.0], [2.0, 1.0], [0.0, 0.0]]))
+    # The ratio 2e308 is past the float range.
+    over = CriteriaMatrix([[1.0, 0.0], [-1e308, 1e308]])
+    for check in (bicriterion_ratios, bicriterion_full_check):
+        with pytest.raises(InputError, match="ratio of columns 1 and 2 exceeds the float range"):
+            check(over)
 
 
 def test_ratio_shortcut_is_sound():

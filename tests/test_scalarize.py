@@ -91,6 +91,7 @@ def test_descriptor_scale_invariance():
 
 def test_strict_positivity_predicate():
     assert WeightVector([1.0, 0.5]).strictly_positive
+    assert len(WeightVector([1.0, 0.5])) == 2
     assert not WeightVector([1.0, 0.0]).strictly_positive
     assert not WeightVector([1.0, -0.1]).strictly_positive
 
