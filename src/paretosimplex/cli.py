@@ -198,12 +198,12 @@ def _face_payload(face: PointClass | None, n: int) -> dict | None:
     return {"kind": _FACE_KINDS[type(face)], "support": _support_list(face, n)}
 
 
-def _report_payload(report: EfficiencyReport, n: int, clamped: tuple[int, ...]) -> dict:
-    """The JSON document of a report on a point with n components and
-    these clamped indices."""
+def _report_payload(point_class: PointClass, report: EfficiencyReport, n: int, clamped: tuple[int, ...]) -> dict:
+    """The JSON document of the report on a point of this class with n
+    components and these clamped indices."""
     return {
-        "class": _CLASS_NAMES[type(report.point_class)],
-        "support": _support_list(report.point_class, n),
+        "class": _CLASS_NAMES[type(point_class)],
+        "support": _support_list(point_class, n),
         "verdict": report.verdict.value,
         "test": report.test.value,
         "value": 1.0 if report.verdict is Verdict.EFFICIENT else 0.0,
@@ -213,11 +213,11 @@ def _report_payload(report: EfficiencyReport, n: int, clamped: tuple[int, ...]) 
     }
 
 
-def _report_text(report: EfficiencyReport, n: int, clamped: tuple[int, ...], as_json: bool) -> str:
+def _report_text(point_class: PointClass, report: EfficiencyReport, n: int, clamped: tuple[int, ...], as_json: bool) -> str:
     """The report's JSON line, or the lines of its text block after
     ``point:``.  Neither holds the point's coordinates, so either is the
-    same for every point with the report's class and these clamped indices."""
-    payload = _report_payload(report, n, clamped)
+    same for every point with this class and these clamped indices."""
+    payload = _report_payload(point_class, report, n, clamped)
     if as_json:
         return _json_text(payload)
     lines = [
@@ -283,7 +283,7 @@ def cmd_test(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) 
     try:
         for row in coords[first]:
             point_class, clamped = row_key(row, tol)
-            texts.append(_report_text(analyzer.report(point_class), matrix.n, clamped, args.json))
+            texts.append(_report_text(point_class, analyzer.report(point_class), matrix.n, clamped, args.json))
     finally:
         # Every row before the first one whose group failed to decide.
         shown = groups if len(texts) == first.size else groups[: first[len(texts)]]

@@ -103,7 +103,6 @@ __all__ = [
     "EfficiencyAnalyzer",
     "EfficiencyReport",
     "TestKind",
-    "TestProgram",
     "TestResult",
     "build_closure",
     "build_t0",
@@ -120,22 +119,17 @@ class TestKind(Enum):
 
 
 @dataclass(frozen=True)
-class TestProgram:
-    """A certificate program.
+class TestResult:
+    """A solved certificate program: the LP a builder returned, and its solution.
 
     target is the support the program certifies: every column for T0, the
-    tested support for T1, a single column for T2.  The LP's variables are
-    the weight offsets u, one per criterion.
+    tested support for T1 and the closure program, a single column for T2.
+    The LP's variables are the weight offsets u, one per criterion.
     """
 
     kind: TestKind
     target: SupportPattern
     lp: StandardLp
-
-
-@dataclass(frozen=True)
-class TestResult:
-    program: TestProgram
     solution: LpSolution
 
     @property
@@ -151,7 +145,9 @@ class TestResult:
 @dataclass(frozen=True)
 class EfficiencyReport:
     """The decision for a point class, which is the decision for each of its
-    points: the analyzer keeps one report per class.
+    points.  The analyzer keeps one report per class, keyed by the class
+    (``classify`` gives a point's), so a report holds the decision alone; on
+    a full matrix every class shares the T0 report.
 
     face is the region the decisive certificate proves efficient
     alongside the point: its weights' argmax face, as the class of the
@@ -162,7 +158,6 @@ class EfficiencyReport:
     (``core.clamped_indices``), not of its report.
     """
 
-    point_class: PointClass
     verdict: Verdict
     test: TestKind
     certificate: WeightVector | None
@@ -173,7 +168,7 @@ class EfficiencyReport:
 _WEIGHT_BOUND = 1e6
 
 
-def _build(matrix: CriteriaMatrix, support: SupportPattern, kind: TestKind) -> TestProgram:
+def _build(matrix: CriteriaMatrix, support: SupportPattern, kind: TestKind) -> StandardLp:
     """Feasibility program over u >= 0 with weights w = 1 + u: the support
     columns tie, and every other column trails the first support column
     by at least 1 (T1, T2) or at least 0 (closure).  T0 passes the full
@@ -195,29 +190,29 @@ def _build(matrix: CriteriaMatrix, support: SupportPattern, kind: TestKind) -> T
         a = np.vstack([a, np.full(matrix.k, 1.0 / _WEIGHT_BOUND)])
         rhs = np.append(rhs, 1.0)
         relations.append(Relation.LE)
-    return TestProgram(kind=kind, target=support, lp=StandardLp(a, relations, rhs))
+    return StandardLp(a, relations, rhs)
 
 
-def build_t0(matrix: CriteriaMatrix) -> TestProgram:
+def build_t0(matrix: CriteriaMatrix) -> StandardLp:
     """Program deciding whether some strictly positive weighting ties all
     columns."""
     return _build(matrix, SupportPattern(range(1, matrix.n + 1)), TestKind.T0)
 
 
-def build_t1(matrix: CriteriaMatrix, support: SupportPattern) -> TestProgram:
+def build_t1(matrix: CriteriaMatrix, support: SupportPattern) -> StandardLp:
     """Certificate program for the open face on ``support``."""
     _check_support(matrix, support, 2)
     return _build(matrix, support, TestKind.T1)
 
 
-def build_t2(matrix: CriteriaMatrix, j: int) -> TestProgram:
+def build_t2(matrix: CriteriaMatrix, j: int) -> StandardLp:
     """Certificate program for the vertex on column ``j`` (1-based)."""
     if not 1 <= j <= matrix.n:
         raise InputError(f"column index {j} out of range 1..{matrix.n}")
     return _build(matrix, SupportPattern((j,)), TestKind.T2)
 
 
-def build_closure(matrix: CriteriaMatrix, support: SupportPattern) -> TestProgram:
+def build_closure(matrix: CriteriaMatrix, support: SupportPattern) -> StandardLp:
     """Weak-gap variant deciding whether ``support`` sits inside the argmax
     pattern of some strictly positive weighting: the support columns must
     tie and the rest must not exceed them.  Tying all columns is the job
@@ -280,30 +275,30 @@ class EfficiencyAnalyzer:
         # Kept faces count a column as tied only within the solver tolerance.
         self._kept_tol = replace(tol, tie=tol.lp)
 
-    def _breakdown(self, program: TestProgram, cause: object) -> NumericalBreakdownError:
+    def _breakdown(self, kind: TestKind, target: SupportPattern, cause: object) -> NumericalBreakdownError:
         """A breakdown error naming the program's kind and support and the matrix's shape."""
-        support = "{" + ", ".join(map(str, program.target)) + "}"
+        support = "{" + ", ".join(map(str, target)) + "}"
         k, n = self.matrix.k, self.matrix.n
-        return NumericalBreakdownError(f"{program.kind.value} program on support {support} of the {k}x{n} matrix: {cause}")
+        return NumericalBreakdownError(f"{kind.value} program on support {support} of the {k}x{n} matrix: {cause}")
 
-    def _run(self, program: TestProgram) -> TestResult:
+    def _run(self, kind: TestKind, target: SupportPattern, lp: StandardLp) -> TestResult:
         try:
-            solution = solve(program.lp, self.tol)
+            solution = solve(lp, self.tol)
         except NumericalBreakdownError as exc:
-            raise self._breakdown(program, exc) from exc
-        return TestResult(program, solution)
+            raise self._breakdown(kind, target, exc) from exc
+        return TestResult(kind, target, lp, solution)
 
     def t0(self) -> TestResult:
-        return self._run(build_t0(self.matrix))
+        return self._run(TestKind.T0, SupportPattern(range(1, self.matrix.n + 1)), build_t0(self.matrix))
 
     def t1(self, support: SupportPattern) -> TestResult:
-        return self._run(build_t1(self.matrix, support))
+        return self._run(TestKind.T1, support, build_t1(self.matrix, support))
 
     def t2(self, j: int) -> TestResult:
-        return self._run(build_t2(self.matrix, j))
+        return self._run(TestKind.T2, SupportPattern((j,)), build_t2(self.matrix, j))
 
     def closure(self, support: SupportPattern) -> TestResult:
-        return self._run(build_closure(self.matrix, support))
+        return self._run(TestKind.CLOSURE, support, build_closure(self.matrix, support))
 
     def certificate_from(self, result: TestResult) -> WeightVector:
         """Extract the weights 1 + u from a feasible certificate program,
@@ -347,9 +342,10 @@ class EfficiencyAnalyzer:
             raise error
 
     def report(self, point_class: PointClass) -> EfficiencyReport:
-        """The one report for ``point_class``, decided on first use.  A class
-        that no point of n components has raises.  A miss is computed outside
-        the lock, and the first report stored wins."""
+        """The one report for ``point_class``, decided on first use.  When T0
+        certifies the whole simplex, every class gets the randomized report
+        object itself.  A class that no point of n components has raises.  A
+        miss is computed outside the lock, and the first report stored wins."""
         with self._lock:
             found = self._reports.get(point_class)
         if found is None:
@@ -362,24 +358,24 @@ class EfficiencyAnalyzer:
         if isinstance(point_class, Randomized):
             t0 = self.t0()
             if t0.certified:
-                return self._proved(point_class, t0)
+                return self._proved(t0)
             # No all-tying weights exist, so no randomized point is efficient.
-            return EfficiencyReport(point_class, Verdict.DOMINATED, TestKind.T0, None, None)
+            return EfficiencyReport(Verdict.DOMINATED, TestKind.T0, None, None)
         support = point_class.support
         _check_support(self.matrix, support, 1)
         full = self.report(Randomized())
         if full.verdict is Verdict.EFFICIENT:
-            return replace(full, point_class=point_class)
+            return full
         closure = self._closure_route(support)
         if closure is None:
-            return EfficiencyReport(point_class, Verdict.DOMINATED, TestKind.CLOSURE, None, None)
-        report = self._proved(point_class, closure)
+            return EfficiencyReport(Verdict.DOMINATED, TestKind.CLOSURE, None, None)
+        report = self._proved(closure)
         exact = TestKind.T2 if len(support) == 1 else TestKind.T1
         if report.face == point_class:
             # The weak gaps came out strict, so these weights name the exact face.
             return replace(report, test=exact)
         strict = self.t2(support.indices[0]) if exact is TestKind.T2 else self.t1(support)
-        return self._proved(point_class, strict) if strict.certified else report
+        return self._proved(strict) if strict.certified else report
 
     def efficient(self, support: SupportPattern) -> bool:
         """Whether ``support``, short of the full one, is efficient: true
@@ -426,32 +422,25 @@ class EfficiencyAnalyzer:
         tying exactly the target, where columns within ``tol.tie`` of the
         maximum tie (the analyzer's tolerances unless given).  Returns the
         weights and the columns they tie, or None when the check fails."""
-        target = result.program.target
         certificate = self.certificate_from(result)
         tied = argmax_set(weighted_objective(self.matrix, certificate), tol or self.tol)
-        exact = result.program.kind is not TestKind.CLOSURE
-        held = tied == target if exact else set(target).issubset(tied)
+        exact = result.kind is not TestKind.CLOSURE
+        held = tied == result.target if exact else set(result.target).issubset(tied)
         if not certificate.strictly_positive or not held:
             return None
         return certificate, tied
 
-    def _proved(self, point_class: PointClass, result: TestResult) -> EfficiencyReport:
-        """The report a feasible program proves for ``point_class``, once its
+    def _proved(self, result: TestResult) -> EfficiencyReport:
+        """The report a feasible program proves for its target, once its
         certificate passes ``verified``.  The face is the class of the
         weights' argmax pattern."""
         verified = self.verified(result)
         if verified is None:
-            exact = result.program.kind is not TestKind.CLOSURE
+            exact = result.kind is not TestKind.CLOSURE
             claim = "tie exactly that support" if exact else "keep that support at the maximum"
-            raise self._breakdown(result.program, f"extracted certificate does not {claim}")
+            raise self._breakdown(result.kind, result.target, f"extracted certificate does not {claim}")
         certificate, tied = verified
-        return EfficiencyReport(
-            point_class,
-            Verdict.EFFICIENT,
-            result.program.kind,
-            certificate,
-            support_class(tied, self.matrix.n),
-        )
+        return EfficiencyReport(Verdict.EFFICIENT, result.kind, certificate, support_class(tied, self.matrix.n))
 
 
 def _mask(support: SupportPattern) -> int:

@@ -100,7 +100,7 @@ def sweep():
         # Only feasible programs have a point; infeasible ones are verdicts.
         record.max_violation = max(
             (
-                feasibility_violation(res.program.lp, res.solution.point)
+                feasibility_violation(res.lp, res.solution.point)
                 for res in results
                 if res.solution.point is not None
             ),

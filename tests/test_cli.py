@@ -5,6 +5,7 @@ import ast
 import io
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -439,7 +440,7 @@ def test_test_reports_the_points_before_a_solver_failure(capsys, edge_json, monk
     from conftest import EDGE_ONLY_ROWS as rows
     from paretosimplex import CriteriaMatrix, NumericalBreakdownError, SupportPattern, efficiency
 
-    failing = efficiency.build_closure(CriteriaMatrix(rows), SupportPattern((3,))).lp
+    failing = efficiency.build_closure(CriteriaMatrix(rows), SupportPattern((3,)))
     real_solve = efficiency.solve
 
     def solve(lp, tol):
@@ -592,7 +593,22 @@ def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypat
             line + "\n" for line in shown
         ), command
         ran += 1
-    assert ran == 11
+    assert ran == 12
+
+
+def test_the_module_runs_as_a_script(capsys, tmp_path, monkeypatch):
+    # ``python -m paretosimplex.cli`` exits with main's code, here on the
+    # README's full.json.
+    matrix = tmp_path / "full.json"
+    matrix.write_text('{"k": 2, "n": 3, "C": [[3, 2, 1], [1, 2, 3]]}\n')
+    monkeypatch.setattr(sys, "argv", ["paretosimplex", "check-full", str(matrix)])
+    with warnings.catch_warnings():
+        # The package has imported the module before runpy executes it.
+        warnings.filterwarnings("ignore", message=".*found in sys.modules", category=RuntimeWarning)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("paretosimplex.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr() == ("full: yes\ncertificate: 1, 1\n", "")
 
 
 def test_readme_library_usage_shows_what_it_returns():
@@ -615,7 +631,7 @@ def test_readme_library_usage_shows_what_it_returns():
         comment = after.split("#", 1)[1].strip()
         assert comment.startswith(repr(value)), (ast.unparse(statement), comment)
         shown += 1
-    assert shown == 7
+    assert shown == 8
 
 
 # Matrix files for the error table, read from the working directory so

@@ -1,5 +1,6 @@
 """Certificate programs and the decision procedure."""
 
+import dataclasses
 import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +14,7 @@ from conftest import barycenter, margin_form_optima, random_matrix, random_point
 
 import paretosimplex.efficiency as efficiency_module
 from paretosimplex.cli import _report_payload
+from paretosimplex.core import row_key
 from paretosimplex import (
     CriteriaMatrix,
     Deterministic,
@@ -26,6 +28,7 @@ from paretosimplex import (
     Randomized,
     Relation,
     SimplexPoint,
+    StandardLp,
     SupportPattern,
     TestKind as Kind,
     Tolerances,
@@ -39,6 +42,7 @@ from paretosimplex import (
     check_full,
     check_points,
     clamped_indices,
+    classify,
     enumerate_faces,
     solution_set,
     solve,
@@ -52,15 +56,14 @@ from paretosimplex import (
 DUPLICATE_COLUMN_ROWS = [[-2.0, 6.0, 6.0, 5.0, -9.0], [1.0, 4.0, 4.0, 1.0, 1.0]]
 
 
-def _assert_layout(program, matrix, support, gap):
-    """The program is over k weight offsets u >= 0: |S| - 1 tie rows, then one row per other column, in column order, whose
-    lead over that column must reach ``gap`` under w = 1 + u.  T1 and T2 end with the row sum(u) / 1e6 <= 1."""
+def _assert_layout(lp, kind, matrix, support, gap):
+    """The ``kind`` program is over k weight offsets u >= 0: |S| - 1 tie rows, then one row per other column, in column
+    order, whose lead over that column must reach ``gap`` under w = 1 + u.  T1 and T2 end with the row sum(u) / 1e6 <= 1."""
     entries = matrix.entries
     inside = [j - 1 for j in support]
     outside = [j for j in range(matrix.n) if j + 1 not in support]
     ties = len(inside) - 1
-    capped = int(program.kind in (Kind.T1, Kind.T2))
-    lp = program.lp
+    capped = int(kind in (Kind.T1, Kind.T2))
     assert lp.num_vars == matrix.k
     assert lp.num_rows == ties + len(outside) + capped
     assert lp.relations == (Relation.EQ,) * ties + (Relation.GE,) * len(outside) + (Relation.LE,) * capped
@@ -73,40 +76,63 @@ def _assert_layout(program, matrix, support, gap):
 
 
 def test_t0_program_shape(edge_matrix):
-    program = build_t0(edge_matrix)
-    assert program.kind is Kind.T0
-    assert program.target == SupportPattern((1, 2, 3))
-    _assert_layout(program, edge_matrix, (1, 2, 3), 1.0)
+    result = EfficiencyAnalyzer(edge_matrix).t0()
+    assert result.kind is Kind.T0
+    assert result.target == SupportPattern((1, 2, 3))
+    lp = build_t0(edge_matrix)
+    _assert_layout(lp, Kind.T0, edge_matrix, (1, 2, 3), 1.0)
     # column sums are 3, 0 and -3.5
-    assert program.lp.rhs.tolist() == [-3.0, -3.5]
+    assert lp.rhs.tolist() == [-3.0, -3.5]
 
 
 def test_t1_program_shape(edge_matrix):
     support = SupportPattern((1, 2))
-    program = build_t1(edge_matrix, support)
-    assert program.kind is Kind.T1
-    assert program.target == support
-    _assert_layout(program, edge_matrix, support, 1.0)
-    assert program.lp.rhs.tolist() == [-3.0, 1.0 - 6.5, 1.0]
+    result = EfficiencyAnalyzer(edge_matrix).t1(support)
+    assert result.kind is Kind.T1
+    assert result.target == support
+    lp = build_t1(edge_matrix, support)
+    _assert_layout(lp, Kind.T1, edge_matrix, support, 1.0)
+    assert lp.rhs.tolist() == [-3.0, 1.0 - 6.5, 1.0]
 
 
 def test_t2_program_shape(edge_matrix):
-    program = build_t2(edge_matrix, 2)
-    assert program.kind is Kind.T2
-    assert program.target == SupportPattern((2,))
-    _assert_layout(program, edge_matrix, (2,), 1.0)
-    assert program.lp.rhs.tolist() == [1.0 + 3.0, 1.0 - 3.5, 1.0]
+    result = EfficiencyAnalyzer(edge_matrix).t2(2)
+    assert result.kind is Kind.T2
+    assert result.target == SupportPattern((2,))
+    lp = build_t2(edge_matrix, 2)
+    _assert_layout(lp, Kind.T2, edge_matrix, (2,), 1.0)
+    assert lp.rhs.tolist() == [1.0 + 3.0, 1.0 - 3.5, 1.0]
 
 
 def test_closure_program_shape(edge_matrix):
-    program = build_closure(edge_matrix, SupportPattern((2,)))
-    assert program.kind is Kind.CLOSURE
-    _assert_layout(program, edge_matrix, (2,), 0.0)
-    assert program.lp.rhs.tolist() == [3.0, -3.5]
+    result = EfficiencyAnalyzer(edge_matrix).closure(SupportPattern((2,)))
+    assert result.kind is Kind.CLOSURE
+    assert result.target == SupportPattern((2,))
+    lp = build_closure(edge_matrix, SupportPattern((2,)))
+    _assert_layout(lp, Kind.CLOSURE, edge_matrix, (2,), 0.0)
+    assert lp.rhs.tolist() == [3.0, -3.5]
 
     pair = build_closure(edge_matrix, SupportPattern((1, 3)))
-    _assert_layout(pair, edge_matrix, (1, 3), 0.0)
-    assert pair.lp.rhs.tolist() == [-6.5, -3.0]
+    _assert_layout(pair, Kind.CLOSURE, edge_matrix, (1, 3), 0.0)
+    assert pair.rhs.tolist() == [-6.5, -3.0]
+
+
+def test_builders_return_their_standard_lp(edge_matrix):
+    # A builder returns the program alone; the analyzer's result records
+    # the kind and target it was asked for next to the program it solved.
+    analyzer = EfficiencyAnalyzer(edge_matrix)
+    pair = SupportPattern((1, 2))
+    built = {
+        Kind.T0: (build_t0(edge_matrix), analyzer.t0()),
+        Kind.T1: (build_t1(edge_matrix, pair), analyzer.t1(pair)),
+        Kind.T2: (build_t2(edge_matrix, 2), analyzer.t2(2)),
+        Kind.CLOSURE: (build_closure(edge_matrix, pair), analyzer.closure(pair)),
+    }
+    for kind, (lp, result) in built.items():
+        assert type(lp) is StandardLp
+        assert type(result.lp) is StandardLp and result.kind is kind
+        assert np.array_equal(result.lp.a, lp.a) and np.array_equal(result.lp.rhs, lp.rhs)
+        assert result.lp.relations == lp.relations
 
 
 def test_builder_validation(edge_matrix):
@@ -140,22 +166,25 @@ def test_t0_optimum_on_full_instance(full_matrix):
 
 
 def test_decide_open_face_point(edge_matrix):
-    report = EfficiencyAnalyzer(edge_matrix).decide(SimplexPoint([0.55, 0.45, 0.0]))
+    point = SimplexPoint([0.55, 0.45, 0.0])
+    report = EfficiencyAnalyzer(edge_matrix).decide(point)
     assert report.verdict is Verdict.EFFICIENT
     assert report.test is Kind.T1
     assert report.face == PartiallyRandomized(SupportPattern((1, 2)))
     assert report.certificate is not None
     assert float(report.certificate.weights.min()) == 1.0
-    assert verify_certificate(edge_matrix, report.certificate, report.point_class)
+    assert verify_certificate(edge_matrix, report.certificate, classify(point))
 
 
 def test_decide_dominated_face_point(edge_matrix):
-    report = EfficiencyAnalyzer(edge_matrix).decide(SimplexPoint([0.3, 0.0, 0.7]))
+    analyzer = EfficiencyAnalyzer(edge_matrix)
+    point_class = PartiallyRandomized(SupportPattern((1, 3)))
+    report = analyzer.decide(SimplexPoint([0.3, 0.0, 0.7]))
     assert report.verdict is Verdict.DOMINATED
     # dominated means even the weak-gap closure test failed
     assert report.test is Kind.CLOSURE
-    assert _report_payload(report, 3, ())["value"] == 0.0
-    assert report.point_class == PartiallyRandomized(SupportPattern((1, 3)))
+    assert _report_payload(point_class, report, 3, ())["value"] == 0.0
+    assert analyzer.report(point_class) is report
     assert report.certificate is None and report.face is None
 
 
@@ -175,7 +204,7 @@ def test_decide_randomized_point_is_dominated_when_not_full(edge_matrix):
     report = EfficiencyAnalyzer(edge_matrix).decide(SimplexPoint([0.2, 0.3, 0.5]))
     assert report.verdict is Verdict.DOMINATED
     assert report.test is Kind.T0
-    assert _report_payload(report, 3, ())["value"] == 0.0
+    assert _report_payload(Randomized(), report, 3, ())["value"] == 0.0
 
 
 def test_decide_on_full_instance_short_circuits(full_matrix):
@@ -187,6 +216,20 @@ def test_decide_on_full_instance_short_circuits(full_matrix):
         assert verify_certificate(full_matrix, report.certificate, Randomized())
 
 
+def test_every_class_of_a_full_matrix_shares_the_t0_report(full_matrix):
+    analyzer = EfficiencyAnalyzer(full_matrix)
+    full = analyzer.report(Randomized())
+    for point_class in (Deterministic(2), PartiallyRandomized(SupportPattern((1, 3))), Randomized()):
+        assert analyzer.report(point_class) is full
+    assert analyzer.decide(SimplexPoint([0.5, 0.5, 0.0])) is full
+
+
+def test_a_report_holds_the_decision_alone():
+    # The class is the report's key, so the report does not repeat it.
+    fields = [field.name for field in dataclasses.fields(efficiency_module.EfficiencyReport)]
+    assert fields == ["verdict", "test", "certificate", "face"]
+
+
 def test_boundary_of_duplicated_face_is_efficient():
     matrix = CriteriaMatrix(DUPLICATE_COLUMN_ROWS)
     analyzer = EfficiencyAnalyzer(matrix)
@@ -194,7 +237,7 @@ def test_boundary_of_duplicated_face_is_efficient():
         report = analyzer.decide(vertex(j, 5))
         assert report.verdict is Verdict.EFFICIENT
         assert report.test is Kind.CLOSURE
-        assert _report_payload(report, 5, ())["value"] == 1.0
+        assert _report_payload(Deterministic(j), report, 5, ())["value"] == 1.0
         assert report.face == PartiallyRandomized(SupportPattern((2, 3)))
         # the certificate ties the enclosing face, not the vertex alone
         assert verify_certificate(matrix, report.certificate, PartiallyRandomized(SupportPattern((2, 3))))
@@ -236,8 +279,9 @@ def test_verify_certificate_compares_face_classes(full_matrix):
 
 def test_clamped_boundary_point_decided_by_clamped_support(edge_matrix):
     point = SimplexPoint([0.5, 0.5 - 1e-12, 1e-12])
-    report = EfficiencyAnalyzer(edge_matrix).decide(point)
-    assert report.point_class == PartiallyRandomized(SupportPattern((1, 2)))
+    analyzer = EfficiencyAnalyzer(edge_matrix)
+    report = analyzer.decide(point)
+    assert analyzer.report(PartiallyRandomized(SupportPattern((1, 2)))) is report
     assert clamped_indices(point) == (3,)
     assert report.test is Kind.T1
     assert report.verdict is Verdict.EFFICIENT
@@ -398,7 +442,7 @@ def _strict_first(analyzer, support):
     else:
         strict, face = analyzer.t1(pattern), PartiallyRandomized(pattern)
     if strict.certified:
-        return Verdict.EFFICIENT, strict.program.kind, face
+        return Verdict.EFFICIENT, strict.kind, face
     closure = analyzer.closure(pattern)
     if not closure.certified:
         return Verdict.DOMINATED, Kind.CLOSURE, None
@@ -435,7 +479,8 @@ def test_closure_first_keeps_the_strict_first_answers(monkeypatch):
         for size in range(1, n):
             for combo in itertools.combinations(range(1, n + 1), size):
                 solved.clear()
-                report = analyzer.decide(SimplexPoint(barycenter(n, combo)))
+                point = SimplexPoint(barycenter(n, combo))
+                report = analyzer.decide(point)
                 cost = len(solved)
                 assert (report.verdict, report.test, report.face) == _strict_first(reference, combo)
                 costs.setdefault((report.verdict, report.test), set()).add(cost)
@@ -450,7 +495,7 @@ def test_closure_first_keeps_the_strict_first_answers(monkeypatch):
                     tied = argmax_set(weighted_objective(matrix, weights))
                     assert weights.strictly_positive and set(combo) <= set(tied)
                 else:
-                    point_class = Randomized() if report.test is Kind.T0 else report.point_class
+                    point_class = Randomized() if report.test is Kind.T0 else classify(point)
                     assert verify_certificate(matrix, weights, point_class)
     # a dominated vertex or face costs its closure program alone, or no
     # program when it contains a support already decided dominated
@@ -500,7 +545,7 @@ def test_dominated_supersets_are_inferred(order, monkeypatch):
             if not any(set(d) < set(combo) for d in dominated):
                 needed += 1
             report = analyzer.decide(SimplexPoint(barycenter(n, combo)))
-            own = solve(real_build(matrix, SupportPattern(combo)).lp)
+            own = solve(real_build(matrix, SupportPattern(combo)))
             assert (report.verdict is Verdict.EFFICIENT) == (own.point is not None)
             if report.verdict is Verdict.DOMINATED:
                 assert report.test is Kind.CLOSURE and report.certificate is None
@@ -611,7 +656,6 @@ def _outcomes(reports):
 
 
 def _assert_same_report(got, expected):
-    assert got.point_class == expected.point_class
     assert got.verdict is expected.verdict
     assert got.test is expected.test
     if expected.certificate is None:
@@ -628,12 +672,16 @@ def test_decide_many_matches_decide_on_each_row(case):
     expected, expected_error = _outcomes(
         EfficiencyAnalyzer(matrix, tol).decide(SimplexPoint(row, tol)) for row in rows
     )
-    got, got_error = _outcomes(EfficiencyAnalyzer(matrix, tol).decide_many(rows))
+    analyzer = EfficiencyAnalyzer(matrix, tol)
+    got, got_error = _outcomes(analyzer.decide_many(rows))
     assert len(got) == len(expected)
     shared = {}
-    for report, reference in zip(got, expected):
+    for row, report, reference in zip(rows, got, expected):
         _assert_same_report(report, reference)
-        assert shared.setdefault(report.point_class, report) is report
+        # Each row gets the analyzer's report for its own class.
+        point_class = classify(SimplexPoint(row, tol), tol)
+        assert analyzer.report(point_class) is report
+        assert shared.setdefault(point_class, report) is report
     assert got_error == expected_error
 
     checked, error = check_points(rows, tol)
@@ -682,7 +730,7 @@ def test_rows_of_one_key_share_one_report(edge_matrix):
     )
     analyzer = EfficiencyAnalyzer(edge_matrix)
     reports = list(analyzer.decide_many(rows))
-    keys = [r.point_class for r in reports]
+    keys = [row_key(row)[0] for row in rows]
     assert len(set(keys)) == 4
     for key, report in zip(keys, reports):
         assert all(other is report for k, other in zip(keys, reports) if k == key)

@@ -30,6 +30,7 @@ from paretosimplex import (
     bicriterion_full_check,
     bicriterion_ratios,
     check_full,
+    classify,
     dominance_lp_verdict,
     enumerate_faces,
     enumerate_vertices,
@@ -227,6 +228,15 @@ def test_ratio_shortcut_fixture_values():
         bicriterion_full_check(CriteriaMatrix([[1.0, 1.0, 2.0], [0.0, 1.0, 2.0]]))
     with pytest.raises(DimensionMismatchError):
         bicriterion_full_check(CriteriaMatrix([[1.0, 2.0], [2.0, 1.0], [0.0, 0.0]]))
+    # Neither row is monotone, yet the ratios agree and the simplex is full.
+    zigzag = CriteriaMatrix([[0.0, 2.0, 1.0], [0.0, -2.0, -1.0]])
+    assert bicriterion_ratios(zigzag).tolist() == [1.0, 1.0]
+    assert bicriterion_full_check(zigzag) and check_full(EfficiencyAnalyzer(zigzag))[0]
+    # A repeated first-criterion entry leaves no ratio, though the simplex is full.
+    repeated = CriteriaMatrix([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(InputError, match="consecutive first-criterion entries must be distinct"):
+        bicriterion_full_check(repeated)
+    assert check_full(EfficiencyAnalyzer(repeated))[0]
     # The ratio 2e308 is past the float range.
     over = CriteriaMatrix([[1.0, 0.0], [-1e308, 1e308]])
     for check in (bicriterion_ratios, bicriterion_full_check):
@@ -614,7 +624,7 @@ def test_decide_after_a_scan_gives_the_fresh_reports():
     # same analyzer, each barycenter gets the report a fresh analyzer gives.
     def summary(report):
         weights = None if report.certificate is None else report.certificate.weights.tolist()
-        return report.point_class, report.verdict, report.test, weights, report.face
+        return report.verdict, report.test, weights, report.face
 
     rng = np.random.default_rng(1607)
     for _ in range(20):
@@ -625,7 +635,9 @@ def test_decide_after_a_scan_gives_the_fresh_reports():
             for combo in itertools.combinations(range(1, matrix.n + 1), size):
                 point = SimplexPoint(barycenter(matrix.n, combo))
                 fresh = EfficiencyAnalyzer(matrix).decide(point)
-                assert summary(analyzer.decide(point)) == summary(fresh)
+                report = analyzer.decide(point)
+                assert summary(report) == summary(fresh)
+                assert analyzer.report(classify(point)) is report
 
 
 def test_scans_sharing_one_analyzer_across_threads(monkeypatch):

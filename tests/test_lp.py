@@ -229,7 +229,7 @@ def _pinned_corpus() -> list[StandardLp]:
         matrix = CriteriaMatrix(rng.integers(-9, 10, size=(k, n)).astype(float))
         for size in (1, 2, n - 1):
             support = SupportPattern(int(j) + 1 for j in rng.choice(n, size, replace=False))
-            programs.append(build_closure(matrix, support).lp)
+            programs.append(build_closure(matrix, support))
         columns = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
         x = np.zeros(n)
         x[columns] = 1.0 / columns.size
