@@ -68,10 +68,9 @@ from .core import (
 from .efficiency import EfficiencyAnalyzer, EfficiencyReport
 from .enumeration import (
     EnumerationCapError,
-    bicriterion_full_check,
-    bicriterion_ratios,
     check_full,
     enumerate_faces,
+    _bicheck,
     _listed_supports,
 )
 from . import oracle
@@ -371,8 +370,7 @@ def cmd_scalarize(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
 
 
 def cmd_bicheck(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
-    full = bicriterion_full_check(matrix, tol)
-    ratios = [float(r) for r in bicriterion_ratios(matrix)]
+    full, ratios = _bicheck(matrix, tol)
     _emit(args, {"full": full, "ratios": ratios}, lambda: [
         f"full: {'yes' if full else 'no'}", f"ratios: {_items(ratios)}"
     ])

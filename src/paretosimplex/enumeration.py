@@ -28,8 +28,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     DEFAULT_TOLERANCES,
     CriteriaMatrix,
@@ -182,32 +180,36 @@ def enumerate_faces(
     )
 
 
-def bicriterion_ratios(matrix: CriteriaMatrix) -> np.ndarray:
-    """Trade-off ratios (c2[j+1] - c2[j]) / (c1[j] - c1[j+1]) of a
-    two-criteria matrix, one per pair of consecutive columns.  The
-    consecutive first-criterion entries must be distinct, and a ratio past
-    the float range raises InputError."""
+def _bicheck(matrix: CriteriaMatrix, tol: Tolerances) -> tuple[bool, list[float | None]]:
+    """``bicriterion_full_check`` and ``bicriterion_ratios`` in one pass
+    over exact steps, which never overflow."""
+    # Imported here: only bicheck needs it, and it adds about 3 ms to start-up.
+    from fractions import Fraction
+
     if matrix.k != 2:
         raise DimensionMismatchError("the ratio test applies to exactly two criteria")
-    entries = matrix.entries
-    with np.errstate(over="ignore"):
-        steps = entries[:, 1:] - entries[:, :-1]
-    # A step between finite entries overflows only when both are huge.  Such
-    # a pair's steps are taken again from halved entries, which halving keeps
-    # exact unless subnormal, so their ratio is the ratio of the steps.
-    over = ~np.isfinite(steps).all(axis=0)
-    steps[:, over] = entries[:, 1:][:, over] / 2 - entries[:, :-1][:, over] / 2
-    if (steps[0] == 0.0).any():
-        raise InputError(
-            "consecutive first-criterion entries must be distinct for the ratio test"
-        )
-    with np.errstate(over="ignore"):
-        ratios = steps[1] / -steps[0]
-    past = np.flatnonzero(~np.isfinite(ratios))
-    if past.size:
-        j = past[0] + 1
-        raise InputError(f"the trade-off ratio of columns {j} and {j + 1} exceeds the float range")
-    return ratios
+    first, second = ([Fraction(v) for v in row] for row in matrix.entries.tolist())
+    ratios: list[float | None] = []
+    dominated = False
+    for j in range(1, matrix.n):
+        run, rise = first[j - 1] - first[j], second[j] - second[j - 1]
+        dominated |= run == 0 and rise != 0
+        try:
+            ratios.append(float(rise / run) if run else None)
+        except OverflowError:
+            raise InputError(f"the trade-off ratio of columns {j} and {j + 1} exceeds the float range") from None
+    defined = [r for r in ratios if r is not None]
+    # all() tests the lead first, so the later terms compare with a positive lead.
+    full = not dominated and all(r > 0.0 and abs(r - defined[0]) <= tol.tie * defined[0] for r in defined)
+    return full, ratios
+
+
+def bicriterion_ratios(matrix: CriteriaMatrix) -> list[float | None]:
+    """Trade-off ratios (c2[j+1] - c2[j]) / (c1[j] - c1[j+1]) of a
+    two-criteria matrix, one per pair of consecutive columns: the exact
+    quotient rounded once, or None where the first-criterion entries
+    repeat.  A ratio past the float range raises InputError."""
+    return _bicheck(matrix, DEFAULT_TOLERANCES)[1]
 
 
 def bicriterion_full_check(
@@ -216,16 +218,12 @@ def bicriterion_full_check(
 ) -> bool:
     """Closed-form sufficient test for two criteria.
 
-    With consecutive first-criterion entries all distinct, every feasible
-    point is efficient if the trade-off ratios (``bicriterion_ratios``)
-    are all equal and positive.  Equality is relative to the first ratio
-    at ``tol.tie``.  This checks sufficiency only: a False still leaves
-    the LP-based check_full to decide.
+    Every feasible point is efficient if the trade-off ratios
+    (``bicriterion_ratios``) are all positive and equal to the first
+    within ``tol.tie``, relative to the first.  A pair of equal columns
+    gives no ratio and is skipped; a pair whose first-criterion entries
+    repeat and whose second ones differ has one column dominating the
+    other, so the answer is False.  This checks sufficiency only: a False
+    still leaves the LP-based check_full to decide.
     """
-    ratios = bicriterion_ratios(matrix)
-    lead = ratios[0]
-    if lead <= 0.0:
-        return False
-    return bool(
-        (ratios > 0.0).all() and (abs(ratios - lead) <= tol.tie * abs(lead)).all()
-    )
+    return _bicheck(matrix, tol)[0]

@@ -1,6 +1,7 @@
 """Shared fixtures: two hand-checkable 3x3 instances plus corpus helpers."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,3 +181,32 @@ def margin_form_optima(matrix: CriteriaMatrix, programs) -> list[float]:
         optima.append(-float(objective @ result.x[start:stop]))
         start = stop
     return optima
+
+
+def bicriterion_faces(entries) -> set[frozenset[int]]:
+    """Supports (1-based) that positive weightings keep at the maximum of a
+    two-criteria matrix, the maximal efficient ones among them, in exact
+    arithmetic on its float entries, so the reference shares no code with
+    the package.
+
+    Under weights (1, t), t > 0, the columns at the maximum of
+    C[0] + t C[1] form a support that changes only where two distinct
+    columns tie, and is largest there.  So the sets at the positive ties,
+    at one t between each two of them and at one t beyond each end are
+    every set a positive weighting keeps at the maximum.  A support is
+    efficient exactly when it lies inside one of them.
+    """
+    first, second = ([Fraction(v) for v in row] for row in np.asarray(entries).tolist())
+    ties = set()
+    for i, j in itertools.combinations(range(len(first)), 2):
+        if second[i] != second[j]:
+            ties.add((first[j] - first[i]) / (second[i] - second[j]))
+    ties = sorted(t for t in ties if t > 0)
+    between = [(a + b) / 2 for a, b in itertools.pairwise(ties)]
+    ends = [ties[0] / 2, ties[-1] + 1] if ties else [Fraction(1)]
+    faces = set()
+    for t in ties + between + ends:
+        values = [a + t * b for a, b in zip(first, second)]
+        top = max(values)
+        faces.add(frozenset(j + 1 for j, value in enumerate(values) if value == top))
+    return faces

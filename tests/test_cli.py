@@ -19,7 +19,7 @@ import pytest
 from conftest import EDGE_ONLY_ROWS, ALL_EFFICIENT_ROWS
 
 import paretosimplex
-from paretosimplex import DEFAULT_TOLERANCES, Tolerances, Verdict, cli, oracle
+from paretosimplex import DEFAULT_TOLERANCES, Tolerances, Verdict, cli, enumeration, oracle
 
 
 def run(capsys, *argv):
@@ -257,10 +257,26 @@ def test_bicheck_error_codes(capsys, edge_json, tmp_path):
     assert code == 3
     assert "error:" in err
 
+    # A repeated first-criterion entry is decided: column 2 dominates column 1.
     path = write_csv_matrix(tmp_path, [[1, 1, 2], [0, 1, 2]], name="flat.csv")
-    code, _, err = run(capsys, "bicheck", path)
-    assert code == 2
-    assert "error:" in err
+    assert run(capsys, "bicheck", path) == (0, "full: no\nratios: null, -1\n", "")
+    assert run(capsys, "bicheck", path, "--json") == (0, '{"full": false, "ratios": [null, -1]}\n', "")
+
+
+def test_bicheck_reads_the_matrix_once(capsys, tmp_path, monkeypatch):
+    # The verdict and the printed ratios come from one pass over the steps.
+    calls = []
+    one_pass = enumeration._bicheck
+
+    def counting(*args):
+        calls.append(args)
+        return one_pass(*args)
+
+    monkeypatch.setattr(enumeration, "_bicheck", counting)
+    monkeypatch.setattr(cli, "_bicheck", counting)
+    path = write_csv_matrix(tmp_path, [[0, 2, 1], [0, -2, -1]], name="zigzag.csv")
+    assert run(capsys, "bicheck", path) == (0, "full: yes\nratios: 1, 1\n", "")
+    assert len(calls) == 1
 
 
 def test_plot3_grid(capsys, edge_json):
@@ -593,7 +609,7 @@ def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypat
             line + "\n" for line in shown
         ), command
         ran += 1
-    assert ran == 12
+    assert ran == 13
 
 
 def test_the_module_runs_as_a_script(capsys, tmp_path, monkeypatch):
@@ -674,7 +690,7 @@ ERROR_TABLE = [
     ("check-full cell.csv", 2, "", "error: cell.csv: could not convert string to float: 'x'\n"),
     ("check-full object.json", 2, "", "error: object.json: float() argument must be a string or a real number, not 'dict'\n"),
     ("bicheck edge.json", 3, "", "error: the ratio test applies to exactly two criteria\n"),
-    ("bicheck flat.csv", 2, "", "error: consecutive first-criterion entries must be distinct for the ratio test\n"),
+    ("bicheck flat.csv", 0, "full: no\nratios: null, -1\n", ""),
     ("plot3 two.csv --density 4", 3, "", "error: plot3 needs exactly 3 columns, matrix has 2\n"),
     ("plot3 edge.json --density 0", 2, "", "error: density must be at least 1\n"),
     ("scalarize edge.json --weights 1,1", 3, "", "error: 2 weights for 3 criteria\n"),
