@@ -40,9 +40,9 @@ verdict.  A feasible program certifies efficiency, with weights
 within the bound for T1 and T2.  Because the programs depend only on
 the support, the analyzer keeps one report (verdict, test, verified
 certificate and face) per point class, so a batch of points costs one
-decision per distinct support.  T0 is decided once, as the randomized
-class's report, which every other class reads first: all-tying weights
-make every point efficient.
+decision per distinct support.  T0 is decided at most once, as the
+randomized class's report, which every other class reads first: all-tying
+weights make every point efficient.
 
 Efficient supports are closed under subsets: weights that keep a support
 at the maximum keep each of its subsets there.  So a support that contains
@@ -51,6 +51,14 @@ whenever the subset's is.  The analyzer keeps the supports its closure
 programs found dominated, and decides a support containing one of them
 dominated by the closure test, with no certificate, without building or
 solving a program: the decision solving would give.
+
+Some columns need no program at all.  When column i is at least column j
+in every criterion, compared exactly, and beats it by a normalized gain
+above 1e-5, moving mass from j to i dominates every point with mass on j.
+The analyzer screens each column this way once, in O(k n**2), and starts
+its dominated supports with the screened columns.  A screened column also
+settles T0 without solving it: columns i and j never tie under w > 0, so
+the randomized class is dominated.
 
 The weights that certify a support usually tie more columns: their argmax
 face.  Those weights certify every support inside the face too, so
@@ -167,6 +175,23 @@ class EfficiencyReport:
 #: U of the T1 and T2 row sum(u) / U <= 1, and the largest weight a kept face's certificate may have.
 _WEIGHT_BOUND = 1e6
 
+#: Normalized gain sum(N[:, i] - N[:, j]) that column i must exceed to screen out column j.
+_SCREEN_GAIN = 1e-5
+
+
+def _screened_columns(matrix: CriteriaMatrix) -> list[int]:
+    """1-based columns j that some column i beats in every criterion:
+    C[:, i] >= C[:, j] entry by entry, compared exactly, with a normalized
+    gain above _SCREEN_GAIN.  Normalizing a row preserves its order, so a
+    positive gain puts some entry of i strictly above j's.  A row whose mean
+    overflows normalizes to NaN, and a NaN gain screens nothing."""
+    entries = matrix.entries
+    beats = (entries[:, :, np.newaxis] >= entries[:, np.newaxis, :]).all(axis=0)
+    with np.errstate(all="ignore"):
+        sums = matrix.normalized.sum(axis=0)
+        beats &= sums[:, np.newaxis] - sums > _SCREEN_GAIN
+    return (np.flatnonzero(beats.any(axis=0)) + 1).tolist()
+
 
 def _build(matrix: CriteriaMatrix, support: SupportPattern, kind: TestKind) -> StandardLp:
     """Feasibility program over u >= 0 with weights w = 1 + u: the support
@@ -253,10 +278,11 @@ class EfficiencyAnalyzer:
     lookup, by class, that ``decide``, ``decide_many`` and ``check_full``
     read, and it returns one object per class.  Programs are not kept;
     ``t0``, ``t1``, ``t2`` and ``closure`` solve theirs on each call, and
-    T0 is asked once, for the randomized report.  A support
-    containing one that its closure program found dominated is decided
-    dominated without a program, and ``efficient`` decides a support inside
-    a kept face efficient without one (see the module docstring).  These
+    T0 is asked once, for the randomized report, unless a column is
+    screened.  A support holding a screened column, or containing one that
+    its closure program found dominated, is decided dominated without a
+    program, and ``efficient`` decides a support inside a kept face
+    efficient without one (see the module docstring).  These
     memos are guarded by a lock; instances are safe to share across
     threads.  The analyzer is the one object that pairs a matrix with
     tolerances: ``check_full``, ``enumerate_vertices`` and
@@ -268,9 +294,11 @@ class EfficiencyAnalyzer:
         self.tol = tol
         self._lock = threading.Lock()
         self._reports: dict[PointClass, EfficiencyReport] = {}
-        # Bit masks (bit j for column j) of the supports decided dominated
-        # by their own closure program, and of the faces ``efficient`` keeps.
-        self._dominated: list[int] = []
+        # Bit masks (bit j for column j) of the supports decided dominated,
+        # first the screened columns, then the supports found by their own
+        # closure program, and of the faces ``efficient`` keeps.
+        self._dominated: list[int] = [1 << j for j in _screened_columns(matrix)]
+        self._screened = bool(self._dominated)
         self._kept: list[int] = []
         # Kept faces count a column as tied only within the solver tolerance.
         self._kept_tol = replace(tol, tie=tol.lp)
@@ -356,9 +384,11 @@ class EfficiencyAnalyzer:
 
     def _decide_class(self, point_class: PointClass) -> EfficiencyReport:
         if isinstance(point_class, Randomized):
-            t0 = self.t0()
-            if t0.certified:
-                return self._proved(t0)
+            # A screened column trails another under every w > 0, so the two never tie.
+            if not self._screened:
+                t0 = self.t0()
+                if t0.certified:
+                    return self._proved(t0)
             # No all-tying weights exist, so no randomized point is efficient.
             return EfficiencyReport(Verdict.DOMINATED, TestKind.T0, None, None)
         support = point_class.support
@@ -378,15 +408,20 @@ class EfficiencyAnalyzer:
         return self._proved(strict) if strict.certified else report
 
     def efficient(self, support: SupportPattern) -> bool:
-        """Whether ``support``, short of the full one, is efficient: true
-        inside a kept face, otherwise as ``_closure_route`` decides.  A
-        feasible program's argmax face, tied within ``tol.lp``, is kept once
-        its certificate passes ``verified`` with no weight above 1e6 (see the
-        module docstring).  A support that is not a closure program's raises
-        as ``build_closure`` does, whatever the analyzer holds."""
+        """Whether ``support``, short of the full one, is efficient: false
+        when it contains a support decided dominated, true inside a kept
+        face, otherwise as ``_closure_route`` decides.  A feasible program's
+        argmax face, tied within ``tol.lp``, is kept once its certificate
+        passes ``verified`` with no weight above 1e6 (see the module
+        docstring); the dominated supports are read first, so a screened
+        column tied within that tolerance is never listed.  A support that is
+        not a closure program's raises as ``build_closure`` does, whatever
+        the analyzer holds."""
         _check_support(self.matrix, support, 1)
         mask = _mask(support)
         with self._lock:
+            if any(d & mask == d for d in self._dominated):
+                return False
             if any(mask & face == mask for face in self._kept):
                 return True
         result = self._closure_route(support)

@@ -456,7 +456,8 @@ def test_test_reports_the_points_before_a_solver_failure(capsys, edge_json, monk
     from conftest import EDGE_ONLY_ROWS as rows
     from paretosimplex import CriteriaMatrix, NumericalBreakdownError, SupportPattern, efficiency
 
-    failing = efficiency.build_closure(CriteriaMatrix(rows), SupportPattern((3,)))
+    # Column 1 beats column 3, so vertex 3 needs no program; vertex 2 does.
+    failing = efficiency.build_closure(CriteriaMatrix(rows), SupportPattern((2,)))
     real_solve = efficiency.solve
 
     def solve(lp, tol):
@@ -466,9 +467,9 @@ def test_test_reports_the_points_before_a_solver_failure(capsys, edge_json, monk
 
     _, before, _ = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0")
     monkeypatch.setattr(efficiency, "solve", solve)
-    code, out, err = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0", "0,0,1", "0,1,0")
+    code, out, err = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0", "0,1,0", "0,0,1")
     assert (code, out) == (4, before)
-    assert err == "error: closure program on support {3} of the 3x3 matrix: stub breakdown\n"
+    assert err == "error: closure program on support {2} of the 3x3 matrix: stub breakdown\n"
 
 
 # The commands that print one document, run on the error table's files.
@@ -667,6 +668,7 @@ ERROR_TABLE_FILES = {
     "wide.csv": ",".join(map(str, range(1, 18))) + "\n" + ",".join(map(str, range(17, 0, -1))) + "\n",
     # Finite entries whose differences, spreads or sums overflow.
     "huge.json": json.dumps({"C": [[1e308, -1e308, 0], [0, 1, 2]]}),
+    "hugetie.json": json.dumps({"C": [[1e308, -1e308, 0], [-1, 1, 0]]}),
     "hugesum.json": json.dumps({"C": [[1.5e308, 1.5e308, 0], [0, 1, 2]]}),
     "over.csv": "1,0\n-1e308,1e308\n",
     # JSON files that hold no object, read as CSV.
@@ -717,12 +719,17 @@ def test_error_table(capsys, error_table_dir, command, code, out, err):
 
 
 # Commands whose finite input overflows, with their exit code and stderr.
+# Column 3 of huge.json beats column 2 in both criteria, so check-full and
+# test decide it without a program; no column of hugetie.json beats another.
 OVERFLOW_COMMANDS = [
     ("scalarize full.json --weights 1e308,1e308", 2, "error: coefficients must be finite\n"),
-    ("check-full huge.json", 2, "error: matrix entries must be finite\n"),
+    ("check-full huge.json", 0, ""),
+    ("check-full hugetie.json", 2, "error: matrix entries must be finite\n"),
     ("enumerate huge.json", 2, "error: matrix entries must be finite\n"),
     ("enumerate huge.json --oracle", 2, "error: matrix entries must be finite\n"),
-    ("test huge.json 0.5,0.5,0", 2, "error: matrix entries must be finite\n"),
+    ("enumerate hugetie.json", 2, "error: matrix entries must be finite\n"),
+    ("test huge.json 0.5,0.5,0", 0, ""),
+    ("test hugetie.json 0.5,0.5,0", 2, "error: matrix entries must be finite\n"),
     ("plot3 huge.json --density 1", 2, "error: matrix entries must be finite\n"),
     ("oracle huge.json 0.5,0.5,0", 0, ""),
     ("bicheck huge.json", 0, ""),
