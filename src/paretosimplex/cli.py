@@ -68,9 +68,9 @@ from .core import (
 from .efficiency import EfficiencyAnalyzer, EfficiencyReport
 from .enumeration import (
     EnumerationCapError,
+    bicheck,
     check_full,
     enumerate_faces,
-    _bicheck,
     _listed_supports,
 )
 from . import oracle
@@ -370,7 +370,7 @@ def cmd_scalarize(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
 
 
 def cmd_bicheck(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
-    full, ratios = _bicheck(matrix, tol)
+    full, ratios = bicheck(matrix, tol)
     _emit(args, {"full": full, "ratios": ratios}, lambda: [
         f"full: {'yes' if full else 'no'}", f"ratios: {_items(ratios)}"
     ])

@@ -56,8 +56,8 @@ Some columns need no program at all.  When column i is at least column j
 in every criterion, compared exactly, and beats it by a normalized gain
 above 1e-5, moving mass from j to i dominates every point with mass on j.
 The analyzer screens each column this way once, in O(k n**2), and starts
-its dominated supports with the screened columns.  A screened column also
-settles T0 without solving it: columns i and j never tie under w > 0, so
+its dominated supports with the screened columns.  Any support known
+dominated settles T0 without solving it: the full support contains it, so
 the randomized class is dominated.
 
 The weights that certify a support usually tie more columns: their argmax
@@ -278,8 +278,8 @@ class EfficiencyAnalyzer:
     lookup, by class, that ``decide``, ``decide_many`` and ``check_full``
     read, and it returns one object per class.  Programs are not kept;
     ``t0``, ``t1``, ``t2`` and ``closure`` solve theirs on each call, and
-    T0 is asked once, for the randomized report, unless a column is
-    screened.  A support holding a screened column, or containing one that
+    T0 is asked once, for the randomized report, unless some support is known
+    dominated.  A support holding a screened column, or containing one that
     its closure program found dominated, is decided dominated without a
     program, and ``efficient`` decides a support inside a kept face
     efficient without one (see the module docstring).  These
@@ -298,7 +298,6 @@ class EfficiencyAnalyzer:
         # first the screened columns, then the supports found by their own
         # closure program, and of the faces ``efficient`` keeps.
         self._dominated: list[int] = [1 << j for j in _screened_columns(matrix)]
-        self._screened = bool(self._dominated)
         self._kept: list[int] = []
         # Kept faces count a column as tied only within the solver tolerance.
         self._kept_tol = replace(tol, tie=tol.lp)
@@ -384,8 +383,10 @@ class EfficiencyAnalyzer:
 
     def _decide_class(self, point_class: PointClass) -> EfficiencyReport:
         if isinstance(point_class, Randomized):
-            # A screened column trails another under every w > 0, so the two never tie.
-            if not self._screened:
+            # The full support contains every support, so a dominated one settles it.
+            with self._lock:
+                known = bool(self._dominated)
+            if not known:
                 t0 = self.t0()
                 if t0.certified:
                     return self._proved(t0)

@@ -18,7 +18,10 @@ follows the size of the efficient set rather than the 2**n supports.  The
 analyzer decides a support inside the argmax face of a certificate it has
 already verified without a program (see ``paretosimplex.efficiency``).
 The scan can be limited to small supports, and an enumeration that would
-list more than MAX_LISTED_SUPPORTS is refused.
+list more than MAX_LISTED_SUPPORTS is refused.  For two criteria,
+``bicheck`` is a closed-form sufficient test for a full matrix: the
+trade-off ratios of consecutive columns, from exact steps, all equal and
+positive.
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ __all__ = [
     "MAX_LISTED_SUPPORTS",
     "EfficientStructure",
     "EnumerationCapError",
-    "bicriterion_full_check",
-    "bicriterion_ratios",
+    "bicheck",
     "check_full",
     "enumerate_faces",
     "enumerate_vertices",
@@ -180,9 +182,22 @@ def enumerate_faces(
     )
 
 
-def _bicheck(matrix: CriteriaMatrix, tol: Tolerances) -> tuple[bool, list[float | None]]:
-    """``bicriterion_full_check`` and ``bicriterion_ratios`` in one pass
-    over exact steps, which never overflow."""
+def bicheck(
+    matrix: CriteriaMatrix, tol: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[bool, list[float | None]]:
+    """Closed-form sufficient test for two criteria, and its trade-off
+    ratios, in one pass over exact steps, which never overflow.
+
+    The ratios (c2[j+1] - c2[j]) / (c1[j] - c1[j+1]), one per pair of
+    consecutive columns, are exact quotients rounded once, or None where
+    the first-criterion entries repeat; a ratio past the float range
+    raises InputError.  full is True when the ratios are all positive and
+    equal to the first within ``tol.tie``, relative to the first.  A pair
+    of equal columns gives no ratio and is skipped; a pair whose
+    first-criterion entries repeat and whose second ones differ has one
+    column dominating the other, so full is False.  This checks
+    sufficiency only: a False still leaves ``check_full`` to decide.
+    """
     # Imported here: only bicheck needs it, and it adds about 3 ms to start-up.
     from fractions import Fraction
 
@@ -202,28 +217,3 @@ def _bicheck(matrix: CriteriaMatrix, tol: Tolerances) -> tuple[bool, list[float 
     # all() tests the lead first, so the later terms compare with a positive lead.
     full = not dominated and all(r > 0.0 and abs(r - defined[0]) <= tol.tie * defined[0] for r in defined)
     return full, ratios
-
-
-def bicriterion_ratios(matrix: CriteriaMatrix) -> list[float | None]:
-    """Trade-off ratios (c2[j+1] - c2[j]) / (c1[j] - c1[j+1]) of a
-    two-criteria matrix, one per pair of consecutive columns: the exact
-    quotient rounded once, or None where the first-criterion entries
-    repeat.  A ratio past the float range raises InputError."""
-    return _bicheck(matrix, DEFAULT_TOLERANCES)[1]
-
-
-def bicriterion_full_check(
-    matrix: CriteriaMatrix,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> bool:
-    """Closed-form sufficient test for two criteria.
-
-    Every feasible point is efficient if the trade-off ratios
-    (``bicriterion_ratios``) are all positive and equal to the first
-    within ``tol.tie``, relative to the first.  A pair of equal columns
-    gives no ratio and is skipped; a pair whose first-criterion entries
-    repeat and whose second ones differ has one column dominating the
-    other, so the answer is False.  This checks sufficiency only: a False
-    still leaves the LP-based check_full to decide.
-    """
-    return _bicheck(matrix, tol)[0]

@@ -30,7 +30,7 @@ from paretosimplex import (
     SupportPattern,
     TestKind as Kind,
     WeightVector,
-    bicriterion_full_check,
+    bicheck,
     check_full,
     dominance_lp_verdict,
     enumerate_faces,
@@ -269,7 +269,7 @@ def test_criterion_7_ratio_condition_soundness(report):
         for j in range(n - 1):
             second.append(second[-1] + r * (first[j] - first[j + 1]))
         matrix = CriteriaMatrix([first.tolist(), second])
-        ratio_ok = bicriterion_full_check(matrix)
+        ratio_ok = bicheck(matrix)[0]
         lp_ok, _ = check_full(EfficiencyAnalyzer(matrix))
         if not (ratio_ok and lp_ok):
             bad.append((matrix.entries.tolist(), ratio_ok, lp_ok))

@@ -266,14 +266,14 @@ def test_bicheck_error_codes(capsys, edge_json, tmp_path):
 def test_bicheck_reads_the_matrix_once(capsys, tmp_path, monkeypatch):
     # The verdict and the printed ratios come from one pass over the steps.
     calls = []
-    one_pass = enumeration._bicheck
+    one_pass = enumeration.bicheck
 
     def counting(*args):
         calls.append(args)
         return one_pass(*args)
 
-    monkeypatch.setattr(enumeration, "_bicheck", counting)
-    monkeypatch.setattr(cli, "_bicheck", counting)
+    monkeypatch.setattr(enumeration, "bicheck", counting)
+    monkeypatch.setattr(cli, "bicheck", counting)
     path = write_csv_matrix(tmp_path, [[0, 2, 1], [0, -2, -1]], name="zigzag.csv")
     assert run(capsys, "bicheck", path) == (0, "full: yes\nratios: 1, 1\n", "")
     assert len(calls) == 1
@@ -648,7 +648,7 @@ def test_readme_library_usage_shows_what_it_returns():
         comment = after.split("#", 1)[1].strip()
         assert comment.startswith(repr(value)), (ast.unparse(statement), comment)
         shown += 1
-    assert shown == 8
+    assert shown == 9
 
 
 # Matrix files for the error table, read from the working directory so

@@ -417,6 +417,23 @@ def test_a_screened_column_builds_no_program(edge_matrix, monkeypatch):
     assert built == []
 
 
+def test_a_support_found_dominated_first_settles_t0(monkeypatch):
+    # No column of MIXTURE_DOMINATED_ROWS beats column 3, so only its closure
+    # program shows vertex 3 dominated.  Once it has, the full support, which
+    # contains {3}, is dominated without T0.
+    built = []
+    real_build = efficiency_module.build_t0
+    monkeypatch.setattr(efficiency_module, "build_t0", lambda matrix: built.append(matrix) or real_build(matrix))
+    matrix = CriteriaMatrix(MIXTURE_DOMINATED_ROWS)
+    assert efficiency_module._screened_columns(matrix) == []
+    analyzer = EfficiencyAnalyzer(matrix)
+    assert not analyzer.efficient(SupportPattern((3,)))
+    assert check_full(analyzer) == (False, None)
+    report = analyzer.report(Randomized())
+    assert (report.verdict, report.test, report.certificate, report.face) == (Verdict.DOMINATED, Kind.T0, None, None)
+    assert built == []
+
+
 @st.composite
 def screen_changes(draw):
     """An integer matrix, perhaps with one column a copy of another or a

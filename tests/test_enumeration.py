@@ -8,6 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import barycenter, bicriterion_faces, dominance_gain, near_tie_corpus, random_matrix
 
@@ -28,8 +30,7 @@ from paretosimplex import (
     TestKind as Kind,
     Verdict,
     WeightVector,
-    bicriterion_full_check,
-    bicriterion_ratios,
+    bicheck,
     check_full,
     classify,
     dominance_lp_verdict,
@@ -223,27 +224,26 @@ def test_full_structure_lists_every_pattern():
 
 
 def test_ratio_shortcut_fixture_values():
-    assert bicriterion_full_check(CriteriaMatrix([[3.0, 2.0, 1.0], [1.0, 2.0, 3.0]]))
-    assert not bicriterion_full_check(CriteriaMatrix([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))
+    assert bicheck(CriteriaMatrix([[3.0, 2.0, 1.0], [1.0, 2.0, 3.0]]))[0]
+    assert not bicheck(CriteriaMatrix([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))[0]
     # Column 2 dominates column 1: equal first entries, a larger second one.
     dominated = CriteriaMatrix([[1.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
-    assert bicriterion_ratios(dominated) == [None, -1.0]
-    assert not bicriterion_full_check(dominated) and not check_full(EfficiencyAnalyzer(dominated))[0]
+    assert bicheck(dominated)[1] == [None, -1.0]
+    assert not bicheck(dominated)[0] and not check_full(EfficiencyAnalyzer(dominated))[0]
     with pytest.raises(DimensionMismatchError):
-        bicriterion_full_check(CriteriaMatrix([[1.0, 2.0], [2.0, 1.0], [0.0, 0.0]]))
+        bicheck(CriteriaMatrix([[1.0, 2.0], [2.0, 1.0], [0.0, 0.0]]))
     # Neither row is monotone, yet the ratios agree and the simplex is full.
     zigzag = CriteriaMatrix([[0.0, 2.0, 1.0], [0.0, -2.0, -1.0]])
-    assert bicriterion_ratios(zigzag) == [1.0, 1.0]
-    assert bicriterion_full_check(zigzag) and check_full(EfficiencyAnalyzer(zigzag))[0]
+    assert bicheck(zigzag)[1] == [1.0, 1.0]
+    assert bicheck(zigzag)[0] and check_full(EfficiencyAnalyzer(zigzag))[0]
     # Two equal columns give no ratio and are skipped.
     repeated = CriteriaMatrix([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    assert bicriterion_ratios(repeated) == [None, 1.0]
-    assert bicriterion_full_check(repeated) and check_full(EfficiencyAnalyzer(repeated))[0]
+    assert bicheck(repeated)[1] == [None, 1.0]
+    assert bicheck(repeated)[0] and check_full(EfficiencyAnalyzer(repeated))[0]
     # The ratio 2e308 is past the float range.
     over = CriteriaMatrix([[1.0, 0.0], [-1e308, 1e308]])
-    for check in (bicriterion_ratios, bicriterion_full_check):
-        with pytest.raises(InputError, match="ratio of columns 1 and 2 exceeds the float range"):
-            check(over)
+    with pytest.raises(InputError, match="ratio of columns 1 and 2 exceeds the float range"):
+        bicheck(over)
 
 
 def test_ratio_shortcut_is_sound():
@@ -265,7 +265,7 @@ def test_ratio_shortcut_is_sound():
             if (first[:-1] == first[1:]).any():
                 continue
         matrix = CriteriaMatrix(np.vstack([first, second]))
-        if bicriterion_full_check(matrix):
+        if bicheck(matrix)[0]:
             fired += 1
             assert check_full(EfficiencyAnalyzer(matrix))[0]
     assert fired >= 30
@@ -288,7 +288,7 @@ def test_ratio_shortcut_equals_check_full_on_small_integers_with_repeats():
             second = int(rng.integers(-3, 4)) - int(rng.integers(1, 6)) * (first - first[0])
         matrix = CriteriaMatrix(np.vstack([first, second]).astype(float))
         expected = check_full(EfficiencyAnalyzer(matrix))[0]
-        assert bicriterion_full_check(matrix) == expected, matrix.entries.tolist()
+        assert bicheck(matrix)[0] == expected, matrix.entries.tolist()
         full += expected
     assert full >= 1000
 
@@ -636,10 +636,10 @@ def test_bicriterion_referee_agrees_with_the_scan_on_integers():
 
 
 #: Bounds on the counts of ``test_bicriterion_near_tie_counts_only_go_down``;
-#: they only go down.  The matrices bicriterion_full_check calls full against
-#: the referee were 95, 232, 293, 354, 486, 534 and 545 when the bounds were
-#: set: near ties within the relative ``tol.tie`` of its ratio test.  The
-#: column screen took the first two from 149 and 84.
+#: they only go down.  The matrices bicheck calls full against the referee
+#: were 95, 232, 293, 354, 486, 534 and 545 when the bounds were set: near
+#: ties within the relative ``tol.tie`` of its ratio test.  The column
+#: screen took the first two from 149 and 84.
 BICRITERION_BOUNDS = {
     "decide wrong": 147,
     "decide errors": 82,
@@ -652,8 +652,7 @@ def test_bicriterion_near_tie_counts_only_go_down():
     # Every two-criteria matrix of the near-tie corpus and every support
     # barycenter of each, judged by the exact referee: the barycenters on
     # which decide answers wrongly or raises LpError, and the matrices on
-    # which bicriterion_full_check and the referee differ on the whole
-    # simplex.
+    # which bicheck and the referee differ on the whole simplex.
     counts = Counter()
     for _, entries, _ in near_tie_corpus():
         if entries.shape[0] != 2:
@@ -662,7 +661,7 @@ def test_bicriterion_near_tie_counts_only_go_down():
         matrix = CriteriaMatrix(entries)
         n = matrix.n
         faces = bicriterion_faces(entries)
-        full, quick = frozenset(range(1, n + 1)) in faces, bicriterion_full_check(matrix)
+        full, quick = frozenset(range(1, n + 1)) in faces, bicheck(matrix)[0]
         counts["ratio test full, referee not"] += quick and not full
         counts["referee full, ratio test not"] += full and not quick
         analyzer = EfficiencyAnalyzer(matrix)
@@ -679,6 +678,46 @@ def test_bicriterion_near_tie_counts_only_go_down():
     assert (counts["matrices"], counts["barycenters"]) == (150, 7146)
     above = {key: counts[key] for key, bound in BICRITERION_BOUNDS.items() if counts[key] > bound}
     assert not above, f"above their bounds: {above}"
+
+
+@st.composite
+def bicriterion_near_ties(draw):
+    """A two-criteria integer matrix with one column planted against
+    others: a copy of one less eps, a copy less 1 in one criterion, or the
+    midpoint of two less eps, with eps = 10^[-10, -6]; then each row is
+    scaled by 10^[-6, 6]."""
+    n = draw(st.integers(3, 6))
+    entries = np.array(draw(st.lists(st.integers(-9, 9), min_size=2 * n, max_size=2 * n)), dtype=float)
+    entries = entries.reshape(2, n)
+    a, b, c = draw(st.permutations(range(n)))[:3]
+    eps = 10.0 ** draw(st.floats(-10.0, -6.0))
+    plant = draw(st.sampled_from(["copy", "dominated", "midpoint"]))
+    if plant == "copy":
+        entries[:, b] = entries[:, a] - eps
+    elif plant == "dominated":
+        entries[:, b] = entries[:, a]
+        entries[draw(st.integers(0, 1)), b] -= 1.0
+    else:
+        entries[:, b] = (entries[:, a] + entries[:, c]) / 2 - eps
+    exponents = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=2)))
+    return (entries * 10.0 ** exponents[:, None]).tolist()
+
+
+@pytest.mark.xfail(strict=True, reason="float verdicts on near ties, ROADMAP item 3")
+@settings(max_examples=50, deadline=None)
+@given(bicriterion_near_ties())
+# Near-tie matrix 95: the midpoint of columns 1 and 3, (0, 0.035), beats
+# column 2 in both criteria, yet decide calls vertex 2 efficient.
+@example([[0.02, -5.0059601228065e-12, -0.02], [0.02, 0.03499999999499404, 0.05]])
+def test_decide_agrees_with_the_bicriterion_referee_on_near_ties(entries):
+    n = len(entries[0])
+    faces = bicriterion_faces(entries)
+    analyzer = EfficiencyAnalyzer(CriteriaMatrix(entries))
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(1, n + 1), size):
+            report = analyzer.decide(SimplexPoint(barycenter(n, combo)))
+            efficient = any(face.issuperset(combo) for face in faces)
+            assert (report.verdict is Verdict.EFFICIENT) == efficient, (entries, combo)
 
 
 @pytest.mark.xfail(strict=True, reason="solver breakdowns on near ties, ROADMAP item 3")

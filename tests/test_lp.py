@@ -94,6 +94,35 @@ def test_breakdown_messages_name_the_pivot_count(monkeypatch):
         lp_module._run_simplex(tableau, np.array([1]), DEFAULT_TOLERANCES)
 
 
+def _beale_tableau(b3: float) -> np.ndarray:
+    """Beale's cycling example, maximized: constraint rows over x1..x4 and
+    the slacks x5..x7, then the objective 3/4 x1 - 20 x2 + 1/2 x3 - 6 x4."""
+    return np.array([
+        [0.25, -8.0, -1.0, 9.0, 1.0, 0.0, 0.0, 0.0],
+        [0.5, -12.0, -0.5, 3.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, b3],
+        [0.75, -20.0, 0.5, -6.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+
+
+def test_blands_rule_ends_beales_cycle():
+    # Dantzig's rule cycles on Beale's example through degenerate pivots, so
+    # the stall passes its limit of 2 * (3 + 8 - 1) = 20 and Bland's rule
+    # takes over.  With b3 = 0 every pivot is degenerate, and Bland's rule
+    # finds the optimum, 0.
+    tableau, basis = _beale_tableau(0.0), np.array([4, 5, 6])
+    assert lp_module._run_simplex(tableau, basis, DEFAULT_TOLERANCES) == 24
+    assert (-tableau[-1, -1], basis.tolist()) == (0.0, [2, 4, 0])
+    # With b3 = 1 Bland's rule makes a pivot of progress, Dantzig's rule
+    # resumes and ends at the reference optimum, x = (1, 0, 1, 0).
+    start = _beale_tableau(1.0)
+    tableau, basis = start.copy(), np.array([4, 5, 6])
+    assert lp_module._run_simplex(tableau, basis, DEFAULT_TOLERANCES) == 24
+    ref = optimize.linprog(-start[-1, :4], A_ub=start[:-1, :4], b_ub=start[:-1, -1], method="highs")
+    assert ref.status == 0 and ref.x == pytest.approx([1.0, 0.0, 1.0, 0.0])
+    assert -tableau[-1, -1] == pytest.approx(-ref.fun) == 1.25
+
+
 def _random_lp(rng: np.random.Generator) -> StandardLp:
     m = int(rng.integers(1, 7))
     r = int(rng.integers(1, 7))

@@ -15,3 +15,6 @@ def test_the_package_exports_each_modules_names_once():
             assert getattr(paretosimplex, name) is getattr(module, name), (module.__name__, name)
     assert "row_key" not in names
     assert not hasattr(paretosimplex, "row_key")
+    assert "bicheck" in names
+    for gone in ("bicriterion_ratios", "bicriterion_full_check"):
+        assert gone not in names and not hasattr(paretosimplex, gone)
