@@ -46,19 +46,19 @@ weights make every point efficient.
 
 Efficient supports are closed under subsets: weights that keep a support
 at the maximum keep each of its subsets there.  So a support that contains
-a dominated support is dominated, and its closure program is infeasible
-whenever the subset's is.  The analyzer keeps the supports its closure
-programs found dominated, and decides a support containing one of them
-dominated by the closure test, with no certificate, without building or
-solving a program: the decision solving would give.
+a dominated support is dominated, and its program is infeasible whenever
+the subset's is.  The analyzer keeps the supports its programs found
+dominated, and decides a support containing one of them dominated, with
+no certificate, without building or solving a program: the decision
+solving would give.  The full support, whose program is T0, follows the
+same rule; it contains every support, so any support known dominated
+makes the randomized class dominated.
 
 Some columns need no program at all.  When column i is at least column j
 in every criterion, compared exactly, and beats it by a normalized gain
 above 1e-5, moving mass from j to i dominates every point with mass on j.
 The analyzer screens each column this way once, in O(k n**2), and starts
-its dominated supports with the screened columns.  Any support known
-dominated settles T0 without solving it: the full support contains it, so
-the randomized class is dominated.
+its dominated supports with the screened columns.
 
 The weights that certify a support usually tie more columns: their argmax
 face.  Those weights certify every support inside the face too, so
@@ -277,12 +277,11 @@ class EfficiencyAnalyzer:
     decided once, on first use, and its report kept: ``report`` is the one
     lookup, by class, that ``decide``, ``decide_many`` and ``check_full``
     read, and it returns one object per class.  Programs are not kept;
-    ``t0``, ``t1``, ``t2`` and ``closure`` solve theirs on each call, and
-    T0 is asked once, for the randomized report, unless some support is known
-    dominated.  A support holding a screened column, or containing one that
-    its closure program found dominated, is decided dominated without a
-    program, and ``efficient`` decides a support inside a kept face
-    efficient without one (see the module docstring).  These
+    ``t0``, ``t1``, ``t2`` and ``closure`` solve theirs on each call.  A
+    support, the full one included, that holds a screened column or
+    contains one that its own program found dominated is decided dominated
+    without a program, and ``efficient`` decides a support inside a kept
+    face efficient without one (see the module docstring).  These
     memos are guarded by a lock; instances are safe to share across
     threads.  The analyzer is the one object that pairs a matrix with
     tolerances: ``check_full``, ``enumerate_vertices`` and
@@ -383,15 +382,10 @@ class EfficiencyAnalyzer:
 
     def _decide_class(self, point_class: PointClass) -> EfficiencyReport:
         if isinstance(point_class, Randomized):
-            # The full support contains every support, so a dominated one settles it.
-            with self._lock:
-                known = bool(self._dominated)
-            if not known:
-                t0 = self.t0()
-                if t0.certified:
-                    return self._proved(t0)
-            # No all-tying weights exist, so no randomized point is efficient.
-            return EfficiencyReport(Verdict.DOMINATED, TestKind.T0, None, None)
+            t0 = self._closure_route(SupportPattern(range(1, self.matrix.n + 1)))
+            if t0 is None:
+                return EfficiencyReport(Verdict.DOMINATED, TestKind.T0, None, None)
+            return self._proved(t0)
         support = point_class.support
         _check_support(self.matrix, support, 1)
         full = self.report(Randomized())
@@ -413,7 +407,7 @@ class EfficiencyAnalyzer:
         when it contains a support decided dominated, true inside a kept
         face, otherwise as ``_closure_route`` decides.  A feasible program's
         argmax face, tied within ``tol.lp``, is kept once its certificate
-        passes ``verified`` with no weight above 1e6 (see the module
+        passes ``_verified`` with no weight above 1e6 (see the module
         docstring); the dominated supports are read first, so a screened
         column tied within that tolerance is never listed.  A support that is
         not a closure program's raises as ``build_closure`` does, whatever
@@ -428,7 +422,7 @@ class EfficiencyAnalyzer:
         result = self._closure_route(support)
         if result is None:
             return False
-        verified = self.verified(result, self._kept_tol)
+        verified = self._verified(result, self._kept_tol)
         # Larger weights may tie columns that trail by less than rounding.
         if verified is not None and verified[0].weights.max() <= _WEIGHT_BOUND:
             with self._lock:
@@ -436,21 +430,22 @@ class EfficiencyAnalyzer:
         return True
 
     def _closure_route(self, support: SupportPattern) -> TestResult | None:
-        """The feasible closure program on ``support``, or None when the
-        support is dominated: it contains one found dominated, or its own
-        program is infeasible, which records it as dominated."""
+        """The feasible program on ``support``, T0 when it holds every column
+        and the closure program otherwise, or None when the support is
+        dominated: it contains one found dominated, or its own program is
+        infeasible, which records it as dominated."""
         mask = _mask(support)
         with self._lock:
             if any(d & mask == d for d in self._dominated):
                 return None
-        result = self.closure(support)
+        result = self.t0() if len(support) == self.matrix.n else self.closure(support)
         if result.certified:
             return result
         with self._lock:
             self._dominated.append(mask)
         return None
 
-    def verified(
+    def _verified(
         self, result: TestResult, tol: Tolerances | None = None
     ) -> tuple[WeightVector, SupportPattern] | None:
         """Re-verify a feasible program's certificate: strictly positive
@@ -468,9 +463,9 @@ class EfficiencyAnalyzer:
 
     def _proved(self, result: TestResult) -> EfficiencyReport:
         """The report a feasible program proves for its target, once its
-        certificate passes ``verified``.  The face is the class of the
+        certificate passes ``_verified``.  The face is the class of the
         weights' argmax pattern."""
-        verified = self.verified(result)
+        verified = self._verified(result)
         if verified is None:
             exact = result.kind is not TestKind.CLOSURE
             claim = "tie exactly that support" if exact else "keep that support at the maximum"

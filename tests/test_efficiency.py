@@ -47,6 +47,7 @@ from paretosimplex import (
     enumerate_faces,
     solution_set,
     solve,
+    support_class,
     verify_certificate,
     vertex,
     weighted_objective,
@@ -367,6 +368,43 @@ def test_efficient_reports_always_carry_verified_certificates():
                 assert report.certificate is not None
                 assert report.certificate.strictly_positive
                 assert float(report.certificate.weights.min()) == 1.0
+
+
+def test_the_face_of_an_efficient_report_is_efficient():
+    # A report's face claims every point of that class efficient, so its
+    # own report must agree.  Every class is decided first, so the face's
+    # report is a lookup.
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(400):
+        matrix = random_matrix(rng, k=int(rng.integers(2, 6)), n=int(rng.integers(2, 8)))
+        n = matrix.n
+        analyzer = EfficiencyAnalyzer(matrix)
+        reports = [
+            analyzer.report(support_class(SupportPattern(combo), n))
+            for size in range(1, n + 1)
+            for combo in itertools.combinations(range(1, n + 1), size)
+        ]
+        for report in reports:
+            if report.verdict is Verdict.EFFICIENT:
+                assert analyzer.report(report.face).verdict is Verdict.EFFICIENT, (matrix.entries.tolist(), report)
+                checked += 1
+    assert checked == 3322
+
+
+# Column 2 is column 1 less 1e-8 in each row.
+NEAR_COPY_ROWS = [[3.0, 2.99999999], [5.0, 4.99999999]]
+
+
+@pytest.mark.xfail(strict=True, reason="a face read at tol.tie contradicts its own report, ROADMAP items 9 and 13")
+def test_the_face_of_a_near_copy_vertex_is_efficient():
+    # Vertex 1 is efficient by closure with weights (1, 1), which put column 2
+    # 2e-8 below column 1, inside tol.tie, so its face is the whole simplex.
+    # The screen finds column 2 beaten, so the randomized class is dominated.
+    analyzer = EfficiencyAnalyzer(CriteriaMatrix(NEAR_COPY_ROWS))
+    report = analyzer.decide(vertex(1, 2))
+    assert (report.verdict, report.test) == (Verdict.EFFICIENT, Kind.CLOSURE)
+    assert analyzer.report(report.face).verdict is Verdict.EFFICIENT
 
 
 # The efficient set is the closed edge between vertices 1 and 2.  Column 3

@@ -509,7 +509,9 @@ def test_the_scan_agrees_with_decide_on_near_ties():
 #: Before T1 and T2 bounded the weight mass (ROADMAP item 3 step 0), the
 #: first five counts were 24, 223, 305, 0 and 45.  The last one read 7 when
 #: it was added, against 1,177 efficient verdicts.  The column screen took
-#: the fifth and sixth from 45 and 7, with matrix 52's {2} and {2, 3}.
+#: the fifth and sixth from 45 and 7, with matrix 52's {2} and {2, 3}.  The
+#: face count read 33 of 1,175 efficient verdicts when it was added: faces
+#: read at ``tol.tie`` (ROADMAP items 9 and 13).
 NEAR_TIE_BOUNDS = {
     "enumerate errors": 24,
     "decide errors": 132,
@@ -517,6 +519,7 @@ NEAR_TIE_BOUNDS = {
     "decide/enumerate disagreements": 0,
     "decide/oracle disagreements": 43,
     "efficient where the reference gains": 5,
+    "face decided dominated": 33,
 }
 
 
@@ -526,9 +529,10 @@ def near_tie_counts():
     of 4, and every support barycenter of each: the matrices on which
     enumerate_faces raises LpError, the barycenters on which decide and the
     oracle raise it, and the barycenters on which decide disagrees with the
-    enumeration and with the oracle, where both answered, and the
-    barycenters decide calls efficient where the SciPy reference
-    (``conftest.dominance_gain``) finds a gain above 1e-6."""
+    enumeration and with the oracle, where both answered, the barycenters
+    decide calls efficient where the SciPy reference
+    (``conftest.dominance_gain``) finds a gain above 1e-6, and the efficient
+    reports whose face's own report is dominated."""
     counts = Counter()
     for index, entries, _ in near_tie_corpus():
         if index % 4:
@@ -541,18 +545,22 @@ def near_tie_counts():
             structure = None
             counts["enumerate errors"] += 1
         analyzer = EfficiencyAnalyzer(matrix)
+        faces, failed = [], set()
         for size in range(1, n + 1):
             for combo in itertools.combinations(range(1, n + 1), size):
                 counts["barycenters"] += 1
                 point = SimplexPoint(barycenter(n, combo))
                 try:
-                    efficient = analyzer.decide(point).verdict is Verdict.EFFICIENT
+                    report = analyzer.decide(point)
                 except LpError:
                     counts["decide errors"] += 1
-                    efficient = None
+                    failed.add(classify(point))
+                    report = None
+                efficient = None if report is None else report.verdict is Verdict.EFFICIENT
                 if efficient:
                     counts["efficient verdicts"] += 1
                     counts["efficient where the reference gains"] += dominance_gain(entries, point.coords) > 1e-6
+                    faces.append(report.face)
                 try:
                     oracle = dominance_lp_verdict(matrix, point) is Verdict.EFFICIENT
                 except LpError:
@@ -568,6 +576,11 @@ def near_tie_counts():
                     counts["decide/enumerate disagreements"] += listed != efficient
                 if efficient is not None and oracle is not None:
                     counts["decide/oracle disagreements"] += oracle != efficient
+        # Every class was decided above, so a face's report is a lookup,
+        # except where its decision raised, already counted there.
+        counts["face decided dominated"] += sum(
+            face not in failed and analyzer.report(face).verdict is Verdict.DOMINATED for face in faces
+        )
     return counts
 
 

@@ -123,6 +123,33 @@ def test_blands_rule_ends_beales_cycle():
     assert -tableau[-1, -1] == pytest.approx(-ref.fun) == 1.25
 
 
+def _klee_minty_tableau(d: int) -> np.ndarray:
+    """The Klee-Minty cube, maximized: rows i = 1..d hold
+    sum_{j<i} 2^(i-j+1) x_j + x_i plus the slack s_i, equal to 5^i, and the
+    objective row holds 2^(d-j) on x_j."""
+    tableau = np.zeros((d + 1, 2 * d + 1))
+    for i in range(d):
+        tableau[i, :i] = [2.0 ** (i - j + 1) for j in range(i)]
+        tableau[i, i] = tableau[i, d + i] = 1.0
+        tableau[i, -1] = 5.0 ** (i + 1)
+    tableau[-1, :d] = [2.0 ** (d - 1 - j) for j in range(d)]
+    return tableau
+
+
+def test_the_iteration_cap_stops_an_exponential_run():
+    # Dantzig's rule visits all 2^d vertices of the cube, each pivot
+    # nondegenerate, so Bland's rule never engages.
+    d = 12
+    tableau, basis = _klee_minty_tableau(d), np.arange(d, 2 * d)
+    assert lp_module._run_simplex(tableau, basis, DEFAULT_TOLERANCES) == 2**d - 1
+    assert tableau[-1, -1] == -(5.0**d)
+    # At d = 14 the 2^14 - 1 pivots pass the cap of 10,000 + 100 * (14 + 29).
+    d = 14
+    tableau, basis = _klee_minty_tableau(d), np.arange(d, 2 * d)
+    with pytest.raises(NumericalBreakdownError, match="^no progress after 14301 pivots; aborting instead of looping$"):
+        lp_module._run_simplex(tableau, basis, DEFAULT_TOLERANCES)
+
+
 def _random_lp(rng: np.random.Generator) -> StandardLp:
     m = int(rng.integers(1, 7))
     r = int(rng.integers(1, 7))
