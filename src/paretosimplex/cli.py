@@ -64,6 +64,7 @@ from .core import (
     check_points,
     point_groups,
     row_key,
+    support_class,
 )
 from .efficiency import EfficiencyAnalyzer, EfficiencyReport
 from .enumeration import (
@@ -75,7 +76,7 @@ from .enumeration import (
 )
 from . import oracle
 from .lp import LpError
-from .scalarize import WeightVector, solution_set, weighted_objective
+from .scalarize import WeightVector, argmax_set, weighted_objective
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -353,7 +354,7 @@ def cmd_enumerate(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
 def cmd_scalarize(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
     weights = WeightVector(_numbers(args.weights, "weights"))
     coeffs = weighted_objective(matrix, weights)
-    solutions = _face_payload(solution_set(matrix, weights, tol), matrix.n)
+    solutions = _face_payload(support_class(argmax_set(coeffs, tol), matrix.n), matrix.n)
     payload = {
         "coeffs": [float(c) for c in coeffs],
         "dmax": float(coeffs.max()),

@@ -104,7 +104,7 @@ from .core import (
     row_key,
     support_class,
 )
-from .lp import LpSolution, NumericalBreakdownError, Relation, StandardLp, solve
+from .lp import LpError, LpSolution, Relation, StandardLp, solve
 from .scalarize import WeightVector, argmax_set, weighted_objective
 
 __all__ = [
@@ -221,7 +221,7 @@ def _build(matrix: CriteriaMatrix, support: SupportPattern, kind: TestKind) -> S
 def build_t0(matrix: CriteriaMatrix) -> StandardLp:
     """Program deciding whether some strictly positive weighting ties all
     columns."""
-    return _build(matrix, SupportPattern(range(1, matrix.n + 1)), TestKind.T0)
+    return _build(matrix, SupportPattern.trusted(tuple(range(1, matrix.n + 1))), TestKind.T0)
 
 
 def build_t1(matrix: CriteriaMatrix, support: SupportPattern) -> StandardLp:
@@ -291,6 +291,8 @@ class EfficiencyAnalyzer:
     def __init__(self, matrix: CriteriaMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
         self.matrix = matrix
         self.tol = tol
+        # Every column: T0's target and the randomized class's support.
+        self._all_columns = SupportPattern.trusted(tuple(range(1, matrix.n + 1)))
         self._lock = threading.Lock()
         self._reports: dict[PointClass, EfficiencyReport] = {}
         # Bit masks (bit j for column j) of the supports decided dominated,
@@ -301,21 +303,15 @@ class EfficiencyAnalyzer:
         # Kept faces count a column as tied only within the solver tolerance.
         self._kept_tol = replace(tol, tie=tol.lp)
 
-    def _breakdown(self, kind: TestKind, target: SupportPattern, cause: object) -> NumericalBreakdownError:
-        """A breakdown error naming the program's kind and support and the matrix's shape."""
-        support = "{" + ", ".join(map(str, target)) + "}"
-        k, n = self.matrix.k, self.matrix.n
-        return NumericalBreakdownError(f"{kind.value} program on support {support} of the {k}x{n} matrix: {cause}")
-
     def _run(self, kind: TestKind, target: SupportPattern, lp: StandardLp) -> TestResult:
         try:
             solution = solve(lp, self.tol)
-        except NumericalBreakdownError as exc:
-            raise self._breakdown(kind, target, exc) from exc
+        except LpError as exc:
+            raise LpError.of_program(kind.value, target, self.matrix.k, self.matrix.n, exc) from exc
         return TestResult(kind, target, lp, solution)
 
     def t0(self) -> TestResult:
-        return self._run(TestKind.T0, SupportPattern(range(1, self.matrix.n + 1)), build_t0(self.matrix))
+        return self._run(TestKind.T0, self._all_columns, build_t0(self.matrix))
 
     def t1(self, support: SupportPattern) -> TestResult:
         return self._run(TestKind.T1, support, build_t1(self.matrix, support))
@@ -382,7 +378,7 @@ class EfficiencyAnalyzer:
 
     def _decide_class(self, point_class: PointClass) -> EfficiencyReport:
         if isinstance(point_class, Randomized):
-            t0 = self._closure_route(SupportPattern(range(1, self.matrix.n + 1)))
+            t0 = self._closure_route(self._all_columns)
             if t0 is None:
                 return EfficiencyReport(Verdict.DOMINATED, TestKind.T0, None, None)
             return self._proved(t0)
@@ -469,7 +465,8 @@ class EfficiencyAnalyzer:
         if verified is None:
             exact = result.kind is not TestKind.CLOSURE
             claim = "tie exactly that support" if exact else "keep that support at the maximum"
-            raise self._breakdown(result.kind, result.target, f"extracted certificate does not {claim}")
+            cause = f"extracted certificate does not {claim}"
+            raise LpError.of_program(result.kind.value, result.target, self.matrix.k, self.matrix.n, cause)
         certificate, tied = verified
         return EfficiencyReport(Verdict.EFFICIENT, result.kind, certificate, support_class(tied, self.matrix.n))
 

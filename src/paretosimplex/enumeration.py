@@ -89,7 +89,7 @@ def check_full(analyzer: EfficiencyAnalyzer) -> tuple[bool, WeightVector | None]
 
     True comes with a verified certificate: strictly positive weights
     under which every column ties.  A certificate that fails the check
-    raises ``NumericalBreakdownError``, as in ``decide``.
+    raises ``LpError``, as in ``decide``.
     """
     report = analyzer.report(Randomized())
     return report.verdict is Verdict.EFFICIENT, report.certificate

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .core import DEFAULT_TOLERANCES, DimensionMismatchError, InputError, Tolera
 __all__ = [
     "LpError",
     "LpSolution",
-    "NumericalBreakdownError",
     "Relation",
     "StandardLp",
     "feasibility_violation",
@@ -51,12 +50,16 @@ class Relation(Enum):
 
 
 class LpError(RuntimeError):
-    """The solver could neither return a point nor prove that none exists."""
+    """The solver could neither return a point nor prove that none exists:
+    pivoting stalled past the iteration cap, or the final point failed its
+    feasibility re-check.  Never silently reported as feasible."""
 
-
-class NumericalBreakdownError(LpError):
-    """Pivoting stalled past the iteration cap, or the final point failed
-    its feasibility re-check.  Never silently reported as Feasible."""
+    @classmethod
+    def of_program(cls, program: str, support: Iterable[int], k: int, n: int, cause: object) -> LpError:
+        """A breakdown naming the program's kind, its support (1-based
+        columns) and the shape of the k x n matrix it was built on."""
+        columns = ", ".join(map(str, support))
+        return cls(f"{program} program on support {{{columns}}} of the {k}x{n} matrix: {cause}")
 
 
 _CODES = {Relation.LE: 0, Relation.EQ: 1, Relation.GE: 2}
@@ -132,9 +135,9 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, tol: Tolerances) -> int
     The last row of ``tableau`` is the maximized objective: its reduced
     costs, then minus its current value.  Each pivot divides the pivot row by the pivot
     and subtracts a multiple of it from every other row, the objective
-    included, in one update.  Raises NumericalBreakdownError past the
-    iteration cap, and on an improving column with no positive entry,
-    which phase one, bounded by zero, cannot have in exact arithmetic."""
+    included, in one update.  Raises LpError past the iteration cap, and
+    on an improving column with no positive entry, which phase one,
+    bounded by zero, cannot have in exact arithmetic."""
     rows, width = tableau.shape[0] - 1, tableau.shape[1]
     stall_limit = 2 * (rows + width - 1)
     iteration_cap = 10_000 + 100 * (rows + width)
@@ -156,9 +159,7 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, tol: Tolerances) -> int
         column = tableau[:-1, col]
         candidates = (column > tol.lp).nonzero()[0]
         if candidates.size == 0:
-            raise NumericalBreakdownError(
-                f"phase one reported an unbounded auxiliary program after {pivots} pivots"
-            )
+            raise LpError(f"phase one reported an unbounded auxiliary program after {pivots} pivots")
         ratios = np.maximum(levels[candidates], 0.0) / column[candidates]
         best = float(ratios.min())
         tied = candidates[ratios <= best + tol.lp]
@@ -178,17 +179,14 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, tol: Tolerances) -> int
             stall = 0
             bland = False
         if pivots > iteration_cap:
-            raise NumericalBreakdownError(
-                f"no progress after {pivots} pivots; aborting instead of looping"
-            )
+            raise LpError(f"no progress after {pivots} pivots; aborting instead of looping")
 
 
 def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
     """Decide whether ``lp`` has a feasible point, and return one if so.
 
-    Deterministic for fixed input and tolerances.  Raises
-    NumericalBreakdownError rather than returning a point that fails the
-    feasibility re-check.
+    Deterministic for fixed input and tolerances.  Raises LpError rather
+    than returning a point that fails the feasibility re-check.
     """
     n_struct, r = lp.num_vars, lp.num_rows
 
@@ -230,8 +228,6 @@ def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
     structural = basis < n_struct
     point[basis[structural]] = tableau[:r, -1][structural]
     if feasibility_violation(lp, point) > tol.lp:
-        raise NumericalBreakdownError(
-            f"phase-one point failed its feasibility re-check after {iterations} pivots"
-        )
+        raise LpError(f"phase-one point failed its feasibility re-check after {iterations} pivots")
     point.setflags(write=False)
     return LpSolution(point, iterations)

@@ -29,7 +29,7 @@ from .core import (
     _one_based,
     check_dimension,
 )
-from .lp import NumericalBreakdownError, Relation, StandardLp, solve
+from .lp import LpError, Relation, StandardLp, solve
 
 __all__ = ["build_dominance_lp", "dominance_lp_verdict"]
 
@@ -69,9 +69,6 @@ def dominance_lp_verdict(
     (its components above ``tol.x_zero``) and the matrix's shape."""
     try:
         solution = solve(build_dominance_lp(matrix, x), tol)
-    except NumericalBreakdownError as exc:
-        support = ", ".join(map(str, _one_based(x.coords > tol.x_zero)))
-        raise NumericalBreakdownError(
-            f"dominance program on support {{{support}}} of the {matrix.k}x{matrix.n} matrix: {exc}"
-        ) from exc
+    except LpError as exc:
+        raise LpError.of_program("dominance", _one_based(x.coords > tol.x_zero), matrix.k, matrix.n, exc) from exc
     return Verdict.EFFICIENT if solution.point is None else Verdict.DOMINATED

@@ -19,7 +19,7 @@ import pytest
 from conftest import EDGE_ONLY_ROWS, ALL_EFFICIENT_ROWS
 
 import paretosimplex
-from paretosimplex import DEFAULT_TOLERANCES, Tolerances, Verdict, cli, enumeration, oracle
+from paretosimplex import DEFAULT_TOLERANCES, Tolerances, Verdict, cli, enumeration, oracle, scalarize
 
 
 def run(capsys, *argv):
@@ -200,6 +200,21 @@ def test_scalarize_command(capsys, full_json, edge_json):
     assert code == 0
     assert "argmax: 1" in out
     assert "solution set: vertex {1}" in out
+
+
+def test_scalarize_collapses_the_criteria_once(capsys, edge_json, monkeypatch):
+    # The face is read from the coefficients the command already printed.
+    calls = []
+    real = scalarize.weighted_objective
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "weighted_objective", counting)
+    monkeypatch.setattr(scalarize, "weighted_objective", counting)
+    assert run(capsys, "scalarize", edge_json, "--weights", "1,1,1")[0] == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -454,7 +469,7 @@ def test_keyed_output_equals_per_point_output(capsys, tmp_path, seed, tol_x):
 @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
 def test_test_reports_the_points_before_a_solver_failure(capsys, edge_json, monkeypatch, mode):
     from conftest import EDGE_ONLY_ROWS as rows
-    from paretosimplex import CriteriaMatrix, NumericalBreakdownError, SupportPattern, efficiency
+    from paretosimplex import CriteriaMatrix, LpError, SupportPattern, efficiency
 
     # Column 1 beats column 3, so vertex 3 needs no program; vertex 2 does.
     failing = efficiency.build_closure(CriteriaMatrix(rows), SupportPattern((2,)))
@@ -462,7 +477,7 @@ def test_test_reports_the_points_before_a_solver_failure(capsys, edge_json, monk
 
     def solve(lp, tol):
         if lp.a.shape == failing.a.shape and (lp.a == failing.a).all():
-            raise NumericalBreakdownError("stub breakdown")
+            raise LpError("stub breakdown")
         return real_solve(lp, tol)
 
     _, before, _ = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import barycenter, margin_form_optima, random_matrix, random_point_on_support
+from conftest import ALL_EFFICIENT_ROWS, barycenter, margin_form_optima, random_matrix, random_point_on_support
 
 import paretosimplex.efficiency as efficiency_module
 from paretosimplex.cli import _report_payload
@@ -24,7 +24,6 @@ from paretosimplex import (
     InputError,
     InvalidPointError,
     LpError,
-    NumericalBreakdownError,
     PartiallyRandomized,
     Randomized,
     Relation,
@@ -455,6 +454,18 @@ def test_a_screened_column_builds_no_program(edge_matrix, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("rows", [ALL_EFFICIENT_ROWS, MIXTURE_DOMINATED_ROWS], ids=["full", "mixture-dominated"])
+def test_the_randomized_report_validates_no_support(rows, monkeypatch):
+    # The analyzer builds its all-columns support once, unchecked, and T0's
+    # target and program read it.
+    checked = []
+    real_check = SupportPattern.__post_init__
+    monkeypatch.setattr(SupportPattern, "__post_init__", lambda self: checked.append(self) or real_check(self))
+    analyzer = EfficiencyAnalyzer(CriteriaMatrix(rows))
+    analyzer.report(Randomized())
+    assert checked == []
+
+
 def test_a_support_found_dominated_first_settles_t0(monkeypatch):
     # No column of MIXTURE_DOMINATED_ROWS beats column 3, so only its closure
     # program shows vertex 3 dominated.  Once it has, the full support, which
@@ -513,7 +524,7 @@ def test_the_screen_warns_on_no_finite_matrix():
         assert efficiency_module._screened_columns(matrix) == []
         report = analyzer.decide(SimplexPoint(barycenter(3, (1, 2, 3))))
         assert (report.verdict, report.test) == (Verdict.DOMINATED, Kind.T0)
-        with pytest.raises(NumericalBreakdownError, match=r"T2 program on support \{2\}"):
+        with pytest.raises(LpError, match=r"T2 program on support \{2\}"):
             analyzer.decide(vertex(2, 3))
 
 
@@ -878,16 +889,16 @@ def test_breakdown_errors_name_the_program(edge_matrix, monkeypatch):
     # A stubbed solver stands in for a real breakdown, so the message is
     # checked whatever matrices the solver happens to fail on.
     def broken_solve(lp, tol):
-        raise NumericalBreakdownError("phase-one point failed its feasibility re-check")
+        raise LpError("phase-one point failed its feasibility re-check")
 
     monkeypatch.setattr(efficiency_module, "solve", broken_solve)
     analyzer = EfficiencyAnalyzer(edge_matrix)
-    with pytest.raises(NumericalBreakdownError) as info:
+    with pytest.raises(LpError) as info:
         analyzer.t1(SupportPattern((1, 2)))
     message = str(info.value)
     assert message.startswith("T1 program on support {1, 2} of the 3x3 matrix")
     assert "phase-one point failed its feasibility re-check" in message
-    assert isinstance(info.value.__cause__, NumericalBreakdownError)
+    assert isinstance(info.value.__cause__, LpError)
 
 
 #: Scalings of a matrix: uniform factors, and per-row factors 10^U[-e, e].

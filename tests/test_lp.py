@@ -11,7 +11,7 @@ from paretosimplex import (
     DEFAULT_TOLERANCES,
     CriteriaMatrix,
     InputError,
-    NumericalBreakdownError,
+    LpError,
     Relation,
     SimplexPoint,
     StandardLp,
@@ -86,12 +86,18 @@ def test_breakdown_messages_name_the_pivot_count(monkeypatch):
     pivots = solve(lp).iterations
     assert pivots > 0
     monkeypatch.setattr(lp_module, "feasibility_violation", lambda lp, point: 1.0)
-    with pytest.raises(NumericalBreakdownError, match=f"re-check after {pivots} pivots$"):
+    with pytest.raises(LpError, match=f"re-check after {pivots} pivots$"):
         solve(lp)
     # One row, and an improving column with no positive entry to pivot on.
     tableau = np.array([[-1.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(NumericalBreakdownError, match="auxiliary program after 0 pivots$"):
+    with pytest.raises(LpError, match="auxiliary program after 0 pivots$"):
         lp_module._run_simplex(tableau, np.array([1]), DEFAULT_TOLERANCES)
+
+
+def test_a_breakdown_names_its_program():
+    error = LpError.of_program("T1", SupportPattern((1, 3)), 2, 4, "no progress")
+    assert type(error) is LpError
+    assert str(error) == "T1 program on support {1, 3} of the 2x4 matrix: no progress"
 
 
 def _beale_tableau(b3: float) -> np.ndarray:
@@ -146,7 +152,7 @@ def test_the_iteration_cap_stops_an_exponential_run():
     # At d = 14 the 2^14 - 1 pivots pass the cap of 10,000 + 100 * (14 + 29).
     d = 14
     tableau, basis = _klee_minty_tableau(d), np.arange(d, 2 * d)
-    with pytest.raises(NumericalBreakdownError, match="^no progress after 14301 pivots; aborting instead of looping$"):
+    with pytest.raises(LpError, match="^no progress after 14301 pivots; aborting instead of looping$"):
         lp_module._run_simplex(tableau, basis, DEFAULT_TOLERANCES)
 
 

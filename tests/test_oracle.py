@@ -11,7 +11,7 @@ from paretosimplex import (
     CriteriaMatrix,
     DimensionMismatchError,
     EfficiencyAnalyzer,
-    NumericalBreakdownError,
+    LpError,
     Relation,
     SimplexPoint,
     Verdict,
@@ -78,10 +78,10 @@ def test_dominated_points_have_positive_slack(edge_matrix):
 def test_breakdowns_name_the_dominance_program(edge_matrix, monkeypatch):
     # The support is the components above x_zero, so the clamped first one is left out.
     def solve(lp, tol):
-        raise NumericalBreakdownError("stub breakdown")
+        raise LpError("stub breakdown")
 
     monkeypatch.setattr(oracle, "solve", solve)
-    with pytest.raises(NumericalBreakdownError) as info:
+    with pytest.raises(LpError) as info:
         dominance_lp_verdict(edge_matrix, SimplexPoint([1e-10, 0.5, 0.5 - 1e-10]))
     assert str(info.value) == "dominance program on support {2, 3} of the 3x3 matrix: stub breakdown"
     assert str(info.value.__cause__) == "stub breakdown"

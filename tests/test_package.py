@@ -16,5 +16,7 @@ def test_the_package_exports_each_modules_names_once():
     assert "row_key" not in names
     assert not hasattr(paretosimplex, "row_key")
     assert "bicheck" in names
-    for gone in ("bicriterion_ratios", "bicriterion_full_check"):
+    for gone in ("bicriterion_ratios", "bicriterion_full_check", "NumericalBreakdownError"):
         assert gone not in names and not hasattr(paretosimplex, gone)
+    assert not hasattr(lp, "NumericalBreakdownError")
+    assert len(names) == 47
