@@ -3,6 +3,8 @@
 Matrix files are either a JSON object with fields k, n, and C (row-major
 list of criteria rows) or headerless CSV with one criteria row per line;
 ``load_matrix`` tells them apart by the file's first non-blank character.
+Both are read as UTF-8, and a leading byte-order mark, which spreadsheet
+programs write, is dropped.
 Points and weights on the command line are comma-separated numbers.  All
 indices printed or read are 1-based.
 
@@ -161,7 +163,7 @@ def load_matrix(path: str) -> CriteriaMatrix:
     """Read the matrix file at ``path``: JSON if its first non-blank
     character is ``{`` or ``[``, else CSV, since CSV rows are numbers."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
         if text.lstrip()[:1] not in ("{", "["):
             return CriteriaMatrix([[float(cell) for cell in record] for record in csv.reader(io.StringIO(text)) if record])
         doc = json.loads(text)

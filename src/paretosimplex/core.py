@@ -29,7 +29,6 @@ __all__ = [
     "Deterministic",
     "DimensionMismatchError",
     "InputError",
-    "InvalidPointError",
     "PartiallyRandomized",
     "PointClass",
     "Randomized",
@@ -52,10 +51,6 @@ class InputError(ValueError):
 
 class DimensionMismatchError(InputError):
     """Operands whose dimensions do not agree."""
-
-
-class InvalidPointError(InputError):
-    """Candidate point violates simplex membership."""
 
 
 @dataclass(frozen=True)
@@ -162,7 +157,7 @@ class SimplexPoint:
     def __init__(self, coords, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
         arr = float_array(coords)
         if arr.ndim != 1 or arr.size == 0:
-            raise InvalidPointError("a point must be a nonempty one-dimensional vector")
+            raise InputError("a point must be a nonempty one-dimensional vector")
         checked, error = check_points(arr[np.newaxis], tol)
         if error is not None:
             raise error
@@ -182,7 +177,7 @@ class SimplexPoint:
 
 def check_points(
     points, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, InvalidPointError | None]:
+) -> tuple[np.ndarray, InputError | None]:
     """Apply the point rules to every row of an (N, n) array at once.
 
     A row is a point when its components are finite and none is below
@@ -193,7 +188,7 @@ def check_points(
     """
     rows = float_array(points)
     if rows.ndim != 2 or rows.shape[1] == 0:
-        raise InvalidPointError(
+        raise InputError(
             f"points must be the rows of a 2-dimensional array, got shape {rows.shape}"
         )
     clamped = np.where(rows < 0.0, 0.0, rows)
@@ -208,13 +203,13 @@ def check_points(
     first = int(good.argmin())
     row = rows[first]
     if not np.isfinite(row).all():
-        error = InvalidPointError("point components must be finite")
+        error = InputError("point components must be finite")
     elif (row < -tol.x_zero).any():
-        error = InvalidPointError(f"component {float(row.min())} is below -x_zero")
+        error = InputError(f"component {float(row.min())} is below -x_zero")
     else:
         # Summed again on its own, so that an overflow warns as it would
         # for this point alone.
-        error = InvalidPointError(f"components sum to {float(clamped[first].sum())}, not 1")
+        error = InputError(f"components sum to {float(clamped[first].sum())}, not 1")
     return clamped[:first], error
 
 
@@ -326,14 +321,14 @@ def classify(x: SimplexPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> PointClas
     """
     coords = x.coords
     if abs(float(coords.sum()) - 1.0) > coords.size * tol.x_zero:
-        raise InvalidPointError("point does not lie on the simplex at this tolerance")
+        raise InputError("point does not lie on the simplex at this tolerance")
     return _classify(coords, tol)
 
 
 def _classify(coords: np.ndarray, tol: Tolerances) -> PointClass:
     positive = np.flatnonzero(coords > tol.x_zero)
     if positive.size == 0:
-        raise InvalidPointError("every component is within the zero threshold")
+        raise InputError("every component is within the zero threshold")
     return support_class(SupportPattern.trusted(tuple((positive + 1).tolist())), coords.size)
 
 

@@ -350,6 +350,18 @@ def test_the_matrix_format_comes_from_the_content(capsys, tmp_path):
     assert run(capsys, "check-full", str(array)) == (2, "", f"error: {array}: expected an object with a 'C' field\n")
 
 
+def test_a_byte_order_mark_before_the_matrix_is_dropped(capsys, tmp_path):
+    # Spreadsheet programs start "CSV UTF-8" files with a byte-order mark.
+    for name, text in (("excel.csv", "3,2,1\r\n1,2,3\r\n"), ("bom.json", '{"C": [[3, 2, 1], [1, 2, 3]]}')):
+        plain, marked = tmp_path / f"plain-{name}", tmp_path / name
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        for mode in ((), ("--json",)):
+            expected = run(capsys, "check-full", str(plain), *mode)
+            assert expected[0] == 0
+            assert run(capsys, "check-full", str(marked), *mode) == expected, (name, mode)
+
+
 def test_matrix_file_errors(capsys, tmp_path, edge_json):
     code, _, err = run(capsys, "check-full", str(tmp_path / "missing.json"))
     assert code == 2

@@ -11,7 +11,6 @@ from paretosimplex import (
     Deterministic,
     EfficiencyAnalyzer,
     InputError,
-    InvalidPointError,
     PartiallyRandomized,
     Randomized,
     Relation,
@@ -90,13 +89,13 @@ def test_classification_commutes_with_permutations():
 def test_sum_tolerance_boundary():
     eps = DEFAULT_TOLERANCES.x_zero
     SimplexPoint([0.25 + 3 * eps, 0.25, 0.25, 0.25])
-    with pytest.raises(InvalidPointError):
+    with pytest.raises(InputError, match=re.escape("components sum to 1.00000005, not 1")):
         SimplexPoint([0.25 + 50 * eps, 0.25, 0.25, 0.25])
     # The edge is n * x_zero, so sums just inside it pass and just outside fail.
     edge = 4 * eps
-    for sign in (1.0, -1.0):
+    for sign, total in ((1.0, "1.00000000400004"), (-1.0, "0.99999999599996")):
         SimplexPoint([0.25 + sign * (1 - 1e-5) * edge, 0.25, 0.25, 0.25])
-        with pytest.raises(InvalidPointError):
+        with pytest.raises(InputError, match=re.escape(f"components sum to {total}, not 1")):
             SimplexPoint([0.25 + sign * (1 + 1e-5) * edge, 0.25, 0.25, 0.25])
 
 
@@ -104,7 +103,7 @@ def test_small_negative_components_clamp_to_zero():
     x = SimplexPoint([1.0, -5e-10, 5e-10])
     assert x.coords[1] == 0.0
     assert x.coords[2] == 5e-10
-    with pytest.raises(InvalidPointError):
+    with pytest.raises(InputError, match=re.escape("component -1e-08 is below -x_zero")):
         SimplexPoint([1.0, -1e-8, 0.0])
 
 
@@ -128,21 +127,21 @@ def test_classify_with_looser_threshold():
 
 
 def test_point_validation():
-    with pytest.raises(InvalidPointError):
+    with pytest.raises(InputError, match="a point must be a nonempty one-dimensional vector"):
         SimplexPoint([[0.5, 0.5]])
-    with pytest.raises(InvalidPointError):
+    with pytest.raises(InputError, match="a point must be a nonempty one-dimensional vector"):
         SimplexPoint([])
-    with pytest.raises(InvalidPointError):
+    with pytest.raises(InputError, match="point components must be finite"):
         SimplexPoint([0.5, np.inf])
-    with pytest.raises(InvalidPointError):
+    with pytest.raises(InputError, match=re.escape("components sum to 1.1, not 1")):
         SimplexPoint([0.9, 0.2])
-    with pytest.raises(InvalidPointError):
+    with pytest.raises(InputError, match="point components must be finite"):
         SimplexPoint([0.5, np.nan])
 
 
 def test_check_points_takes_only_the_rows_of_a_two_dimensional_array():
     for points in ([0.5, 0.5], np.zeros((2, 0))):
-        with pytest.raises(InvalidPointError, match="points must be the rows of a 2-dimensional array"):
+        with pytest.raises(InputError, match="points must be the rows of a 2-dimensional array"):
             check_points(points)
 
 

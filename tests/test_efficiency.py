@@ -22,7 +22,6 @@ from paretosimplex import (
     DimensionMismatchError,
     EfficiencyAnalyzer,
     InputError,
-    InvalidPointError,
     LpError,
     PartiallyRandomized,
     Randomized,
@@ -851,7 +850,7 @@ def test_decide_refuses_a_point_off_the_simplex_at_the_analyzers_tolerance(edge_
     # The point was checked at a wider zero threshold: its sum is within
     # 3 * 1e-6 of one, but not within 3 * 1e-9.
     x = SimplexPoint([0.5 + 1e-6, 0.5, 0.0], Tolerances(x_zero=1e-6))
-    with pytest.raises(InvalidPointError, match="point does not lie on the simplex at this tolerance"):
+    with pytest.raises(InputError, match="point does not lie on the simplex at this tolerance"):
         EfficiencyAnalyzer(edge_matrix).decide(x)
 
 
