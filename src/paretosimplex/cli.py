@@ -13,12 +13,12 @@ indices printed or read are 1-based.
 and one stand-in point.  So ``--`` is optional: an argument that starts
 with ``-`` and a digit, or ``-.`` and a digit, is never an option.  Both report their
 points in order, up to the first bad one, with one write, and then fail
-with the error that point raises on its own.  ``test`` groups its rows by
-class and clamped indices in one pass (``point_groups``), looks up the
-report of each group's class with ``EfficiencyAnalyzer.report``, and
-renders each group once, with its clamped indices; only the text
-``point:`` line shows the point's own clamped coordinates.  ``plot3``
-decides its grid through ``decide_many``.
+with its error: a malformed literal's, else a dimension mismatch, else
+the point rules'.  ``test`` groups its rows by class and clamped indices
+in one pass (``point_groups``), looks up the report of each group's class
+with ``EfficiencyAnalyzer.report``, and renders each group once, with its
+clamped indices; only the text ``point:`` line shows the point's own
+clamped coordinates.  ``plot3`` decides its grid through ``decide_many``.
 
 Every command writes stdout once.  ``test`` and ``oracle`` join their
 blocks themselves; the other five pass ``_emit`` a payload and a function
@@ -248,8 +248,9 @@ def _point_rows(
     literals: list[str], n: int, tol: Tolerances
 ) -> tuple[np.ndarray, InputError | None]:
     """Checked coordinates of the literals before the first bad one, and
-    the error that literal raises on its own (None if there is none): a
-    malformed literal's, else the point rules', else a dimension mismatch."""
+    that literal's error or None: a malformed literal's, else a dimension
+    mismatch, else the point rules', from the one ``check_points`` call."""
+    flat, error = None, None
     # One float pass over every component, taken only when each literal
     # has n components and all of them parse.
     if all(literal.count(",") == n - 1 for literal in literals):
@@ -258,21 +259,19 @@ def _point_rows(
             flat = np.fromiter(map(float, parts), float, len(parts))
         except ValueError:
             pass
-        else:
-            return check_points(flat.reshape(len(literals), n), tol)
-    rows: list[np.ndarray] = []
-    error = None
-    for literal in literals:
-        try:
-            point, error = check_points([_numbers(literal, "point")], tol)
-            if error is None:
-                check_dimension(point.shape[1], n)
-        except InputError as exc:
-            error = exc
-        if error is not None:
-            break
-        rows.append(point[0])
-    return np.reshape(rows, (len(rows), n)), error
+    if flat is None:
+        # Else parse up to the first malformed literal or one of another length.
+        flat = []
+        for literal in literals:
+            try:
+                row = _numbers(literal, "point")
+                check_dimension(len(row), n)
+            except InputError as exc:
+                error = exc
+                break
+            flat += row
+    coords, rule_error = check_points(np.asarray(flat, float).reshape(-1, n), tol)
+    return coords, error if rule_error is None else rule_error
 
 
 def cmd_test(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:

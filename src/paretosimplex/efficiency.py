@@ -344,9 +344,10 @@ class EfficiencyAnalyzer:
         rows of one class yield the same object.  The rows are checked and
         grouped together (``point_groups``), and each group is classified
         and looked up once per call, on its first row.
-        Input that NumPy cannot read as an array, such as ragged rows,
-        raises ``InputError`` before the first row.  An invalid row raises
-        the error ``SimplexPoint`` raises for it, and a failing decision its
+        Input NumPy cannot read as an array, such as ragged rows, raises
+        ``InputError`` before the first row, and rows of another length
+        ``DimensionMismatchError``, whatever their values.  An invalid row
+        raises ``SimplexPoint``'s error for it, and a failing decision its
         own error, each after every earlier row has been yielded.
         """
         rows = float_array(points)

@@ -400,7 +400,8 @@ def test_malformed_point_literal(capsys, edge_json):
 # Each entry: the literals after the two good points, the exit code and
 # stderr.  The later entries hold n - 1 commas per literal, or N * n numbers
 # in all, so that parsing every literal in one pass must find the same
-# first bad literal as parsing them one by one.
+# first bad literal as parsing them one by one.  The last ones have another
+# length and also break a point rule, and their length is what is reported.
 BAD_THIRD_POINTS = [
     (("0.5,oops,0.5",), 2, "error: malformed point literal '0.5,oops,0.5': could not convert string to float: 'oops'\n"),
     (("0.5,0.6,0",), 2, "error: components sum to 1.1, not 1\n"),
@@ -412,10 +413,16 @@ BAD_THIRD_POINTS = [
     (("1e400,0,0",), 2, "error: point components must be finite\n"),
     (("nan,0.5,0.5",), 2, "error: point components must be finite\n"),
     ((" 0.5,0.6,0",), 2, "error: components sum to 1.1, not 1\n"),
+    (("0.07",), 3, "error: point has 1 components, matrix has 3 columns\n"),
+    (("0.5,0.6",), 3, "error: point has 2 components, matrix has 3 columns\n"),
+    (("nan,0.5",), 3, "error: point has 2 components, matrix has 3 columns\n"),
+    (("0.3,0.3,0.1,0.1",), 3, "error: point has 4 components, matrix has 3 columns\n"),
+    (("-0.5,1.5",), 3, "error: point has 2 components, matrix has 3 columns\n"),
 ]
 BAD_THIRD_IDS = [
     "malformed", "sum", "below", "length",
     "split-length", "empty-part", "trailing-comma", "overflow", "nan", "space",
+    "one-component-sum", "short-sum", "short-nan", "long-sum", "short-below",
 ]
 
 
@@ -432,6 +439,30 @@ def test_test_reports_the_points_before_a_bad_one(capsys, edge_json, command, mo
     for tail in (("0,1,0",), ("0,1,0", "oops")):
         got = run(capsys, command, edge_json, *mode, "1,0,0", "0.5,0.5,0", *bad, *tail)
         assert got == (code, before, message)
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (("test", "1,0,0", "0.5,0.5,0", "0.5,0.5"), 3),
+        (("oracle", "1,0,0", "0.5,0.5,0", "0.07"), 3),
+        (("test", "--json", "1,0,0", "0.5,0.5,0", "0.5,0.6,0"), 2),
+    ],
+    ids=["test-fallback", "oracle-fallback", "one-pass"],
+)
+def test_the_point_reader_checks_the_rows_once(capsys, edge_json, monkeypatch, argv, code):
+    # Both routes of the literal reader reach one check of the point rules.
+    calls = []
+    real = cli.check_points
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "check_points", counting)
+    command, *rest = argv
+    assert run(capsys, command, edge_json, *rest)[0] == code
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("tol_x", [None, "1e-4"], ids=["default-tol-x", "tol-x-1e-4"])
