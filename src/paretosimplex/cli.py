@@ -12,17 +12,19 @@ indices printed or read are 1-based.
 (``_split_points``), and argparse reads only the options, the matrix path
 and one stand-in point.  So ``--`` is optional: an argument that starts
 with ``-`` and a digit, or ``-.`` and a digit, is never an option.  Both report their
-points in order, up to the first bad one, with one write, and then fail
-with its error: a malformed literal's, else a dimension mismatch, else
-the point rules'.  ``test`` groups its rows by class and clamped indices
-in one pass (``point_groups``), looks up the report of each group's class
-with ``EfficiencyAnalyzer.report``, and renders each group once, with its
-clamped indices; only the text ``point:`` line shows the point's own
+points in order, up to the first bad one, and then fail with its error:
+a malformed literal's, else a dimension mismatch, else the point rules'.
+``test`` numbers its rows by class and clamped indices in one pass
+(``point_groups``), and on each group's first row looks up the report of
+its class with ``EfficiencyAnalyzer.report`` and renders it once, with
+its clamped indices; only the text ``point:`` line shows the point's own
 clamped coordinates.  ``plot3`` decides its grid through ``decide_many``.
 
-Every command writes stdout once.  ``test`` and ``oracle`` join their
-blocks themselves; the other five pass ``_emit`` a payload and a function
-returning their text lines, which is called only without --json.
+A command only appends its output documents to the list ``main`` passes
+it, or raises: one JSON line under --json, else one text block, built
+only then.  ``test`` and ``oracle`` append one per point, the other five
+one in all.  ``main`` writes the documents with one write to stdout, also
+when the command raises, and then prints the error line.
 
 Exit codes, which ``main`` reads from one table, ``_EXIT_CODES``: 0
 success, 2 malformed input, 3 dimension mismatch, 4 solver failure or a
@@ -78,7 +80,7 @@ from .enumeration import (
 )
 from . import oracle
 from .lp import LpError
-from .scalarize import WeightVector, argmax_set, weighted_objective
+from .scalarize import WeightVector, argmax_set, check_weights, weighted_objective
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -238,12 +240,6 @@ def _report_text(point_class: PointClass, report: EfficiencyReport, n: int, clam
     return "\n".join(lines)
 
 
-def _write(blocks: list[str], separator: str = "\n") -> None:
-    """Write the blocks, each ending its line, with one write to stdout."""
-    if blocks:
-        sys.stdout.write(separator.join(blocks) + "\n")
-
-
 def _point_rows(
     literals: list[str], n: int, tol: Tolerances
 ) -> tuple[np.ndarray, InputError | None]:
@@ -274,47 +270,32 @@ def _point_rows(
     return coords, error if rule_error is None else rule_error
 
 
-def cmd_test(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
+def cmd_test(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances, documents: list[str]) -> None:
     coords, error = _point_rows(args.points, matrix.n, tol)
-    first, groups = point_groups(coords, tol)
     # Rows of one group share one report, and its JSON line or text block
-    # after "point:" is rendered once, on the group's first row.
+    # after "point:" is rendered once, on the group's first row: groups are
+    # numbered by first row, so that is the row whose group is not rendered yet.
     analyzer = EfficiencyAnalyzer(matrix, tol)
     texts: list[str] = []
-    try:
-        for row in coords[first]:
-            point_class, clamped = row_key(row, tol)
+    for index, group in enumerate(point_groups(coords, tol).tolist()):
+        if group == len(texts):
+            point_class, clamped = row_key(coords[index], tol)
             texts.append(_report_text(point_class, analyzer.report(point_class), matrix.n, clamped, args.json))
-    finally:
-        # Every row before the first one whose group failed to decide.
-        shown = groups if len(texts) == first.size else groups[: first[len(texts)]]
-        if args.json:
-            _write([texts[group] for group in shown.tolist()])
-        else:
-            rows = zip(coords.tolist(), shown.tolist())
-            _write([f"point: {_items(row)}\n{texts[group]}" for row, group in rows], "\n\n")
+        documents.append(texts[group] if args.json else f"point: {_items(coords[index])}\n{texts[group]}")
     if error is not None:
         raise error
-    return EXIT_OK
 
 
-def _emit(args: argparse.Namespace, payload: dict, text) -> None:
-    """Write a command's one document: its JSON line under ``--json``, else
-    the lines ``text()`` returns, which are built only then."""
-    _write([_json_text(payload)] if args.json else text())
-
-
-def cmd_check_full(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
+def cmd_check_full(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances, documents: list[str]) -> None:
     full, certificate = check_full(EfficiencyAnalyzer(matrix, tol))
     weights = None if certificate is None else [float(w) for w in certificate.weights]
-    _emit(args, {"full": full, "certificate": weights}, lambda: [
+    documents.append(_json_text({"full": full, "certificate": weights}) if args.json else "\n".join([
         f"full: {'yes' if full else 'no'}",
         *([] if weights is None else [f"certificate: {_items(weights)}"]),
-    ])
-    return EXIT_OK
+    ]))
 
 
-def cmd_enumerate(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
+def cmd_enumerate(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances, documents: list[str]) -> None:
     if args.oracle:
         # Listed first, so that a sweep past the listing bound is refused unscanned.
         supports = [(j,) for j in range(1, matrix.n + 1)] + _listed_supports(matrix.n, args.max_support)
@@ -338,23 +319,23 @@ def cmd_enumerate(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
             agrees = (combo in efficient) == (verdict is Verdict.EFFICIENT)
             agreement.append({"support": list(combo), "agrees": agrees})
         payload["oracle"] = agreement
-    disagreements = sum(not entry["agrees"] for entry in agreement)
-    if disagreements:
-        print(f"error: {disagreements} supports disagree with the dominance oracle", file=sys.stderr)
-    _emit(args, payload, lambda: [
+    documents.append(_json_text(payload) if args.json else "\n".join([
         f"full: {'yes' if structure.full else 'no'}",
         f"efficient vertices: {_items(vertices) or '(none)'}",
         f"efficient faces: {'; '.join(_items(face, braces=True) for face in faces) or '(none)'}",
         f"exhaustive: {'yes' if structure.exhaustive else 'no'}",
         *(f"oracle {_items(entry['support'], braces=True)}: {'agree' if entry['agrees'] else 'DISAGREE'}"
           for entry in agreement),
-    ])
-    return EXIT_SOLVER if disagreements else EXIT_OK
+    ]))
+    disagreements = sum(not entry["agrees"] for entry in agreement)
+    if disagreements:
+        raise LpError(f"{disagreements} supports disagree with the dominance oracle")
 
 
-def cmd_scalarize(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
-    weights = WeightVector(_numbers(args.weights, "weights"))
-    coeffs = weighted_objective(matrix, weights)
+def cmd_scalarize(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances, documents: list[str]) -> None:
+    values = _numbers(args.weights, "weights")
+    check_weights(len(values), matrix.k)
+    coeffs = weighted_objective(matrix, WeightVector(values))
     solutions = _face_payload(support_class(argmax_set(coeffs, tol), matrix.n), matrix.n)
     payload = {
         "coeffs": [float(c) for c in coeffs],
@@ -362,24 +343,22 @@ def cmd_scalarize(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Toleran
         "argmax": solutions["support"],
         "solution_set": solutions,
     }
-    _emit(args, payload, lambda: [
+    documents.append(_json_text(payload) if args.json else "\n".join([
         f"coeffs: {_items(payload['coeffs'])}",
         f"dmax: {_json_text(payload['dmax'])}",
         f"argmax: {_items(solutions['support'])}",
         f"solution set: {solutions['kind']} {_items(solutions['support'], braces=True)}",
-    ])
-    return EXIT_OK
+    ]))
 
 
-def cmd_bicheck(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
+def cmd_bicheck(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances, documents: list[str]) -> None:
     full, ratios = bicheck(matrix, tol)
-    _emit(args, {"full": full, "ratios": ratios}, lambda: [
+    documents.append(_json_text({"full": full, "ratios": ratios}) if args.json else "\n".join([
         f"full: {'yes' if full else 'no'}", f"ratios: {_items(ratios)}"
-    ])
-    return EXIT_OK
+    ]))
 
 
-def cmd_plot3(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
+def cmd_plot3(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances, documents: list[str]) -> None:
     if matrix.n != 3:
         raise DimensionMismatchError(f"plot3 needs exactly 3 columns, matrix has {matrix.n}")
     if args.density < 1:
@@ -388,27 +367,19 @@ def cmd_plot3(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances)
     d = args.density
     grid = [[a / d, b / d, (d - a - b) / d] for a in range(d + 1) for b in range(d - a + 1)]
     rows = [{"point": c, "verdict": report.verdict.value} for c, report in zip(grid, analyzer.decide_many(grid))]
-    _emit(args, {"density": d, "rows": rows}, lambda: [
+    documents.append(_json_text({"density": d, "rows": rows}) if args.json else "\n".join([
         "x1,x2,x3,verdict", *(",".join(map(_json_text, row["point"])) + f",{row['verdict']}" for row in rows)
-    ])
-    return EXIT_OK
+    ]))
 
 
-def cmd_oracle(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances) -> int:
+def cmd_oracle(args: argparse.Namespace, matrix: CriteriaMatrix, tol: Tolerances, documents: list[str]) -> None:
     coords, error = _point_rows(args.points, matrix.n, tol)
-    lines: list[str] = []
-    try:
-        for row in coords:
-            verdict = oracle.dominance_lp_verdict(matrix, SimplexPoint(row, tol), tol)
-            if args.json:
-                lines.append(_json_text({"point": row.tolist(), "verdict": verdict.value}))
-            else:
-                lines.append(f"point: {_items(row)}\nverdict: {verdict.value}")
-    finally:
-        _write(lines, "\n" if args.json else "\n\n")
+    for row in coords:
+        verdict = oracle.dominance_lp_verdict(matrix, SimplexPoint(row, tol), tol)
+        documents.append(_json_text({"point": row.tolist(), "verdict": verdict.value}) if args.json
+                         else f"point: {_items(row)}\nverdict: {verdict.value}")
     if error is not None:
         raise error
-    return EXIT_OK
 
 
 # The options every subcommand takes, with their add_argument keywords, and
@@ -563,14 +534,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     if literals is not None:
         args.points = literals
+    # A parameter of the command, not its return value, so that the
+    # documents it appended before raising are written too.
+    documents: list[str] = []
     try:
-        tol = Tolerances(x_zero=args.tol_x, tie=args.tol_d, lp=args.tol_lp)
-        # The finiteness checks raise on what these warnings would report.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args, load_matrix(args.matrix), tol)
+        try:
+            tol = Tolerances(x_zero=args.tol_x, tie=args.tol_d, lp=args.tol_lp)
+            # The finiteness checks raise on what these warnings would report.
+            with np.errstate(over="ignore", invalid="ignore"):
+                args.func(args, load_matrix(args.matrix), tol, documents)
+        finally:
+            if documents:
+                sys.stdout.write(("\n" if args.json else "\n\n").join(documents) + "\n")
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -10,9 +10,9 @@ or the interior), so a class names that face too; ``support_class`` maps a
 support to its class.
 
 A batch of points, the rows of an (N, n) array, is checked by
-``check_points`` under the same rules as ``SimplexPoint`` and grouped by
-``point_groups`` into rows of one class and clamped indices, so that a
-caller classifies each group once, on one row, with ``row_key``.
+``check_points`` under the same rules as ``SimplexPoint`` and numbered by
+``point_groups`` into groups of one class and clamped indices, so that a
+caller classifies each group once, on its first row, with ``row_key``.
 """
 
 from __future__ import annotations
@@ -362,17 +362,15 @@ def _one_based(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(j) + 1 for j in np.flatnonzero(mask))
 
 
-def point_groups(
-    coords: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray]:
+def point_groups(coords: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Group the rows that ``check_points`` returned by class and clamped
     indices, in one pass over the array.
 
-    Returns the first row of each group, in row order, and each row's
-    group number, so that group g begins at row ``first[g]``: rows of one
-    group share their support mask (coords > x_zero) and their clamped
-    mask.  ``row_key`` gives a group's class and clamped indices from any
-    of its rows.
+    Returns each row's group number.  Groups are numbered by their first
+    row, so a row begins a new group exactly when its number equals the
+    count of groups before it.  Rows of one group share their support mask
+    (coords > x_zero) and their clamped mask, and ``row_key`` gives a
+    group's class and clamped indices from any of its rows.
     """
     # Per component: 2 on the support, 1 when clamped, 0 otherwise.
     codes = 2 * (coords > tol.x_zero) + _clamped_mask(coords, tol)
@@ -383,7 +381,7 @@ def point_groups(
     order = np.argsort(first)
     number = np.empty_like(order)
     number[order] = np.arange(order.size)
-    return first[order], number[groups]
+    return number[groups]
 
 
 def row_key(

@@ -354,10 +354,9 @@ class EfficiencyAnalyzer:
         if rows.ndim == 2:
             check_dimension(rows.shape[1], self.matrix.n)
         coords, error = check_points(rows, self.tol)
-        _, groups = point_groups(coords, self.tol)
         # Groups are numbered by first row, so a group is new on its first row.
         reports: list[EfficiencyReport] = []
-        for index, group in enumerate(groups.tolist()):
+        for index, group in enumerate(point_groups(coords, self.tol).tolist()):
             if group == len(reports):
                 reports.append(self.report(row_key(coords[index], self.tol)[0]))
             yield reports[group]

@@ -52,7 +52,10 @@ class Relation(Enum):
 class LpError(RuntimeError):
     """The solver could neither return a point nor prove that none exists:
     pivoting stalled past the iteration cap, or the final point failed its
-    feasibility re-check.  Never silently reported as feasible."""
+    feasibility re-check.  Never silently reported as feasible.  The
+    command line raises it too when ``enumerate --oracle`` finds supports
+    on which the enumeration and the dominance oracle disagree, since one
+    of the two then answered wrongly."""
 
     @classmethod
     def of_program(cls, program: str, support: Iterable[int], k: int, n: int, cause: object) -> LpError:

@@ -66,11 +66,17 @@ class WeightVector:
         return f"WeightVector([{inner}])"
 
 
+def check_weights(count: int, k: int) -> None:
+    """Raise ``DimensionMismatchError`` unless ``count`` weights fit a
+    matrix of k criteria."""
+    if count != k:
+        raise DimensionMismatchError(f"{count} weights for {k} criteria")
+
+
 def weighted_objective(matrix: CriteriaMatrix, weights: WeightVector) -> np.ndarray:
     """Collapse the criteria rows into one objective: the read-only
     coefficients weights . matrix, one per column."""
-    if weights.k != matrix.k:
-        raise DimensionMismatchError(f"{weights.k} weights for {matrix.k} criteria")
+    check_weights(weights.k, matrix.k)
     coeffs = weights.weights @ matrix.entries
     coeffs.setflags(write=False)
     return coeffs

@@ -164,7 +164,8 @@ def test_enumerate_oracle_builds_its_points_through_the_class_name(capsys, edge_
     assert run(capsys, "enumerate", edge_json, "--oracle", "--json") == expected
 
 
-def test_enumerate_oracle_disagreement_exits_4(capsys, edge_json, monkeypatch):
+def flip_oracle_on_vertex_3(monkeypatch):
+    """Make the dominance oracle give vertex 3 the other verdict."""
     real_verdict = oracle.dominance_lp_verdict
 
     def flipped_on_vertex_3(matrix, point, tol):
@@ -174,17 +175,21 @@ def test_enumerate_oracle_disagreement_exits_4(capsys, edge_json, monkeypatch):
         return Verdict.EFFICIENT if verdict is Verdict.DOMINATED else Verdict.DOMINATED
 
     monkeypatch.setattr(oracle, "dominance_lp_verdict", flipped_on_vertex_3)
+
+
+def test_enumerate_oracle_disagreement_exits_4(capsys, edge_json, monkeypatch):
+    flip_oracle_on_vertex_3(monkeypatch)
     code, out, err = run(capsys, "enumerate", edge_json, "--oracle", "--json")
     assert code == 4
     payload = json.loads(out)
     assert [entry["support"] for entry in payload["oracle"] if not entry["agrees"]] == [[3]]
-    assert "disagree" in err
+    assert err == "error: 1 supports disagree with the dominance oracle\n"
 
     code, out, err = run(capsys, "enumerate", edge_json, "--oracle")
     assert code == 4
     assert "oracle {3}: DISAGREE" in out
     assert "oracle {1, 2}: agree" in out
-    assert "disagree" in err
+    assert err == "error: 1 supports disagree with the dominance oracle\n"
 
 
 def test_scalarize_command(capsys, full_json, edge_json):
@@ -509,13 +514,13 @@ def test_keyed_output_equals_per_point_output(capsys, tmp_path, seed, tol_x):
     assert len(set(keys)) > len({key[:2] for key in keys})
 
 
-@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
-def test_test_reports_the_points_before_a_solver_failure(capsys, edge_json, monkeypatch, mode):
-    from conftest import EDGE_ONLY_ROWS as rows
+def fail_closure_on_vertex_2(monkeypatch):
+    """Make the solver break down on the closure program of vertex 2 of
+    ``EDGE_ONLY_ROWS``.  Column 1 beats column 3, so vertex 3 needs no
+    program; vertex 2 does."""
     from paretosimplex import CriteriaMatrix, LpError, SupportPattern, efficiency
 
-    # Column 1 beats column 3, so vertex 3 needs no program; vertex 2 does.
-    failing = efficiency.build_closure(CriteriaMatrix(rows), SupportPattern((2,)))
+    failing = efficiency.build_closure(CriteriaMatrix(EDGE_ONLY_ROWS), SupportPattern((2,)))
     real_solve = efficiency.solve
 
     def solve(lp, tol):
@@ -523,8 +528,13 @@ def test_test_reports_the_points_before_a_solver_failure(capsys, edge_json, monk
             raise LpError("stub breakdown")
         return real_solve(lp, tol)
 
-    _, before, _ = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0")
     monkeypatch.setattr(efficiency, "solve", solve)
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+def test_test_reports_the_points_before_a_solver_failure(capsys, edge_json, monkeypatch, mode):
+    _, before, _ = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0")
+    fail_closure_on_vertex_2(monkeypatch)
     code, out, err = run(capsys, "test", edge_json, *mode, "1,0,0", "0.5,0.5,0", "0,1,0", "0,0,1")
     assert (code, out) == (4, before)
     assert err == "error: closure program on support {2} of the 3x3 matrix: stub breakdown\n"
@@ -540,25 +550,65 @@ SINGLE_DOCUMENT_COMMANDS = [
     ("plot3", "edge.json", "--density", "2"),
 ]
 
+# The other command lines that write stdout once, run on the error table's
+# files, each with the stub it runs under: one document per point, the
+# points before a bad one or a failing decision, a disagreement, and a
+# missing matrix, which writes nothing to stdout.
+POINT_AND_FAILING_COMMANDS = [
+    pytest.param(("test", "edge.json", "1,0,0", "0.5,0.5,0", "0,0,1"), None, id="test"),
+    pytest.param(("test", "edge.json", "1,0,0", "0,0,1", "0.5,oops,0.5"), None, id="test-malformed"),
+    pytest.param(
+        ("test", "edge.json", "1,0,0", "0.5,0.5,0", "0,1,0", "0,0,1"), fail_closure_on_vertex_2, id="test-breakdown"
+    ),
+    pytest.param(("oracle", "edge.json", "1,0,0", "0,0,1"), None, id="oracle"),
+    pytest.param(("oracle", "edge.json", "1,0,0", "0,0,1", "0.5,0.5"), None, id="oracle-short"),
+    pytest.param(("enumerate", "edge.json", "--oracle"), flip_oracle_on_vertex_3, id="enumerate-disagreement"),
+    pytest.param(("check-full", "missing.json"), None, id="check-full-missing"),
+]
 
-class CountingStdout(io.StringIO):
-    """A stdout that counts its writes."""
 
-    writes = 0
+class RecordingStream(io.StringIO):
+    """A stdout or stderr that records each write, with its stream's name,
+    in a list it shares with the other stream."""
+
+    def __init__(self, name, writes):
+        super().__init__()
+        self.name, self.writes = name, writes
 
     def write(self, text):
-        self.writes += 1
+        self.writes.append((self.name, text))
         return super().write(text)
+
+
+def run_recording_writes(capsys, monkeypatch, argv):
+    """Run ``argv`` twice, and check that the second run writes the first
+    run's stdout with one write, or none when it is empty, and then its
+    stderr: one error line exactly when the command fails.  Returns the
+    exit code."""
+    code, out, err = run(capsys, *argv)
+    writes: list[tuple[str, str]] = []
+    monkeypatch.setattr(sys, "stdout", RecordingStream("stdout", writes))
+    monkeypatch.setattr(sys, "stderr", RecordingStream("stderr", writes))
+    assert cli.main(list(argv)) == code
+    assert writes[: bool(out)] == [("stdout", out)] * bool(out)
+    assert all(name == "stderr" for name, _ in writes[bool(out) :])
+    assert "".join(text for _, text in writes[bool(out) :]) == err
+    assert [line[:7] for line in err.splitlines()] == ["error: "] * (code != 0)
+    return code
 
 
 @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
 @pytest.mark.parametrize("argv", SINGLE_DOCUMENT_COMMANDS, ids=" ".join)
 def test_single_document_commands_write_stdout_once(capsys, error_table_dir, monkeypatch, argv, mode):
-    _, expected, _ = run(capsys, *argv, *mode)
-    stdout = CountingStdout()
-    monkeypatch.setattr(sys, "stdout", stdout)
-    assert cli.main([*argv, *mode]) == 0
-    assert (stdout.writes, stdout.getvalue()) == (1, expected)
+    assert run_recording_writes(capsys, monkeypatch, [*argv, *mode]) == 0
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize(("argv", "stub"), POINT_AND_FAILING_COMMANDS)
+def test_points_and_failures_write_stdout_once(capsys, error_table_dir, monkeypatch, argv, stub, mode):
+    if stub is not None:
+        stub(monkeypatch)
+    run_recording_writes(capsys, monkeypatch, [*argv, *mode])
 
 
 @pytest.mark.parametrize(
@@ -756,6 +806,9 @@ ERROR_TABLE = [
     ("scalarize edge.json --weights 1,1", 3, "", "error: 2 weights for 3 criteria\n"),
     ("scalarize edge.json --weights 1,x,1", 2, "", "error: malformed weights literal '1,x,1': could not convert string to float: 'x'\n"),
     ("scalarize full.json --weights inf,1", 2, "", "error: weights must be finite\n"),
+    # The weights' count is checked before their values.
+    ("scalarize full.json --weights nan,1,2", 3, "", "error: 3 weights for 2 criteria\n"),
+    ("scalarize full.json --weights inf,1,2,3", 3, "", "error: 4 weights for 2 criteria\n"),
     ("oracle edge.json 0.5,0.5", 3, "", "error: point has 2 components, matrix has 3 columns\n"),
     ("oracle edge.json 0,0,1 0.5,oops,0.5", 2, "point: 0, 0, 1\nverdict: dominated\n", "error: malformed point literal '0.5,oops,0.5': could not convert string to float: 'oops'\n"),
     ("test edge.json 0.5,0.5", 3, "", "error: point has 2 components, matrix has 3 columns\n"),
