@@ -21,13 +21,28 @@ ratio test always leave the smallest basic index, so solves are
 deterministic.  A feasible point is re-checked against the original
 constraints before it is returned; a failed re-check raises instead of
 reporting a wrong point.
+
+The programs are small enough that the fixed cost of a NumPy call, not
+arithmetic, dominates a solve.  So each pivot selects on Python floats
+(the ratio test, the tie rule and the stall counter run on the entering
+column, read with ``tolist``, and on the levels of its candidate rows)
+and leaves to NumPy only the work that grows with the tableau: the choice
+of the entering column, the pivot-row division and the rank-one update.
+The tableau is laid out in one Python pass over the rows, and the
+re-check is a row loop over one matrix product.  Python's float division,
+``max`` and comparisons are the IEEE operations NumPy applies element by
+element, and the phase-one cost row and the update are the same NumPy
+expressions as in a fully vectorized solver, so the pivots and the floats
+are the ones that form gives.  An overflow in the pivots raises no NumPy
+warning; a NaN ratio it leaves raises LpError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, MutableSequence, Sequence
 
 import numpy as np
 
@@ -51,11 +66,11 @@ class Relation(Enum):
 
 class LpError(RuntimeError):
     """The solver could neither return a point nor prove that none exists:
-    pivoting stalled past the iteration cap, or the final point failed its
-    feasibility re-check.  Never silently reported as feasible.  The
-    command line raises it too when ``enumerate --oracle`` finds supports
-    on which the enumeration and the dominance oracle disagree, since one
-    of the two then answered wrongly."""
+    pivoting stalled past the iteration cap, overflowed, or the final point
+    failed its feasibility re-check.  Never silently reported as feasible.
+    The command line raises it too when ``enumerate --oracle`` finds
+    supports on which the enumeration and the dominance oracle disagree,
+    since one of the two then answered wrongly."""
 
     @classmethod
     def of_program(cls, program: str, support: Iterable[int], k: int, n: int, cause: object) -> LpError:
@@ -87,14 +102,16 @@ class StandardLp:
             raise DimensionMismatchError("rows, relations, and rhs must align")
         try:
             # Relation codes for the solver: 0 for <=, 1 for =, 2 for >=.
-            self.codes = np.array([_CODES[rel] for rel in self.relations], dtype=int)
+            self.codes = tuple(map(_CODES.__getitem__, self.relations))
         except (KeyError, TypeError):
             raise InputError("relations must be Relation members") from None
-        for arr, name in ((self.a, "matrix"), (self.rhs, "rhs")):
-            if not np.isfinite(arr).all():
-                raise InputError(f"{name} entries must be finite")
-        for arr in (self.a, self.rhs, self.codes):
-            arr.setflags(write=False)
+        if not np.isfinite(self.a).all():
+            raise InputError("matrix entries must be finite")
+        # One entry per row: Python reads it faster than a NumPy call.
+        if not all(map(math.isfinite, self.rhs.tolist())):
+            raise InputError("rhs entries must be finite")
+        self.a.setflags(write=False)
+        self.rhs.setflags(write=False)
 
     @property
     def num_vars(self) -> int:
@@ -122,28 +139,34 @@ def feasibility_violation(lp: StandardLp, point: np.ndarray) -> float:
     scaled by 1 + |rhs| so the measure is meaningful across magnitudes.  A
     point with a NaN or infinite component violates by ``inf``."""
     x = float_array(point)
-    if not np.isfinite(x).all():
+    values = x.tolist()
+    if not all(map(math.isfinite, values)):
         return float("inf")
-    resid = lp.a @ x - lp.rhs
-    # Per relation code: excess for <=, distance for =, shortfall for >=.
-    gaps = np.choose(lp.codes, (resid, np.abs(resid), -resid))
-    # fmax skips a NaN gap, as a row-by-row max does, so it hides no other row.
-    worst = max(0.0, float(np.fmax.reduce(gaps / (1.0 + np.abs(lp.rhs)), initial=0.0)))
-    return float(max(worst, np.max(-x, initial=0.0)))
+    worst = 0.0
+    for code, activity, rhs in zip(lp.codes, (lp.a @ x).tolist(), lp.rhs.tolist()):
+        resid = activity - rhs
+        # Per relation code: excess for <=, distance for =, shortfall for >=.
+        gap = resid if code == 0 else abs(resid) if code == 1 else -resid
+        # A NaN gap never compares greater, so it hides no other row.
+        worst = max(worst, gap / (1.0 + abs(rhs)))
+    return max(worst, -min(values))
 
 
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, tol: Tolerances) -> int:
+def _run_simplex(tableau: np.ndarray, basis: MutableSequence[int], tol: Tolerances) -> int:
     """Maximize phase one's objective in place; returns the pivot count.
 
     The last row of ``tableau`` is the maximized objective: its reduced
-    costs, then minus its current value.  Each pivot divides the pivot row by the pivot
-    and subtracts a multiple of it from every other row, the objective
-    included, in one update.  Raises LpError past the iteration cap, and
-    on an improving column with no positive entry, which phase one,
-    bounded by zero, cannot have in exact arithmetic."""
+    costs, then minus its current value.  ``basis`` (a list or an integer
+    array) holds the basic column of each constraint row.  Each pivot
+    divides the pivot row by the pivot and subtracts a multiple of it from
+    every other row, the objective included, in one update.  Raises
+    LpError past the iteration cap; on an improving column with no
+    positive entry, which phase one, bounded by zero, cannot have in exact
+    arithmetic; and on a NaN ratio, which only an overflowed tableau has."""
     rows, width = tableau.shape[0] - 1, tableau.shape[1]
     stall_limit = 2 * (rows + width - 1)
     iteration_cap = 10_000 + 100 * (rows + width)
+    eps = tol.lp
     reduced = tableau[-1, :-1]
     levels = tableau[:-1, -1]
     pivots = 0
@@ -151,30 +174,43 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, tol: Tolerances) -> int
     bland = False
     while True:
         if bland:
-            improving = (reduced > tol.lp).nonzero()[0]
+            improving = (reduced > eps).nonzero()[0]
             if improving.size == 0:
                 return pivots
             col = int(improving[0])
         else:
             col = int(reduced.argmax())
-            if reduced[col] <= tol.lp:
+            if reduced[col] <= eps:
                 return pivots
-        column = tableau[:-1, col]
-        candidates = (column > tol.lp).nonzero()[0]
-        if candidates.size == 0:
+        # The ratio test: each row with an entry above eps bounds the step
+        # by its level, clipped at zero as max(level, 0.0) clips it, over
+        # that entry.  Only those rows' levels are read.
+        column = tableau[:-1, col].tolist()
+        ratios = {}
+        for i, entry in enumerate(column):
+            if entry > eps:
+                level = levels.item(i)
+                ratios[i] = (0.0 if level < 0.0 else level) / entry
+        if not ratios:
             raise LpError(f"phase one reported an unbounded auxiliary program after {pivots} pivots")
-        ratios = np.maximum(levels[candidates], 0.0) / column[candidates]
-        best = float(ratios.min())
-        tied = candidates[ratios <= best + tol.lp]
-        row = int(tied[basis[tied].argmin()])
+        # Ratios are >= 0, so their sum is NaN exactly when one of them is.
+        if math.isnan(sum(ratios.values())):
+            raise LpError(f"phase one's ratio test met a NaN after {pivots} pivots: the tableau overflowed")
+        best = min(ratios.values())
+        limit = best + eps
+        # Rows within eps of the best ratio tie; the smallest basic index leaves.
+        row = -1
+        for i, ratio in ratios.items():
+            if ratio <= limit and (row < 0 or basis[i] < basis[row]):
+                row = i
         pivot_row = tableau[row]
-        pivot_row /= pivot_row[col]
+        pivot_row /= column[row]
         factor = tableau[:, col].copy()
         factor[row] = 0.0
         tableau -= factor[:, None] * pivot_row
         basis[row] = col
         pivots += 1
-        if best <= tol.lp:
+        if best <= eps:
             stall += 1
             if stall > stall_limit:
                 bland = True
@@ -193,44 +229,54 @@ def solve(lp: StandardLp, tol: Tolerances = DEFAULT_TOLERANCES) -> LpSolution:
     """
     n_struct, r = lp.num_vars, lp.num_rows
 
-    # Sign-normalize rows, then append slack/surplus and artificial columns.
-    # A flipped row's code c becomes 2 - c: <= and >= swap, and = stays.
-    flip = lp.rhs < 0.0
-    b = np.abs(lp.rhs)
-    rel_codes = np.where(flip, 2 - lp.codes, lp.codes)
+    # One pass over the rows sign-normalizes them (a flipped row's code c
+    # becomes 2 - c: <= and >= swap, and = stays) and lists the slack or
+    # surplus and the artificial each row gets.
+    b, flipped, slacks, artificials, costs = [], [], [], [], []
+    for i, (code, value) in enumerate(zip(lp.codes, lp.rhs.tolist())):
+        if value < 0.0:
+            flipped.append(i)
+            code = 2 - code
+        b.append(abs(value))
+        if code != 1:
+            slacks.append((i, 1.0 if code == 0 else -1.0))
+        if code != 0:
+            artificials.append(i)
+        # Phase one's cost of the row's first basic column: -1 on an artificial.
+        costs.append(0.0 if code == 0 else -1.0)
+    first_art = n_struct + len(slacks)
+    width = first_art + len(artificials) + 1
 
-    slack_rows = (rel_codes != 1).nonzero()[0]
-    art_rows = (rel_codes != 0).nonzero()[0]
-    n_slack = slack_rows.size
-    n_art = art_rows.size
-    width = n_struct + n_slack + n_art + 1
     # Rows 0..r-1 are the constraints; row r is the phase-one objective.
     tableau = np.zeros((r + 1, width))
-    tableau[:r, :n_struct] = np.where(flip[:, None], -lp.a, lp.a)
+    tableau[:r, :n_struct] = lp.a
+    for i in flipped:
+        np.negative(lp.a[i], out=tableau[i, :n_struct])
     tableau[:r, -1] = b
-    slack_cols = n_struct + np.arange(n_slack)
-    art_cols = n_struct + n_slack + np.arange(n_art)
-    le = rel_codes[slack_rows] == 0
-    tableau[slack_rows, slack_cols] = np.where(le, 1.0, -1.0)
-    tableau[art_rows, art_cols] = 1.0
-    basis = np.empty(r, dtype=int)
-    basis[art_rows] = art_cols
-    basis[slack_rows[le]] = slack_cols[le]
+    # A <= row's slack and every artificial enter with +1 and start basic:
+    # each row has one of them.
+    basis = [0] * r
+    for col, (i, entry) in enumerate(slacks + [(i, 1.0) for i in artificials], n_struct):
+        tableau[i, col] = entry
+        if entry > 0.0:
+            basis[i] = col
 
     # Phase one maximizes minus the sum of the artificials; with none, its
     # cost row is zero and it stops at once.
-    phase_cost = np.zeros(width)
-    phase_cost[n_struct + n_slack : -1] = -1.0
-    tableau[-1] = phase_cost - phase_cost[basis] @ tableau[:r]
-    iterations = _run_simplex(tableau, basis, tol)
-    if tableau[-1, -1] > 10.0 * tol.lp * (1.0 + float(b.max(initial=0.0))):
-        return LpSolution(None, iterations)
+    tableau[-1, first_art:-1] = -1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tableau[-1] -= np.array(costs) @ tableau[:r]
+        iterations = _run_simplex(tableau, basis, tol)
+        if tableau[-1, -1] > 10.0 * tol.lp * (1.0 + max(b, default=0.0)):
+            return LpSolution(None, iterations)
 
-    # Artificials still basic sit at level zero and are not part of the point.
-    point = np.zeros(n_struct)
-    structural = basis < n_struct
-    point[basis[structural]] = tableau[:r, -1][structural]
-    if feasibility_violation(lp, point) > tol.lp:
-        raise LpError(f"phase-one point failed its feasibility re-check after {iterations} pivots")
+        # Artificials still basic sit at level zero and are not part of the point.
+        values = [0.0] * n_struct
+        for j, level in zip(basis, tableau[:r, -1].tolist()):
+            if j < n_struct:
+                values[j] = level
+        point = np.array(values)
+        if feasibility_violation(lp, point) > tol.lp:
+            raise LpError(f"phase-one point failed its feasibility re-check after {iterations} pivots")
     point.setflags(write=False)
     return LpSolution(point, iterations)

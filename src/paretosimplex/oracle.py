@@ -47,12 +47,12 @@ def build_dominance_lp(matrix: CriteriaMatrix, x: SimplexPoint) -> StandardLp:
     k, n = matrix.k, matrix.n
     criteria = matrix.normalized
     rows = np.empty((k + 2, n + 1))
-    rows[0, :n] = 1.0
+    rows[0] = 1.0
     rows[0, n] = -1.0
     gains = rows[1 : k + 1]
     gains[:, :n] = criteria
-    gains[:, n] = -(criteria @ x.coords)
-    rows[-1] = gains.sum(axis=0)
+    np.negative(criteria @ x.coords, out=gains[:, n])
+    gains.sum(axis=0, out=rows[-1])
     relations = [Relation.EQ] + [Relation.GE] * k + [Relation.EQ]
     rhs = np.zeros(k + 2)
     rhs[-1] = 1.0

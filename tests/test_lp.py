@@ -1,5 +1,6 @@
 """Simplex solver: feasibility answers, invariants, and a reference cross-check."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy import optimize
 
 import paretosimplex.lp as lp_module
+from conftest import barycenter, near_tie_corpus
 from paretosimplex import (
     DEFAULT_TOLERANCES,
     CriteriaMatrix,
@@ -18,6 +20,9 @@ from paretosimplex import (
     SupportPattern,
     build_closure,
     build_dominance_lp,
+    build_t0,
+    build_t1,
+    build_t2,
     feasibility_violation,
     solve,
 )
@@ -248,8 +253,10 @@ def test_feasibility_violation_equals_the_row_loop_bit_for_bit():
             with np.errstate(invalid="ignore"):
                 value = feasibility_violation(lp, point)
                 expected = _row_loop_violation(lp, point)
+                vectorized = _numpy_violation(lp, point)
             assert type(value) is float
             assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+            assert np.float64(value).tobytes() == np.float64(vectorized).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -315,3 +322,189 @@ PINNED_SOLVES = """
 def test_pivot_paths_are_pinned():
     got = [f"{'I' if s.point is None else 'F'}{s.iterations}" for s in map(solve, _pinned_corpus())]
     assert got == PINNED_SOLVES
+
+
+def _numpy_violation(lp: StandardLp, point: np.ndarray) -> float:
+    """``feasibility_violation`` in the vectorized form the solver used
+    before its re-check became a row loop, as a reference."""
+    x = np.array(point, dtype=float)
+    if not np.isfinite(x).all():
+        return float("inf")
+    resid = lp.a @ x - lp.rhs
+    gaps = np.choose(np.array(lp.codes, dtype=int), (resid, np.abs(resid), -resid))
+    worst = max(0.0, float(np.fmax.reduce(gaps / (1.0 + np.abs(lp.rhs)), initial=0.0)))
+    return float(max(worst, np.max(-x, initial=0.0)))
+
+
+def _numpy_run_simplex(tableau: np.ndarray, basis: np.ndarray, tol=DEFAULT_TOLERANCES) -> int:
+    """The pivot loop with every step in NumPy, as the solver ran it before
+    selection moved to Python floats: the reference for the kernel."""
+    rows, width = tableau.shape[0] - 1, tableau.shape[1]
+    stall_limit = 2 * (rows + width - 1)
+    iteration_cap = 10_000 + 100 * (rows + width)
+    reduced = tableau[-1, :-1]
+    levels = tableau[:-1, -1]
+    pivots = 0
+    stall = 0
+    bland = False
+    while True:
+        if bland:
+            improving = (reduced > tol.lp).nonzero()[0]
+            if improving.size == 0:
+                return pivots
+            col = int(improving[0])
+        else:
+            col = int(reduced.argmax())
+            if reduced[col] <= tol.lp:
+                return pivots
+        column = tableau[:-1, col]
+        candidates = (column > tol.lp).nonzero()[0]
+        if candidates.size == 0:
+            raise LpError(f"phase one reported an unbounded auxiliary program after {pivots} pivots")
+        ratios = np.maximum(levels[candidates], 0.0) / column[candidates]
+        best = float(ratios.min())
+        tied = candidates[ratios <= best + tol.lp]
+        row = int(tied[basis[tied].argmin()])
+        pivot_row = tableau[row]
+        pivot_row /= pivot_row[col]
+        factor = tableau[:, col].copy()
+        factor[row] = 0.0
+        tableau -= factor[:, None] * pivot_row
+        basis[row] = col
+        pivots += 1
+        if best <= tol.lp:
+            stall += 1
+            if stall > stall_limit:
+                bland = True
+        else:
+            stall = 0
+            bland = False
+        if pivots > iteration_cap:
+            raise LpError(f"no progress after {pivots} pivots; aborting instead of looping")
+
+
+def _numpy_solve(lp: StandardLp):
+    """``solve`` with the tableau built, pivoted and re-checked in NumPy
+    alone: the reference for the kernel."""
+    n_struct, r = lp.num_vars, lp.num_rows
+    codes = np.array(lp.codes, dtype=int)
+    flip = lp.rhs < 0.0
+    b = np.abs(lp.rhs)
+    rel_codes = np.where(flip, 2 - codes, codes)
+    slack_rows = (rel_codes != 1).nonzero()[0]
+    art_rows = (rel_codes != 0).nonzero()[0]
+    n_slack = slack_rows.size
+    n_art = art_rows.size
+    width = n_struct + n_slack + n_art + 1
+    tableau = np.zeros((r + 1, width))
+    tableau[:r, :n_struct] = np.where(flip[:, None], -lp.a, lp.a)
+    tableau[:r, -1] = b
+    slack_cols = n_struct + np.arange(n_slack)
+    art_cols = n_struct + n_slack + np.arange(n_art)
+    le = rel_codes[slack_rows] == 0
+    tableau[slack_rows, slack_cols] = np.where(le, 1.0, -1.0)
+    tableau[art_rows, art_cols] = 1.0
+    basis = np.empty(r, dtype=int)
+    basis[art_rows] = art_cols
+    basis[slack_rows[le]] = slack_cols[le]
+    phase_cost = np.zeros(width)
+    phase_cost[n_struct + n_slack : -1] = -1.0
+    tableau[-1] = phase_cost - phase_cost[basis] @ tableau[:r]
+    iterations = _numpy_run_simplex(tableau, basis)
+    if tableau[-1, -1] > 10.0 * DEFAULT_TOLERANCES.lp * (1.0 + float(b.max(initial=0.0))):
+        return iterations, None
+    point = np.zeros(n_struct)
+    structural = basis < n_struct
+    point[basis[structural]] = tableau[:r, -1][structural]
+    if _numpy_violation(lp, point) > DEFAULT_TOLERANCES.lp:
+        raise LpError(f"phase-one point failed its feasibility re-check after {iterations} pivots")
+    return iterations, point.tobytes()
+
+
+def _kernel_corpus() -> list[StandardLp]:
+    """Random systems, the pinned corpus, Beale's example, and every program
+    the analyzer builds and the dominance program of each support's
+    barycenter on seeded integer matrices, plain and with each row rescaled
+    by 10^U(-3, 3), and on every 40th near-tie matrix, where solves break
+    down."""
+    rng = np.random.default_rng(20261022)
+    programs = [_random_lp(rng) for _ in range(2500)] + _pinned_corpus()
+    beale = [[0.25, -60.0, -1.0 / 25.0, 9.0], [0.5, -90.0, -1.0 / 50.0, 3.0], [0.0, 0.0, 1.0, 0.0]]
+    programs.append(StandardLp(beale + [[0.75, -150.0, 1.0 / 50.0, -6.0]], [Relation.LE] * 3 + [Relation.GE], [0.0, 0.0, 1.0, 0.05]))
+    matrices = []
+    for _ in range(12):
+        k, n = int(rng.integers(2, 7)), int(rng.integers(2, 9))
+        entries = rng.integers(-9, 10, size=(k, n)).astype(float)
+        matrices += [entries, entries * 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1))]
+    matrices += [entries for index, entries, _ in near_tie_corpus() if index % 40 == 0]
+    for entries in matrices:
+        matrix = CriteriaMatrix(entries)
+        n = matrix.n
+        programs.append(build_t0(matrix))
+        programs += [build_t2(matrix, j) for j in range(1, n + 1)]
+        for size in range(1, n + 1):
+            for support in itertools.combinations(range(1, n + 1), size):
+                if 2 <= size < n:
+                    programs.append(build_t1(matrix, SupportPattern(support)))
+                if size < n:
+                    programs.append(build_closure(matrix, SupportPattern(support)))
+                programs.append(build_dominance_lp(matrix, SimplexPoint(barycenter(n, support))))
+    return programs
+
+
+def _solve_outcome(lp: StandardLp):
+    """Pivot count and point bytes (None when infeasible), or the LpError text."""
+    try:
+        solution = solve(lp)
+    except LpError as exc:
+        return str(exc)
+    return solution.iterations, None if solution.point is None else solution.point.tobytes()
+
+
+def _numpy_outcome(lp: StandardLp):
+    try:
+        return _numpy_solve(lp)
+    except LpError as exc:
+        return str(exc)
+
+
+def test_the_kernel_matches_the_numpy_form_bit_for_bit():
+    # Selection on Python floats makes the same pivots and the same floats
+    # as the form with every step in NumPy, and fails with the same message.
+    programs = _kernel_corpus()
+    assert len(programs) >= 5000
+    outcomes = Counter()
+    for lp in programs:
+        got = _solve_outcome(lp)
+        assert got == _numpy_outcome(lp), lp
+        outcomes["error" if isinstance(got, str) else "infeasible" if got[1] is None else "feasible"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+    # The pivot loop alone, on both of Beale's tableaux: the same pivots,
+    # final tableau and basis.
+    for b3 in (0.0, 1.0):
+        tableau, basis = _beale_tableau(b3), np.array([4, 5, 6])
+        reference, reference_basis = tableau.copy(), basis.copy()
+        assert lp_module._run_simplex(tableau, basis, DEFAULT_TOLERANCES) == _numpy_run_simplex(reference, reference_basis)
+        assert (tableau.tobytes(), basis.tolist()) == (reference.tobytes(), reference_basis.tolist())
+
+
+def _overflowing_lp() -> StandardLp:
+    """Finite data whose second pivot overflows the tableau to inf and NaN."""
+    return StandardLp(
+        [
+            [-1.5002957605281143e-252, 4.606816521000953e109],
+            [1.9594572102390417e52, 1.4623211652220327e282],
+            [-4.18164127089494e262, -0.0],
+        ],
+        [Relation.EQ, Relation.EQ, Relation.LE],
+        [4.9082488486556794e60, 1.608879463055123e-58, -8.149254718646264e-24],
+    )
+
+
+def test_an_overflowing_pivot_raises_lp_error():
+    # The one program on which the kernel and the NumPy form part: the NaN
+    # ratios made the form's tie rule take the argmin of no rows.
+    with pytest.raises(LpError, match="^phase one's ratio test met a NaN after 2 pivots: the tableau overflowed$"):
+        solve(_overflowing_lp())
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="argmin of an empty sequence"):
+        _numpy_solve(_overflowing_lp())
