@@ -98,12 +98,16 @@ def _frozen_array(values, ndim: int) -> np.ndarray:
     return arr
 
 
+#: Normalized gain sum(N[:, i] - N[:, j]) that column i must exceed to screen out column j.
+_SCREEN_GAIN = 1e-5
+
+
 class CriteriaMatrix:
     """A k-by-n matrix of criteria values; row i scores the n columns under
     criterion i.  Requires at least two criteria and two columns, all finite.
     """
 
-    __slots__ = ("entries", "_normalized")
+    __slots__ = ("entries", "_normalized", "_screened")
 
     def __init__(self, entries) -> None:
         arr = _frozen_array(entries, ndim=2)
@@ -114,6 +118,7 @@ class CriteriaMatrix:
             raise InputError("criteria entries must be finite")
         self.entries = arr
         self._normalized: np.ndarray | None = None
+        self._screened: tuple[int, ...] | None = None
 
     @property
     def normalized(self) -> np.ndarray:
@@ -130,6 +135,24 @@ class CriteriaMatrix:
             normalized.setflags(write=False)
             self._normalized = normalized
         return self._normalized
+
+    @property
+    def screened(self) -> tuple[int, ...]:
+        """1-based columns j that some column i beats in every criterion:
+        C[:, i] >= C[:, j] entry by entry, compared exactly, with a normalized
+        gain above _SCREEN_GAIN.  Moving the mass of j to i dominates every
+        point with mass on j.  Normalizing a row preserves its order, so a
+        positive gain puts some entry of i strictly above j's.  A row whose
+        mean overflows normalizes to NaN, and a NaN gain screens nothing.
+        Computed on first use, in O(k n**2), and kept."""
+        if self._screened is None:
+            entries = self.entries
+            beats = (entries[:, :, np.newaxis] >= entries[:, np.newaxis, :]).all(axis=0)
+            with np.errstate(all="ignore"):
+                sums = self.normalized.sum(axis=0)
+                beats &= sums[:, np.newaxis] - sums > _SCREEN_GAIN
+            self._screened = _one_based(beats.any(axis=0))
+        return self._screened
 
     @property
     def k(self) -> int:

@@ -57,8 +57,9 @@ makes the randomized class dominated.
 Some columns need no program at all.  When column i is at least column j
 in every criterion, compared exactly, and beats it by a normalized gain
 above 1e-5, moving mass from j to i dominates every point with mass on j.
-The analyzer screens each column this way once, in O(k n**2), and starts
-its dominated supports with the screened columns.
+The matrix screens its columns this way once (``CriteriaMatrix.screened``,
+shared with the dominance oracle), and the analyzer starts its dominated
+supports with the screened columns.
 
 The weights that certify a support usually tie more columns: their argmax
 face.  Those weights certify every support inside the face too, so
@@ -175,23 +176,6 @@ class EfficiencyReport:
 #: U of the T1 and T2 row sum(u) / U <= 1, and the largest weight a kept face's certificate may have.
 _WEIGHT_BOUND = 1e6
 
-#: Normalized gain sum(N[:, i] - N[:, j]) that column i must exceed to screen out column j.
-_SCREEN_GAIN = 1e-5
-
-
-def _screened_columns(matrix: CriteriaMatrix) -> list[int]:
-    """1-based columns j that some column i beats in every criterion:
-    C[:, i] >= C[:, j] entry by entry, compared exactly, with a normalized
-    gain above _SCREEN_GAIN.  Normalizing a row preserves its order, so a
-    positive gain puts some entry of i strictly above j's.  A row whose mean
-    overflows normalizes to NaN, and a NaN gain screens nothing."""
-    entries = matrix.entries
-    beats = (entries[:, :, np.newaxis] >= entries[:, np.newaxis, :]).all(axis=0)
-    with np.errstate(all="ignore"):
-        sums = matrix.normalized.sum(axis=0)
-        beats &= sums[:, np.newaxis] - sums > _SCREEN_GAIN
-    return (np.flatnonzero(beats.any(axis=0)) + 1).tolist()
-
 
 def _build(matrix: CriteriaMatrix, support: SupportPattern, kind: TestKind) -> StandardLp:
     """Feasibility program over u >= 0 with weights w = 1 + u: the support
@@ -298,7 +282,7 @@ class EfficiencyAnalyzer:
         # Bit masks (bit j for column j) of the supports decided dominated,
         # first the screened columns, then the supports found by their own
         # closure program, and of the faces ``efficient`` keeps.
-        self._dominated: list[int] = [1 << j for j in _screened_columns(matrix)]
+        self._dominated: list[int] = [1 << j for j in matrix.screened]
         self._kept: list[int] = []
         # Kept faces count a column as tied only within the solver tolerance.
         self._kept_tol = replace(tol, tie=tol.lp)

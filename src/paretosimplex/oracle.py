@@ -8,6 +8,13 @@ By Gordan's and Motzkin's theorems of the alternative exactly one of the
 two has an answer, so the routes share the LP solver but no program, and
 agreement between them is a meaningful cross-check.
 
+One exception needs no program on either route: a point with mass above
+the zero threshold on a screened column (``CriteriaMatrix.screened``).
+When column i beats column j in every criterion, y = x + x_j (e_i - e_j)
+is a feasible point that dominates x, so such a point is dominated, by an
+exact comparison rather than a solve.  The certificate route reads the
+same screen.
+
 The program is built on the normalized criteria
 (``CriteriaMatrix.normalized``, computed once per matrix): each row loses
 its mean and is divided by its largest absolute entry, and a constant row
@@ -64,9 +71,14 @@ def dominance_lp_verdict(
     x: SimplexPoint,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Verdict:
-    """Dominated when the dominance program is feasible, efficient when it
-    is infeasible.  A breakdown names the program, the point's support
-    (its components above ``tol.x_zero``) and the matrix's shape."""
+    """Dominated when the point has mass above ``tol.x_zero`` on a screened
+    column, which needs no program; otherwise dominated when the dominance
+    program is feasible, efficient when it is infeasible.  A breakdown
+    names the program, the point's support (its components above
+    ``tol.x_zero``) and the matrix's shape."""
+    check_dimension(x.n, matrix.n)
+    if any(x.coords[j - 1] > tol.x_zero for j in matrix.screened):
+        return Verdict.DOMINATED
     try:
         solution = solve(build_dominance_lp(matrix, x), tol)
     except LpError as exc:

@@ -473,7 +473,7 @@ def test_a_support_found_dominated_first_settles_t0(monkeypatch):
     real_build = efficiency_module.build_t0
     monkeypatch.setattr(efficiency_module, "build_t0", lambda matrix: built.append(matrix) or real_build(matrix))
     matrix = CriteriaMatrix(MIXTURE_DOMINATED_ROWS)
-    assert efficiency_module._screened_columns(matrix) == []
+    assert matrix.screened == ()
     analyzer = EfficiencyAnalyzer(matrix)
     assert not analyzer.efficient(SupportPattern((3,)))
     assert check_full(analyzer) == (False, None)
@@ -509,8 +509,7 @@ def screen_changes(draw):
 @given(screen_changes())
 def test_screened_columns_do_not_depend_on_units_or_order(case):
     matrix, changed, order = case
-    screened = efficiency_module._screened_columns(matrix)
-    assert efficiency_module._screened_columns(changed) == sorted(order.index(j - 1) + 1 for j in screened)
+    assert changed.screened == tuple(sorted(order.index(j - 1) + 1 for j in matrix.screened))
 
 
 def test_the_screen_warns_on_no_finite_matrix():
@@ -520,7 +519,7 @@ def test_the_screen_warns_on_no_finite_matrix():
         warnings.simplefilter("error")
         matrix = CriteriaMatrix([[1e308, 1e308, 0.0], [0.0, 1.0, 2.0]])
         analyzer = EfficiencyAnalyzer(matrix)
-        assert efficiency_module._screened_columns(matrix) == []
+        assert matrix.screened == ()
         report = analyzer.decide(SimplexPoint(barycenter(3, (1, 2, 3))))
         assert (report.verdict, report.test) == (Verdict.DOMINATED, Kind.T0)
         with pytest.raises(LpError, match=r"T2 program on support \{2\}"):
@@ -559,7 +558,7 @@ def test_t0_is_solved_once_per_analyzer(edge_matrix, full_matrix, monkeypatch):
         full += check_full(analyzer)[0]
         enumerate_faces(analyzer)
         # None when a column beats another in every criterion.
-        screened = bool(efficiency_module._screened_columns(matrix))
+        screened = bool(matrix.screened)
         assert len(built) == (0 if screened else 1)
         solved += not screened
     assert full >= 1 and solved >= 15
@@ -610,7 +609,7 @@ def test_closure_first_keeps_the_strict_first_answers(monkeypatch):
         analyzer, reference = EfficiencyAnalyzer(matrix), EfficiencyAnalyzer(matrix)
         # T0 is solved once, for the randomized report, before costs are counted.
         analyzer.decide(SimplexPoint(barycenter(n, range(1, n + 1))))
-        screened = set(efficiency_module._screened_columns(matrix))
+        screened = set(matrix.screened)
         dominated = []
         for size in range(1, n):
             for combo in itertools.combinations(range(1, n + 1), size):
@@ -678,7 +677,7 @@ def test_dominated_supersets_are_inferred(order, monkeypatch):
         if order == "shuffled":
             supports = [supports[i] for i in rng.permutation(len(supports))]
         # A support holding a screened column needs no program either.
-        screened = set(efficiency_module._screened_columns(matrix))
+        screened = set(matrix.screened)
         built.clear()
         dominated, needed, unscreened = [], 0, 0
         for combo in supports:

@@ -1,5 +1,7 @@
 """Dominance-program verdicts."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,15 +78,109 @@ def test_dominated_points_have_positive_slack(edge_matrix):
 
 
 def test_breakdowns_name_the_dominance_program(edge_matrix, monkeypatch):
-    # The support is the components above x_zero, so the clamped first one is left out.
+    # The support is the components above x_zero, so the clamped third one
+    # is left out.  Its mass sits on screened column 3 but within x_zero, so
+    # the screen does not decide the point and the program still runs.
     def solve(lp, tol):
         raise LpError("stub breakdown")
 
     monkeypatch.setattr(oracle, "solve", solve)
     with pytest.raises(LpError) as info:
-        dominance_lp_verdict(edge_matrix, SimplexPoint([1e-10, 0.5, 0.5 - 1e-10]))
-    assert str(info.value) == "dominance program on support {2, 3} of the 3x3 matrix: stub breakdown"
+        dominance_lp_verdict(edge_matrix, SimplexPoint([0.5, 0.5 - 1e-10, 1e-10]))
+    assert str(info.value) == "dominance program on support {1, 2} of the 3x3 matrix: stub breakdown"
     assert str(info.value.__cause__) == "stub breakdown"
+
+
+def _counting_solve(monkeypatch):
+    """Wrap ``oracle.solve``; returns the list of programs it is given."""
+    solved = []
+    real_solve = oracle.solve
+
+    def counting_solve(lp, tol):
+        solved.append(lp)
+        return real_solve(lp, tol)
+
+    monkeypatch.setattr(oracle, "solve", counting_solve)
+    return solved
+
+
+def test_screened_points_need_no_dominance_program(edge_matrix, monkeypatch):
+    # Column 1 beats column 3 in every criterion, so moving a point's mass
+    # from column 3 to column 1 dominates it: no program is needed.
+    solved = _counting_solve(monkeypatch)
+    assert edge_matrix.screened == (3,)
+    for coords in ([0, 0, 1], [0.3, 0, 0.7], [0.2, 0.3, 0.5]):
+        assert dominance_lp_verdict(edge_matrix, SimplexPoint(coords)) is Verdict.DOMINATED
+    assert solved == []
+    # Mass within x_zero on column 3 leaves the point to its program.
+    assert dominance_lp_verdict(edge_matrix, SimplexPoint([0.5, 0.5 - 1e-10, 1e-10])) is Verdict.EFFICIENT
+    assert len(solved) == 1
+
+
+def _integer_corpus(seed, count, plant):
+    """Integer matrices, k 2..6 and n 2..7 with entries in [-9, 9], each
+    plain and then with every row scaled by 10^U[-3, 3].  With ``plant``,
+    the first of every three matrices has one column a copy of another, and
+    the second a copy less 1 in one criterion."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        k, n = int(rng.integers(2, 7)), int(rng.integers(2, 8))
+        entries = rng.integers(-9, 10, size=(k, n)).astype(float)
+        a, b = rng.choice(n, size=2, replace=False)
+        if plant and trial % 3 < 2:
+            entries[:, b] = entries[:, a]
+            if trial % 3 == 1:
+                entries[int(rng.integers(k)), b] -= 1.0
+        factors = 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+        yield CriteriaMatrix(entries)
+        yield CriteriaMatrix(entries * factors)
+
+
+def _barycenters(n):
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(1, n + 1), size):
+            yield combo, SimplexPoint(barycenter(n, combo))
+
+
+def test_the_screen_gives_the_lp_verdict():
+    # Every barycenter that the screen decides dominated is one whose own
+    # dominance program is feasible: the screen is a proof, never a guess.
+    # Copied columns tie, with no gain, so they must not screen each other.
+    decided = raised = 0
+    for matrix in _integer_corpus(4343, 80, plant=True):
+        screened = set(matrix.screened)
+        for combo, point in _barycenters(matrix.n):
+            if not screened & set(combo):
+                continue
+            decided += 1
+            try:
+                solution = solve(build_dominance_lp(matrix, point))
+            except LpError:
+                raised += 1
+                continue
+            assert solution.point is not None, (matrix.entries.tolist(), combo)
+            assert dominance_lp_verdict(matrix, point) is Verdict.DOMINATED
+    # Of 6,264 barycenters; the rows rescaled by 10^U[-3, 3] break no program here.
+    assert (decided, raised) == (3408, 0)
+
+
+#: Bound on the dominance programs solved over every support barycenter of
+#: ``_integer_corpus(5252, 60, plant=False)``; it only goes down.  Before
+#: the oracle read the column screen it solved one program per barycenter,
+#: 3,568.
+ORACLE_PROGRAMS_BOUND = 1948
+
+
+def test_oracle_work_only_goes_down(monkeypatch):
+    # Counts, not time: the same corpus gives the same count on any machine.
+    solved = _counting_solve(monkeypatch)
+    barycenters = 0
+    for matrix in _integer_corpus(5252, 60, plant=False):
+        for _, point in _barycenters(matrix.n):
+            barycenters += 1
+            dominance_lp_verdict(matrix, point)
+    assert barycenters == 3568
+    assert len(solved) <= ORACLE_PROGRAMS_BOUND
 
 
 def test_agreement_with_certificate_route():
